@@ -18,6 +18,20 @@ from .ambiguity import LatticeSpec, PROB_TOL
 from .errors import DomainError
 
 
+@dataclass(frozen=True)
+class _RowGroup:
+    """The (node, member) rows of one level whose nodes have c children.
+
+    Nodes are in level order and each node's rows are contiguous, in member
+    order, so np.maximum.reduceat over `seg` takes the member maximum.
+    """
+
+    probs: np.ndarray  # (rows, 1, c) transition probabilities
+    first: np.ndarray  # (rows,) index of the row's first child
+    nodes: np.ndarray  # (n,) the group's nodes in the parent level
+    seg: np.ndarray    # (n,) offset of each node's first row
+
+
 class ScenarioTree:
     """Rooted tree of fixed depth with per-node transition ambiguity.
 
@@ -27,6 +41,8 @@ class ScenarioTree:
       members[k][j]  list of transition probability vectors over the children
                      of node j at level k (k <= depth-1), aligned with the
                      contiguous child block
+    Construction also flattens members[k] into rows[k], one _RowGroup per
+    child count, which the level operator and the validation work on.
     """
 
     def __init__(self, lattice: LatticeSpec, parent: list, inc: list, members: list):
@@ -40,7 +56,11 @@ class ScenarioTree:
         self.members = members
         self.sizes = [1] + [len(p) for p in self.parent[1:]]
         self._index_children()
-        self._validate()
+        self.rows = [self._level_rows(k) for k in range(self.depth)]
+        for k in range(1, self.depth + 1):
+            if self.inc[k].shape != (self.sizes[k], self.dim):
+                raise DomainError(f"level {k}: increment array shape mismatch")
+            self.lattice.to_integer(self.inc[k])
 
     def _index_children(self):
         self.child_start = []
@@ -55,40 +75,45 @@ class ScenarioTree:
             self.child_start.append(start.astype(np.int64))
             self.child_count.append(count.astype(np.int64))
 
-    def _validate(self):
-        for k in range(self.depth):
-            if len(self.members[k]) != self.sizes[k]:
-                raise DomainError(f"level {k}: members list does not cover all nodes")
-            for j in range(self.sizes[k]):
-                cnt = int(self.child_count[k][j])
-                if cnt == 0:
-                    raise DomainError(f"level {k} node {j}: every path must reach depth")
-                mems = self.members[k][j]
-                if len(mems) == 0:
-                    raise DomainError("node needs at least one transition member")
-                reach = np.zeros(cnt)
-                for p in mems:
-                    p = np.asarray(p, dtype=float)
-                    if p.shape != (cnt,):
-                        raise DomainError("member length does not match child count")
-                    if np.any(p < 0.0):
-                        raise DomainError("negative transition probability")
-                    if abs(float(p.sum()) - 1.0) > PROB_TOL:
-                        raise DomainError("transition probabilities do not sum to 1")
-                    reach = np.maximum(reach, p)
-                if np.any(reach <= 0.0):
-                    raise DomainError("child unreachable under every member")
-        for k in range(1, self.depth + 1):
-            if self.inc[k].shape != (self.sizes[k], self.dim):
-                raise DomainError(f"level {k}: increment array shape mismatch")
-            self.lattice.to_integer(self.inc[k])
+    def _level_rows(self, k: int) -> list:
+        """Validate members[k] and group its rows by child count."""
+        mems = self.members[k]
+        if len(mems) != self.sizes[k]:
+            raise DomainError(f"level {k}: members list does not cover all nodes")
+        count = self.child_count[k]
+        childless = np.flatnonzero(count == 0)
+        if childless.size:
+            raise DomainError(f"level {k} node {childless[0]}: every path must reach depth")
+        n_mem = np.fromiter(map(len, mems), dtype=np.int64, count=len(mems))
+        if np.any(n_mem == 0):
+            raise DomainError("node needs at least one transition member")
+        rows = [np.asarray(p, dtype=float) for node in mems for p in node]
+        row_count = np.repeat(count, n_mem)
+        lengths = np.fromiter((p.size if p.ndim == 1 else -1 for p in rows),
+                              dtype=np.int64, count=len(rows))
+        if np.any(lengths != row_count):
+            raise DomainError("member length does not match child count")
+        row_first = np.repeat(self.child_start[k], n_mem)
+        groups = []
+        for c in np.unique(count):
+            nodes = np.flatnonzero(count == c)
+            picked = np.flatnonzero(row_count == c)
+            probs = np.array([rows[i] for i in picked]).reshape(-1, 1, c)
+            if np.any(probs < 0.0):
+                raise DomainError("negative transition probability")
+            if np.any(np.abs(probs.sum(axis=2) - 1.0) > PROB_TOL):
+                raise DomainError("transition probabilities do not sum to 1")
+            seg = np.cumsum(n_mem[nodes]) - n_mem[nodes]
+            if np.any(np.maximum.reduceat(probs[:, 0], seg) <= 0.0):
+                raise DomainError("child unreachable under every member")
+            # int32 halves the index memory; trees stay far below 2**31 nodes.
+            groups.append(_RowGroup(probs, row_first[picked].astype(np.int32),
+                                    nodes.astype(np.int32), seg.astype(np.int32)))
+        return groups
 
     @property
     def node_count(self) -> int:
         return int(sum(self.sizes))
-
-    def level_members(self, k: int, j: int) -> list:
-        return self.members[k][j]
 
 
 @dataclass(eq=False)
@@ -121,20 +146,21 @@ class MartingaleArray:
 
 
 def _one_step(tree: ScenarioTree, level: int, vals: np.ndarray) -> np.ndarray:
-    """Conditional upper expectation from one level down to its parents."""
+    """Conditional upper expectation from one level down to its parents.
+
+    Each row's member mean is one (1, c) @ (c, d) product, the same matmul
+    kernel as p @ block on that node's child block, so the values equal the
+    per-node loop's bit for bit.  Summing with np.add.reduceat instead would
+    change the last bit of most levels.
+    """
     k = level - 1
-    n_par = tree.sizes[k]
-    vector = vals.ndim == 2
-    out = np.empty((n_par, vals.shape[1]) if vector else n_par)
-    start, count = tree.child_start[k], tree.child_count[k]
-    for j in range(n_par):
-        block = vals[start[j]:start[j] + count[j]]
-        best = None
-        for p in tree.members[k][j]:
-            m = np.asarray(p, dtype=float) @ block
-            best = m if best is None else np.maximum(best, m)
-        out[j] = best
-    return out
+    flat = vals.reshape(len(vals), -1)
+    out = np.empty((tree.sizes[k], flat.shape[1]))
+    for g in tree.rows[k]:
+        block = flat[g.first[:, None] + np.arange(g.probs.shape[2])]
+        means = np.matmul(g.probs, block)[:, 0]
+        out[g.nodes] = np.maximum.reduceat(means, g.seg)
+    return out.reshape((tree.sizes[k],) + vals.shape[1:])
 
 
 def cond_expect(tree: ScenarioTree, X: TreeRandomVariable, k: int) -> TreeRandomVariable:
@@ -462,7 +488,9 @@ def iid_level_tree(X, depth: int, scale: float = 1.0) -> ScenarioTree:
 
     Children at each node are the union of the family's support points and
     each transition member is one family member; edge increments are the
-    scaled support points.  Grows exponentially; for small depths only.
+    scaled support points.  With c support points the tree has
+    (c^(depth+1) - 1)/(c - 1) nodes (depth + 1 if c = 1), so depth must
+    stay small.  Every node of a level shares one member list.
     """
     lat0 = X.lattice
     support = X.members[0].support
@@ -480,7 +508,7 @@ def iid_level_tree(X, depth: int, scale: float = 1.0) -> ScenarioTree:
     for _ in range(depth):
         parent.append(np.repeat(np.arange(level_size), cnt))
         inc.append(np.tile(support * scale, (level_size, 1)))
-        members.append([list(probs) for _ in range(level_size)])
+        members.append([probs] * level_size)
         level_size *= cnt
     return ScenarioTree(lattice, parent, inc, members)
 

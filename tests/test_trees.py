@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from gexpect import (DomainError, MartingaleArray, ScenarioTree, TreeRandomVariable,
                      cond_expect, cond_expect_lower, drift_stat, expectation,
-                     iid_level_tree, lift, lindeberg_stat, quadratic_characteristic,
-                     random_tree, rosenthal_check, symmetric_bernoulli_family,
-                     tree_from_text, tree_to_text, verify_operator_laws)
+                     iid_level_tree, iid_sum_expect, lift, lindeberg_stat,
+                     quadratic_characteristic, random_tree, rosenthal_check,
+                     symmetric_bernoulli_family, tree_from_text, tree_to_text,
+                     verify_operator_laws)
 from gexpect.ambiguity import LatticeSpec
+from gexpect.functionals import get
+from gexpect.trees import path_sums
 
 B = symmetric_bernoulli_family((0.5, 1.0))
 
@@ -38,6 +41,22 @@ def policy_enumeration_expect(tree, X):
         mean = float(probs @ leaf_vals)
         best = mean if best is None else max(best, mean)
     return best
+
+
+def per_node_step(tree, level, vals):
+    """Reference level operator: node by node, the member maximum of
+    p @ block over that node's child block."""
+    k = level - 1
+    out = np.empty((tree.sizes[k],) + vals.shape[1:])
+    for j in range(tree.sizes[k]):
+        s, c = tree.child_start[k][j], tree.child_count[k][j]
+        block = vals[s:s + c]
+        best = None
+        for p in tree.members[k][j]:
+            m = np.asarray(p, dtype=float) @ block
+            best = m if best is None else np.maximum(best, m)
+        out[j] = best
+    return out
 
 
 def small_tree(rng):
@@ -74,6 +93,37 @@ def test_aggregation_matches_policy_enumeration(seed):
     for k in range(tree.depth):
         via_cond = expectation(tree, cond_expect(tree, X, k))
         assert via_cond == pytest.approx(expectation(tree, X), abs=1e-11)
+
+
+TREE_KINDS = [(1, {}), (2, {}), (1, {"zero_mean": True}), (2, {"zero_mean": True}),
+              (1, {"nonpositive_mean": True})]
+
+
+@given(st.integers(0, 5_000), st.sampled_from(TREE_KINDS), st.booleans())
+@settings(max_examples=40)
+def test_level_operator_bit_identical_to_per_node_loop(seed, kind, vector):
+    """Mixed child counts, 1-3 members, scalar and d-vector values."""
+    dim, shape = kind
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, max_depth=4, max_children=5, max_members=3, dim=dim,
+                       **shape)
+    for level in range(tree.depth, 0, -1):
+        size = (tree.sizes[level], dim) if vector else tree.sizes[level]
+        vals = rng.uniform(-2.0, 2.0, size=size)
+        got = cond_expect(tree, TreeRandomVariable(level, vals), level - 1).values
+        assert np.array_equal(got, per_node_step(tree, level, vals))
+
+
+def test_iid_level_tree_matches_sum_dp(bernoulli):
+    depth = 9
+    tree = iid_level_tree(bernoulli, depth)
+    scale = 1 / np.sqrt(depth)
+    terminal = path_sums(tree, MartingaleArray(tree))[depth][:, 0]
+    for name in ("positive_part", "sin", "excess_square"):
+        phi = get(name)
+        leaf = TreeRandomVariable(depth, phi(scale * terminal))
+        assert expectation(tree, leaf) == pytest.approx(
+            iid_sum_expect(bernoulli, depth, phi, scale=scale), abs=1e-10)
 
 
 def test_cond_expect_level_mismatch():
@@ -353,3 +403,25 @@ def test_tree_validation_rejects_unreachable_child():
     members = [[[np.array([1.0, 0.0])]]]
     with pytest.raises(DomainError, match="unreachable"):
         ScenarioTree(lat, parent, inc, members)
+
+
+LAT1 = LatticeSpec(1, 1.0, (0.0,))
+HALF = np.array([0.5, 0.5])
+PAIR = [None, np.array([0, 0])]
+PAIR_INC = [None, np.array([[1.0], [-1.0]])]
+
+
+@pytest.mark.parametrize("parent, inc, members, match", [
+    (PAIR, PAIR_INC, [[[HALF], [HALF]]], "level 0: members list does not cover"),
+    ([None, np.array([0, 0]), np.array([0, 0])],
+     [None, np.array([[1.0], [-1.0]]), np.array([[1.0], [-1.0]])],
+     [[[HALF]], [[HALF], [np.array([1.0])]]],
+     "level 1 node 1: every path must reach depth"),
+    (PAIR, PAIR_INC, [[[]]], "at least one transition member"),
+    (PAIR, PAIR_INC, [[[np.array([1.0])]]], "member length does not match"),
+    (PAIR, PAIR_INC, [[[np.array([1.5, -0.5])]]], "negative transition probability"),
+    (PAIR, [None, np.array([[1.0]])], [[[HALF]]], "level 1: increment array shape"),
+], ids=["covering", "childless", "no_members", "length", "negative", "increments"])
+def test_tree_validation_rejects(parent, inc, members, match):
+    with pytest.raises(DomainError, match=match):
+        ScenarioTree(LAT1, parent, inc, members)
