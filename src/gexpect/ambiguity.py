@@ -79,6 +79,8 @@ class DiscreteDistribution:
             raise DomainError("empty support")
         if not np.all(np.isfinite(self.support)):
             raise DomainError("non-finite support point")
+        if not np.all(np.isfinite(self.probs)):
+            raise DomainError("non-finite probability")
         if np.any(self.probs < 0.0):
             raise DomainError("negative probability")
         if abs(float(self.probs.sum()) - 1.0) > PROB_TOL:

@@ -127,7 +127,10 @@ def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, horizon: float,
     """Explicit march along the last axis; endpoints frozen at the data.
 
     In 1-d the generator reduces to G(a) = hi * a+ + lo * a-, evaluated
-    pointwise on the discrete second difference.
+    pointwise on the discrete second difference as max(hi * a, lo * a):
+    with lo <= hi, rounding is monotone, so that is hi * a for a >= 0 and
+    lo * a otherwise, signed zeros included.  Each step works in place in
+    two preallocated arrays.
     """
     if tau is None:
         tau_max = cfl_safety * h ** 2 / max(hi, 1e-300)
@@ -136,10 +139,21 @@ def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, horizon: float,
     else:
         steps = round(horizon / tau)
     u = np.array(u, dtype=float)
+    hh = h ** 2
+    half_tau = 0.5 * tau
+    left, mid, right = u[..., :-2], u[..., 1:-1], u[..., 2:]
+    d2 = np.empty(mid.shape)
+    low = np.empty(mid.shape)
     for m in range(steps):
-        d2 = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / h ** 2
-        g = np.where(d2 >= 0.0, hi * d2, lo * d2)
-        u[..., 1:-1] += 0.5 * tau * g
+        np.multiply(mid, 2.0, out=d2)
+        np.subtract(right, d2, out=d2)
+        np.add(d2, left, out=d2)
+        np.divide(d2, hh, out=d2)
+        np.multiply(d2, lo, out=low)
+        np.multiply(d2, hi, out=d2)
+        np.maximum(d2, low, out=d2)
+        np.multiply(d2, half_tau, out=d2)
+        np.add(mid, d2, out=mid)
         if snapshots is not None and snap_every and (m + 1) % snap_every == 0:
             snapshots.append(((m + 1) * tau, u.copy()))
     return u

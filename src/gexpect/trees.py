@@ -99,6 +99,8 @@ class ScenarioTree:
             nodes = np.flatnonzero(count == c)
             picked = np.flatnonzero(row_count == c)
             probs = np.array([rows[i] for i in picked]).reshape(-1, 1, c)
+            if not np.all(np.isfinite(probs)):
+                raise DomainError("non-finite transition probability")
             if np.any(probs < 0.0):
                 raise DomainError("negative transition probability")
             if np.any(np.abs(probs.sum(axis=2) - 1.0) > PROB_TOL):

@@ -341,6 +341,11 @@ def test_negative_probability_rejected():
         DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([1.1, -0.1]))
 
 
+def test_nan_probability_rejected():
+    with pytest.raises(DomainError, match="non-finite probability"):
+        DiscreteDistribution(np.array([[-1.0], [1.0]]), np.array([np.nan, 0.5]))
+
+
 def test_probabilities_must_sum_to_one():
     with pytest.raises(DomainError, match="sum"):
         DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.6, 0.5]))

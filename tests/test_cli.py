@@ -105,6 +105,15 @@ def test_tree_configs_reproduce_committed_reports(tmp_path, name):
             (reports / f"{name}{suffix}").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["fdd_increment", "clt_bernoulli", "pde_closed_forms"])
+def test_dp_and_march_configs_reproduce_committed_reports(tmp_path, name):
+    reports = CONFIG_DIR.parent / "reports"
+    assert main(["--config", str(CONFIG_DIR / f"{name}.yaml"), "--out", str(tmp_path)]) == 0
+    for suffix in (".csv", "_summary.txt"):
+        assert (tmp_path / f"{name}{suffix}").read_bytes() == \
+            (reports / f"{name}{suffix}").read_bytes()
+
+
 def test_dump_fields_writes_snapshots(tmp_path):
     cfg = str(CONFIG_DIR / "pde_closed_forms.yaml")
     assert main(["--config", cfg, "--out", str(tmp_path), "--dump-fields"]) == 0

@@ -1,15 +1,20 @@
 """Experiment drivers: hypothesis statistics, DP-vs-PDE regressions."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from gexpect import (AmbiguitySet, ArraySpec, DiscreteDistribution, DomainError,
                      LatticeSpec, check_iid_necessary_conditions, check_lindeberg,
                      check_moment_conditions, check_p_moments, estimate_limit_G,
-                     g_eval, iid_sum_expect, nested_product, run_clt_experiment,
-                     run_fdd_experiment, symmetric_bernoulli_family,
-                     two_point_sum_expect, variance_time_change)
+                     g_eval, iid_sum_expect, nested_expect, nested_product,
+                     run_clt_experiment, run_fdd_experiment,
+                     symmetric_bernoulli_family, two_point_sum_expect,
+                     variance_time_change)
 from gexpect.cltlab import CheckpointSchedule, check_p_moments as _cpm
 from gexpect.functionals import get, get_pair
 
@@ -26,6 +31,83 @@ def gaussian_quadrature_mean(fn, sigma_sq=1.0):
         lambda z: fn(s * z) * np.exp(-z * z / 2) / np.sqrt(2 * np.pi), -12, 12)
     assert err < 1e-7
     return val
+
+
+def box_two_point_sum_expect(laws, k1, psi, scale):
+    """The two-checkpoint DP over the whole box [lo_k, hi_k] of S_k, read on
+    the diagonal at k1: the bit-for-bit reference for the banded kernel."""
+    k2 = len(laws)
+    lat = laws[0].lattice
+    fn = psi.fn if hasattr(psi, "fn") else psi
+    per_law = []
+    lo = np.zeros(k2 + 1, dtype=np.int64)
+    hi = np.zeros(k2 + 1, dtype=np.int64)
+    for k, law in enumerate(laws, start=1):
+        rows = []
+        for i, dist in enumerate(law.members):
+            keep = dist.probs > 0.0
+            rows.append((law.member_coords(i)[keep][:, 0], dist.probs[keep]))
+        per_law.append(rows)
+        lo[k] = lo[k - 1] + min(int(c.min()) for c, _ in rows)
+        hi[k] = hi[k - 1] + max(int(c.max()) for c, _ in rows)
+
+    def phys(level, coords):
+        return scale * (level * lat.origin[0] + lat.step * coords)
+
+    x1 = phys(k1, np.arange(lo[k1], hi[k1] + 1, dtype=float))
+    x2 = phys(k2, np.arange(lo[k2], hi[k2] + 1, dtype=float))
+    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+    try:
+        v = np.asarray(fn(X1, X2), dtype=float)
+        if v.shape != X1.shape:
+            raise ValueError
+    except Exception:
+        v = np.array([[float(fn(float(a), float(b))) for b in x2] for a in x1])
+
+    def backward(v, k_from, k_to):
+        for k in range(k_from, k_to, -1):
+            prev_len = int(hi[k - 1] - lo[k - 1] + 1)
+            best = None
+            for coords, probs in per_law[k - 1]:
+                acc = np.zeros(v.shape[:-1] + (prev_len,))
+                for z, p in zip(coords, probs):
+                    s = int(z + lo[k - 1] - lo[k])
+                    acc += p * v[..., s:s + prev_len]
+                best = acc if best is None else np.maximum(best, acc)
+            v = best
+        return v
+
+    v = backward(v, k2, k1)
+    v = np.einsum("ii->i", v)
+    v = backward(v, k1, 0)
+    return float(v[0])
+
+
+SUPPORT_OFFSETS = [(-1, 2), (-1, 0, 1), (0, 3), (-2, 1), (-1, 1)]
+PAIR_PSIS = {
+    "smooth": lambda a, b: np.sin(a) * b + a * a,
+    "scalar_only": lambda a, b: math.atan(a) - math.cos(b),
+    "neg_zero": lambda a, b: np.where(b > a, -0.0, a * b),
+    "increment_square": get_pair("increment_square"),
+}
+
+
+def random_lattice_laws(rng, n):
+    """n draws from a pool of three laws on one shifted lattice, each with
+    one to three members on an asymmetric integer support."""
+    lat = LatticeSpec(1, float(rng.choice([0.25, 0.5, 1.0])),
+                      (float(rng.choice([0.0, 0.5, -0.25])),))
+    pool = []
+    for _ in range(3):
+        offsets = np.array(SUPPORT_OFFSETS[rng.integers(len(SUPPORT_OFFSETS))])
+        support = (lat.origin[0] + lat.step * offsets)[:, None]
+        members = []
+        for _ in range(rng.integers(1, 4)):
+            w = rng.integers(0, 4, size=len(offsets)).astype(float)
+            w[rng.integers(len(offsets))] += 1.0
+            members.append(DiscreteDistribution(support, w / w.sum()))
+        pool.append(AmbiguitySet(lat, members))
+    return [pool[i] for i in rng.integers(3, size=n)]
 
 
 def scan_time_change(variances, t):
@@ -271,6 +353,34 @@ def test_two_point_dp_increment_mean_zero():
 def test_two_point_cap():
     with pytest.raises(Exception, match="augmentation blowup"):
         two_point_sum_expect([B] * 64, 32, get_pair("increment"), 1 / 8, max_nodes=10)
+
+
+@given(st.integers(0, 5_000), st.integers(1, 40), st.data(), st.sampled_from(sorted(PAIR_PSIS)))
+@settings(max_examples=40)
+def test_two_point_band_bit_identical_to_box_dp(seed, n, data, psi_name):
+    """Heterogeneous asymmetric laws on a shifted lattice, every k1 in 0..n."""
+    k1 = data.draw(st.integers(0, n))
+    rng = np.random.default_rng(seed)
+    laws = random_lattice_laws(rng, n)
+    scale = float(rng.uniform(0.1, 1.0))
+    psi = PAIR_PSIS[psi_name]
+    got = two_point_sum_expect(laws, k1, psi, scale)
+    assert got.hex() == box_two_point_sum_expect(laws, k1, psi, scale).hex()
+
+
+@given(st.integers(0, 5_000), st.integers(1, 6), st.data(), st.sampled_from(sorted(PAIR_PSIS)))
+@settings(max_examples=20)
+def test_two_point_dp_matches_nested_expectation(seed, n, data, psi_name):
+    k1 = data.draw(st.integers(0, n))
+    rng = np.random.default_rng(seed)
+    laws = random_lattice_laws(rng, n)
+    scale = float(rng.uniform(0.1, 1.0))
+    psi = PAIR_PSIS[psi_name]
+    fn = psi.fn if hasattr(psi, "fn") else psi
+    # math.fsum rejects arrays, so nested_expect takes its pointwise path
+    nested = nested_expect(laws, lambda *xs: float(
+        fn(scale * math.fsum(xs[:k1]), scale * math.fsum(xs))))
+    assert two_point_sum_expect(laws, k1, psi, scale) == pytest.approx(nested, abs=1e-12)
 
 
 def test_fdd_experiment_increment_square():

@@ -1,10 +1,15 @@
 """Monotone G-heat marches: closed forms, scheme guarantees, nesting."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gexpect import (DomainError, GFunction, Grid, SigmaInterval, gbm_fdd_expect,
                      gbm_quadratic_identity, gnormal_expect, solve_gheat)
+from gexpect.pde import CFL_SAFETY, _march_1d
 
 SI = SigmaInterval(0.5, 1.0)
 HALF_NORMAL_MEAN = 0.3989422804014327  # E[Z+] for unit variance, oracle: 1/sqrt(2*pi)
@@ -12,6 +17,25 @@ HALF_NORMAL_MEAN = 0.3989422804014327  # E[Z+] for unit variance, oracle: 1/sqrt
 
 def small_grid(G, half_width=4.0, h=0.1, horizon=1.0):
     return Grid.build(G.dimension, half_width, h, horizon, G.sigma_sq_max)
+
+
+def where_march_1d(u, lo, hi, h, horizon, tau=None, snapshots=None, snap_every=0):
+    """The 1-d march with the generator picked by np.where on the sign of the
+    second difference: the bit-for-bit reference for pde._march_1d."""
+    if tau is None:
+        tau_max = CFL_SAFETY * h ** 2 / max(hi, 1e-300)
+        steps = max(1, math.ceil(horizon / tau_max))
+        tau = horizon / steps
+    else:
+        steps = round(horizon / tau)
+    u = np.array(u, dtype=float)
+    for m in range(steps):
+        d2 = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / h ** 2
+        g = np.where(d2 >= 0.0, hi * d2, lo * d2)
+        u[..., 1:-1] += 0.5 * tau * g
+        if snapshots is not None and snap_every and (m + 1) % snap_every == 0:
+            snapshots.append(((m + 1) * tau, u.copy()))
+    return u
 
 
 def test_linear_data_is_fixed_point():
@@ -184,3 +208,30 @@ def test_richardson_brackets_on_smooth_and_kinked_data():
                        (lambda x: np.maximum(x, 0.0), HALF_NORMAL_MEAN)):
         est = gnormal_expect(SI, phi, accuracy="fast")
         assert est.error_bar >= abs(est.value - truth)
+
+
+@given(st.integers(0, 5_000), st.sampled_from([(9,), (3, 7), (2, 3, 6)]),
+       st.sampled_from(["interval", "zero_lo", "equal"]), st.booleans())
+@settings(max_examples=40)
+def test_march_1d_bit_identical_to_where_form(seed, shape, band, snap):
+    """1-3 axes, sigma_ = 0 and sigma_ = sigma^-, data with +-0.0, snapshots."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-2.0, 2.0, size=shape)
+    special = rng.choice([0.0, -0.0, 1.0, -2.0], size=shape)
+    u = np.where(rng.random(shape) < 0.5, special, u)
+    hi = float(rng.uniform(0.2, 2.0))
+    lo = {"interval": float(rng.uniform(0.0, hi)), "zero_lo": 0.0, "equal": hi}[band]
+    h = float(rng.uniform(0.05, 0.5))
+    horizon = float(rng.uniform(0.5, 15.0)) * h * h / hi
+    if snap:
+        tau = horizon / int(rng.integers(2, 12))
+        got_snaps, ref_snaps = [], []
+        got = _march_1d(u, lo, hi, h, horizon, tau=tau, snapshots=got_snaps, snap_every=2)
+        ref = where_march_1d(u, lo, hi, h, horizon, tau=tau, snapshots=ref_snaps,
+                             snap_every=2)
+        assert [t for t, _ in got_snaps] == [t for t, _ in ref_snaps]
+        assert [v.tobytes() for _, v in got_snaps] == [v.tobytes() for _, v in ref_snaps]
+    else:
+        got = _march_1d(u, lo, hi, h, horizon)
+        ref = where_march_1d(u, lo, hi, h, horizon)
+    assert got.tobytes() == ref.tobytes()

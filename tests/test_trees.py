@@ -421,7 +421,8 @@ PAIR_INC = [None, np.array([[1.0], [-1.0]])]
     (PAIR, PAIR_INC, [[[np.array([1.0])]]], "member length does not match"),
     (PAIR, PAIR_INC, [[[np.array([1.5, -0.5])]]], "negative transition probability"),
     (PAIR, [None, np.array([[1.0]])], [[[HALF]]], "level 1: increment array shape"),
-], ids=["covering", "childless", "no_members", "length", "negative", "increments"])
+    (PAIR, PAIR_INC, [[[np.array([np.nan, 0.5])]]], "non-finite transition probability"),
+], ids=["covering", "childless", "no_members", "length", "negative", "increments", "nan"])
 def test_tree_validation_rejects(parent, inc, members, match):
     with pytest.raises(DomainError, match=match):
         ScenarioTree(LAT1, parent, inc, members)
