@@ -16,6 +16,7 @@ independence order and is never symmetrised.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -29,6 +30,9 @@ DEFAULT_MAX_STATES = 400_000
 
 LATTICE_RTOL = 1e-12
 PROB_TOL = 1e-12
+# output cells per block of the backward sum DP: about 1 MB of operands,
+# which stays in a 2 MB L2 cache
+BLOCK_CELLS = 32_768
 
 
 @dataclass(frozen=True)
@@ -280,6 +284,92 @@ def _positive_rows(law: AmbiguitySet):
     return rows
 
 
+@dataclass(frozen=True)
+class _SumStep:
+    """One law as a step of the backward sum DP, in Python ints and floats.
+
+    `offsets` lists the distinct positive-probability points of all members
+    as offsets from `zmin`; `members` holds, per member and in support
+    order, (index into `offsets`, probability) for each such point.  `zmin`
+    and `zmax` are the lowest and highest coordinates on each axis.
+    """
+
+    offsets: tuple
+    members: tuple
+    zmin: tuple
+    zmax: tuple
+
+
+def _sum_steps(laws: Sequence[AmbiguitySet]) -> list:
+    """The _SumStep of each law, resolved once per distinct law object."""
+    resolved = {}
+    steps = []
+    for law in laws:
+        step = resolved.get(id(law))
+        if step is None:
+            rows = _positive_rows(law)
+            zmin = np.min([coords.min(axis=0) for coords, _ in rows], axis=0)
+            zmax = np.max([coords.max(axis=0) for coords, _ in rows], axis=0)
+            index = {}
+            members = tuple(
+                tuple((index.setdefault(tuple(int(c) for c in z), len(index)), float(p))
+                      for z, p in zip(coords - zmin, probs))
+                for coords, probs in rows)
+            step = resolved[id(law)] = _SumStep(tuple(index), members,
+                                               tuple(int(c) for c in zmin),
+                                               tuple(int(c) for c in zmax))
+        steps.append(step)
+    return steps
+
+
+def _backward_sum(v: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
+    """Backward sum DP: one step per (_SumStep, shape) pair, in backward order.
+
+    The lattice occupies the last d axes of v and every leading axis is a
+    batch axis.  A step maps level-k values to level-(k-1) values on the
+    lattice shape `shape`: entry x becomes the member maximum (lowest index
+    first) of the member mean sum_z p_z v[x + offset_z], summed in support
+    order.  Each level slices v once per distinct offset, from Python ints,
+    and works in four flat buffers sized for the first step with in-place
+    ufuncs, one block of rows along the first axis at a time, so that a
+    block's operands stay in cache.
+
+    Each member sum starts from its first product rather than from zeros:
+    that changes at most the sign of a zero, and comparisons and later sums
+    carry such a difference along as the sign of a zero only.  A zero-start
+    sum is never -0.0, so adding 0.0 to the final level gives the zero-start
+    loop's values bit for bit.
+    """
+    if not steps:
+        return v
+    batch = v.shape[:v.ndim - len(steps[0][1])]
+    size = math.prod(batch) * math.prod(steps[0][1])
+    out, spare, acc, tmp = (np.empty(size) for _ in range(4))
+    for step, shape in steps:
+        dims = batch + shape
+        cells = math.prod(dims)
+        views = [buf[:cells].reshape(dims) for buf in (out, acc, tmp)]
+        srcs = [v[(Ellipsis,) + tuple(slice(o, o + w) for o, w in zip(offset, shape))]
+                for offset in step.offsets]
+        rows = max(1, BLOCK_CELLS * dims[0] // cells)
+        for r0 in range(0, dims[0], rows):
+            block = slice(r0, r0 + rows)
+            best, other, term = (view[block] for view in views)
+            parts = [src[block] for src in srcs]
+            for m, points in enumerate(step.members):
+                dst = other if m else best
+                (i, p), *rest = points
+                np.multiply(parts[i], p, out=dst)
+                for i, p in rest:
+                    np.multiply(parts[i], p, out=term)
+                    np.add(dst, term, out=dst)
+                if m:
+                    np.maximum(best, dst, out=best)
+        v = views[0]
+        out, spare = spare, out
+    return np.add(v, 0.0, out=v)
+
+
 def _eval_sum_grid(fn: Callable, lat: LatticeSpec, lo: np.ndarray, hi: np.ndarray,
                    copies: int, scale: float) -> np.ndarray:
     """Evaluate fn(scale * physical sum) on the integer box [lo, hi]."""
@@ -328,30 +418,19 @@ def independent_sum_expect(laws: Sequence[AmbiguitySet], g, scale: float = 1.0,
     n = len(laws)
     fn = _as_callable(g, 1)
 
-    per_law = [_positive_rows(law) for law in laws]
-    lo = np.zeros((n + 1, d), dtype=np.int64)
-    hi = np.zeros((n + 1, d), dtype=np.int64)
-    for k, rows in enumerate(per_law, start=1):
-        zmin = np.min([coords.min(axis=0) for coords, _ in rows], axis=0)
-        zmax = np.max([coords.max(axis=0) for coords, _ in rows], axis=0)
-        lo[k] = lo[k - 1] + zmin
-        hi[k] = hi[k - 1] + zmax
-    size = int(np.prod(hi[n] - lo[n] + 1))
+    steps = _sum_steps(laws)
+    lo = [(0,) * d]
+    hi = [(0,) * d]
+    for step in steps:
+        lo.append(tuple(a + b for a, b in zip(lo[-1], step.zmin)))
+        hi.append(tuple(a + b for a, b in zip(hi[-1], step.zmax)))
+    shapes = [tuple(h - l + 1 for l, h in zip(lk, hk)) for lk, hk in zip(lo, hi)]
+    size = math.prod(shapes[n])
     if size > max_nodes:
         raise ResourceCapError(f"lattice blowup: {size} sum nodes at level {n}")
 
     v = _eval_sum_grid(fn, lat, lo[n], hi[n], n, scale)
-    for k in range(n, 0, -1):
-        prev_shape = tuple(int(h - l + 1) for l, h in zip(lo[k - 1], hi[k - 1]))
-        best = None
-        for coords, probs in per_law[k - 1]:
-            acc = np.zeros(prev_shape)
-            for z, p in zip(coords, probs):
-                shift = z + lo[k - 1] - lo[k]
-                idx = tuple(slice(int(s), int(s) + prev_shape[j]) for j, s in enumerate(shift))
-                acc += p * v[idx]
-            best = acc if best is None else np.maximum(best, acc)
-        v = best
+    v = _backward_sum(v, [(steps[k - 1], shapes[k - 1]) for k in range(n, 0, -1)])
     return float(v.reshape(-1)[0])
 
 

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ambiguity import (AmbiguitySet, TestFunction, capacity_upper, expect_upper,
-                        independent_sum_expect, truncate)
+from .ambiguity import (AmbiguitySet, TestFunction, _backward_sum, _sum_steps,
+                        capacity_upper, expect_upper, independent_sum_expect, truncate)
 from .errors import DomainError, ResourceCapError
 from .gfunc import GFunction, g_eval
 from .pde import PdeEstimate, gbm_fdd_expect, gnormal_expect
@@ -162,9 +162,6 @@ class CheckpointSchedule:
         if t <= 0.0:
             return 0
         return int(np.searchsorted(self.boundaries, t, side="right") - 1)
-
-    def rho(self, t: float) -> float:
-        return float(t)
 
 
 def variance_time_change(spec: ArraySpec, n: int) -> CheckpointSchedule:
@@ -425,25 +422,20 @@ def two_point_sum_expect(laws: Sequence[AmbiguitySet], k1: int, psi, scale: floa
             raise DomainError("laws do not share a lattice")
     fn = psi.fn if isinstance(psi, TestFunction) else psi
 
-    per_law = []
-    lo = np.zeros(k2 + 1, dtype=np.int64)
-    hi = np.zeros(k2 + 1, dtype=np.int64)
-    for k, law in enumerate(laws, start=1):
-        rows = []
-        for i, dist in enumerate(law.members):
-            keep = dist.probs > 0.0
-            rows.append((law.member_coords(i)[keep][:, 0], dist.probs[keep]))
-        per_law.append(rows)
-        lo[k] = lo[k - 1] + min(int(c.min()) for c, _ in rows)
-        hi[k] = hi[k - 1] + max(int(c.max()) for c, _ in rows)
+    steps = _sum_steps(laws)
+    lo = [0]
+    hi = [0]
+    for step in steps:
+        lo.append(lo[-1] + step.zmin[0])
+        hi.append(hi[-1] + step.zmax[0])
 
-    size1 = int(hi[k1] - lo[k1] + 1)
-    size2 = int(hi[k2] - lo[k2] + 1)
+    size1 = hi[k1] - lo[k1] + 1
+    size2 = hi[k2] - lo[k2] + 1
     if size1 * size2 > max_nodes:
         raise ResourceCapError(
             f"augmentation blowup: {size1}x{size2} checkpoint states")
     # band[k]: number of reachable increments S_k - S_k1, for k1 <= k <= k2
-    band = (hi - lo) - (hi[k1] - lo[k1]) + 1
+    band = [h - l - size1 + 2 for l, h in zip(lo, hi)]
 
     def phys(level, coords):
         return scale * (level * lat.origin[0] + lat.step * coords)
@@ -463,21 +455,9 @@ def two_point_sum_expect(laws: Sequence[AmbiguitySet], k1: int, psi, scale: floa
     if not np.all(np.isfinite(v)):
         raise DomainError("non-finite test value")
 
-    def backward(v, k_from, k_to, width):
-        for k in range(k_from, k_to, -1):
-            prev_len = int(width[k - 1])
-            best = None
-            for coords, probs in per_law[k - 1]:
-                acc = np.zeros(v.shape[:-1] + (prev_len,))
-                for z, p in zip(coords, probs):
-                    s = int(z + lo[k - 1] - lo[k])
-                    acc += p * v[..., s:s + prev_len]
-                best = acc if best is None else np.maximum(best, acc)
-            v = best
-        return v
-
-    v = backward(v, k2, k1, band)
-    v = backward(v[:, 0], k1, 0, hi - lo + 1)
+    v = _backward_sum(v, [(steps[k - 1], (band[k - 1],)) for k in range(k2, k1, -1)])
+    v = _backward_sum(v[:, 0], [(steps[k - 1], (hi[k - 1] - lo[k - 1] + 1,))
+                                for k in range(k1, 0, -1)])
     return float(v[0])
 
 

@@ -56,7 +56,6 @@ _PARAMS_SCHEMA = {
     "g-laws": {
         "type": "object",
         "properties": {"trials": {"type": "integer", "minimum": 1},
-                       "dimension": {"type": "integer", "enum": [1, 2]},
                        "tolerance": {"type": "number", "exclusiveMinimum": 0}},
         "additionalProperties": False,
     },

@@ -60,9 +60,6 @@ class GFunction:
         """Largest diagonal entry across theta (drives CFL and domain sizing)."""
         return max(float(np.max(np.diag(S))) for S in self.theta)
 
-    def trace_max(self) -> float:
-        return max(float(np.trace(S)) for S in self.theta)
-
 
 @dataclass(frozen=True)
 class SigmaInterval:

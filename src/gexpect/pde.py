@@ -162,6 +162,19 @@ def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, horizon: float,
 def _march_2d(u: np.ndarray, G: GFunction, h: float, horizon: float,
               tau: float | None = None, cfl_safety: float = CFL_SAFETY,
               snapshots: list | None = None, snap_every: int = 0) -> np.ndarray:
+    """Explicit march of the sign-adapted nine-point stencil; rim frozen.
+
+    Per member (a, b, c) of Theta the Laplacian is
+    ((a - |c|) xx + (b - |c|) yy + |c| cross) / h^2, with cross the diagonal
+    second difference for c >= 0 and the anti-diagonal one otherwise; only
+    the cross differences some member uses are formed.  Each step works in
+    place on one contiguous run of the flattened field, from the first to
+    the last interior node, so every operand is a 1-d slice; the rim nodes
+    inside that run get throw-away values and are restored after the
+    update.  2 * centre is formed once per step and, after the differences,
+    serves as scratch for products.  Interior nodes see the same float
+    operations in the same order as the whole-array form.
+    """
     if tau is None:
         tau_max = cfl_safety * h ** 2 / (2.0 * G.sigma_sq_max)
         steps = max(1, math.ceil(horizon / tau_max))
@@ -169,22 +182,49 @@ def _march_2d(u: np.ndarray, G: GFunction, h: float, horizon: float,
     else:
         steps = round(horizon / tau)
     _check_stencil_2d(G, h, tau)
-    u = np.array(u, dtype=float)
+    u = np.array(u, dtype=float, order="C")
     hh = h ** 2
-    coeffs = [(float(S[0, 0]), float(S[1, 1]), float(S[0, 1])) for S in G.theta]
+    half_tau = 0.5 * tau
+    cols = u.shape[1]
+    flat = u.reshape(-1)
+    first, stop = cols + 1, u.size - cols - 1
+
+    def run(shift):
+        return flat[first + shift:stop + shift]
+
+    cen = run(0)
+    # second differences, keyed by the flat shift of their neighbour pair
+    diffs = {cols: np.empty(cen.shape), 1: np.empty(cen.shape)}
+    members = []
+    for S in G.theta:
+        a, b, c = float(S[0, 0]), float(S[1, 1]), float(S[0, 1])
+        cc = abs(c)
+        cross = cols + 1 if c >= 0 else cols - 1
+        members.append((a - cc, b - cc, cc, diffs.setdefault(cross, np.empty(cen.shape))))
+    xx, yy = diffs[cols], diffs[1]
+    two = np.empty(cen.shape)
+    best = np.empty(cen.shape)
+    lap = np.empty(cen.shape) if len(members) > 1 else None
+    rim = u[1:-1, [0, -1]]
     for m in range(steps):
-        cen = u[1:-1, 1:-1]
-        xx = u[2:, 1:-1] + u[:-2, 1:-1] - 2.0 * cen
-        yy = u[1:-1, 2:] + u[1:-1, :-2] - 2.0 * cen
-        dd = u[2:, 2:] + u[:-2, :-2] - 2.0 * cen
-        ad = u[2:, :-2] + u[:-2, 2:] - 2.0 * cen
-        best = None
-        for a, b, c in coeffs:
-            cc = abs(c)
-            cross = dd if c >= 0 else ad
-            lap = ((a - cc) * xx + (b - cc) * yy + cc * cross) / hh
-            best = lap if best is None else np.maximum(best, lap)
-        u[1:-1, 1:-1] = cen + 0.5 * tau * best
+        np.multiply(cen, 2.0, out=two)
+        for shift, diff in diffs.items():
+            np.add(run(shift), run(-shift), out=diff)
+            np.subtract(diff, two, out=diff)
+        tmp = two
+        for i, (ax, by, cc, cross) in enumerate(members):
+            dst = lap if i else best
+            np.multiply(xx, ax, out=dst)
+            np.multiply(yy, by, out=tmp)
+            np.add(dst, tmp, out=dst)
+            np.multiply(cross, cc, out=tmp)
+            np.add(dst, tmp, out=dst)
+            np.divide(dst, hh, out=dst)
+            if i:
+                np.maximum(best, dst, out=best)
+        np.multiply(best, half_tau, out=best)
+        np.add(cen, best, out=cen)
+        u[1:-1, [0, -1]] = rim
         if snapshots is not None and snap_every and (m + 1) % snap_every == 0:
             snapshots.append(((m + 1) * tau, u.copy()))
     return u

@@ -70,12 +70,6 @@ class SupportTables:
         return lookup
 
 
-def table_function(X: AmbiguitySet, values: np.ndarray):
-    """Vectorised lookup over the union support, keyed by lattice coordinates."""
-    tables = SupportTables(X)
-    return tables.fn(values), tables.size
-
-
 def axiom_suite(rng, trials: int, pairs: int):
     """Monotonicity, constant preservation, sub-additivity, positive
     homogeneity and conjugate ordering on random ambiguity sets."""

@@ -1,8 +1,11 @@
 """Ambiguity-set calculus: trivial values, oracle cross-checks, axioms."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gexpect import (AmbiguitySet, DiscreteDistribution, DomainError, LatticeSpec,
@@ -11,6 +14,8 @@ from gexpect import (AmbiguitySet, DiscreteDistribution, DomainError, LatticeSpe
                      independent_sum_expect, nested_expect, nested_product,
                      running_max_expect, symmetric_bernoulli_family, truncate)
 from gexpect import TestFunction as TF
+from gexpect import ambiguity
+from gexpect.ambiguity import _eval_sum_grid
 
 B = symmetric_bernoulli_family((0.5, 1.0))
 
@@ -48,6 +53,39 @@ def naive_running_max(X, n, scale=1.0):
         return best
 
     return rec(0.0, 0.0, 0)
+
+
+def loop_sum_expect(laws, g, scale=1.0):
+    """The backward sum DP with one zero-started accumulator per member and
+    level and a fresh array for every product and maximum: the bit-for-bit
+    reference for the shared kernel."""
+    lat = laws[0].lattice
+    d, n = lat.dimension, len(laws)
+    per_law = []
+    for law in laws:
+        rows = []
+        for i, dist in enumerate(law.members):
+            keep = dist.probs > 0.0
+            rows.append((law.member_coords(i)[keep], dist.probs[keep]))
+        per_law.append(rows)
+    lo = np.zeros((n + 1, d), dtype=np.int64)
+    hi = np.zeros((n + 1, d), dtype=np.int64)
+    for k, rows in enumerate(per_law, start=1):
+        lo[k] = lo[k - 1] + np.min([c.min(axis=0) for c, _ in rows], axis=0)
+        hi[k] = hi[k - 1] + np.max([c.max(axis=0) for c, _ in rows], axis=0)
+    v = _eval_sum_grid(g, lat, lo[n], hi[n], n, scale)
+    for k in range(n, 0, -1):
+        prev_shape = tuple(int(h - l + 1) for l, h in zip(lo[k - 1], hi[k - 1]))
+        best = None
+        for coords, probs in per_law[k - 1]:
+            acc = np.zeros(prev_shape)
+            for z, p in zip(coords, probs):
+                shift = z + lo[k - 1] - lo[k]
+                idx = tuple(slice(int(s), int(s) + prev_shape[j]) for j, s in enumerate(shift))
+                acc += p * v[idx]
+            best = acc if best is None else np.maximum(best, acc)
+        v = best
+    return float(v.reshape(-1)[0])
 
 
 # ------------------------------------------------------- basic expectations
@@ -368,3 +406,51 @@ def test_off_lattice_support_rejected():
 def test_empty_members_rejected():
     with pytest.raises(DomainError, match="at least one member"):
         AmbiguitySet(LatticeSpec(1, 1.0, (0.0,)), [])
+
+
+SUM_GS = {
+    1: {"smooth": lambda s: np.sin(s) + 0.3 * s * s,
+        "scalar_only": lambda s: math.atan(s) - 0.5 * math.cos(3.0 * s),
+        "neg_zero": lambda s: np.where(s >= 0.0, -0.0, np.cos(s))},
+    2: {"smooth": lambda z: np.sin(z[..., 0]) * z[..., 1] + z[..., 0] ** 2,
+        "scalar_only": lambda z: math.atan(z[0]) - math.cos(z[1]),
+        "neg_zero": lambda z: np.where(z[..., 0] + z[..., 1] >= 0.0, -0.0, z[..., 1])},
+}
+
+
+def random_sum_laws(rng, dim, n):
+    """n draws from a pool of three laws on one shifted lattice.  Each law has
+    one to three members on one support, listed in a different order by each
+    member, with zero-probability points."""
+    lat = LatticeSpec(dim, float(rng.choice([0.25, 0.5, 1.0])),
+                      tuple(float(o) for o in rng.choice([0.0, 0.5, -0.25], size=dim)))
+    grid = np.array(np.meshgrid(*[np.arange(-1, 3)] * dim, indexing="ij")).reshape(dim, -1).T
+    pool = []
+    for _ in range(3):
+        offsets = grid[rng.choice(len(grid), size=int(rng.integers(1, 5)), replace=False)]
+        members = []
+        for _ in range(rng.integers(1, 4)):
+            order = rng.permutation(len(offsets))
+            w = rng.integers(0, 4, size=len(offsets)).astype(float)
+            w[rng.integers(len(offsets))] += 1.0
+            support = np.asarray(lat.origin) + lat.step * offsets[order]
+            members.append(DiscreteDistribution(support, w / w.sum()))
+        pool.append(AmbiguitySet(lat, members))
+    return [pool[i] for i in rng.integers(3, size=n)]
+
+
+@given(st.integers(0, 10_000), st.sampled_from([1, 2]), st.integers(1, 9),
+       st.sampled_from(["smooth", "scalar_only", "neg_zero"]),
+       st.sampled_from([1, 5, ambiguity.BLOCK_CELLS]))
+@settings(max_examples=60, deadline=None)
+def test_sum_dp_kernel_bit_identical_to_member_loop(seed, dim, n, g_name, block):
+    """1-d and 2-d lattices, heterogeneous laws, permuted supports, zero
+    probabilities, a g with -0.0 values, a scalar-only g, and levels split
+    into blocks of leading-axis rows."""
+    rng = np.random.default_rng(seed)
+    laws = random_sum_laws(rng, dim, n if dim == 1 else min(n, 5))
+    g = SUM_GS[dim][g_name]
+    scale = float(rng.uniform(0.2, 1.5))
+    with mock.patch.object(ambiguity, "BLOCK_CELLS", block):
+        got = independent_sum_expect(laws, g, scale=scale)
+    assert got.hex() == loop_sum_expect(laws, g, scale).hex()

@@ -105,13 +105,21 @@ def test_tree_configs_reproduce_committed_reports(tmp_path, name):
             (reports / f"{name}{suffix}").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["fdd_increment", "clt_bernoulli", "pde_closed_forms"])
+@pytest.mark.parametrize("name", ["fdd_increment", "clt_bernoulli", "pde_closed_forms",
+                                  "iid_conditions", "g_laws"])
 def test_dp_and_march_configs_reproduce_committed_reports(tmp_path, name):
     reports = CONFIG_DIR.parent / "reports"
     assert main(["--config", str(CONFIG_DIR / f"{name}.yaml"), "--out", str(tmp_path)]) == 0
     for suffix in (".csv", "_summary.txt"):
         assert (tmp_path / f"{name}{suffix}").read_bytes() == \
             (reports / f"{name}{suffix}").read_bytes()
+
+
+def test_g_laws_dimension_rejected():
+    with pytest.raises(ConfigError) as info:
+        parse_config({"kind": "g-laws", "seed": 0, "output": "x",
+                      "params": {"trials": 10, "dimension": 2}})
+    assert info.value.path == "params" and "dimension" in info.value.message
 
 
 def test_dump_fields_writes_snapshots(tmp_path):

@@ -1,6 +1,7 @@
 """Experiment drivers: hypothesis statistics, DP-vs-PDE regressions."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gexpect import (AmbiguitySet, ArraySpec, DiscreteDistribution, DomainError,
                      run_clt_experiment, run_fdd_experiment,
                      symmetric_bernoulli_family, two_point_sum_expect,
                      variance_time_change)
+from gexpect import ambiguity
 from gexpect.cltlab import CheckpointSchedule, check_p_moments as _cpm
 from gexpect.functionals import get, get_pair
 
@@ -366,6 +368,19 @@ def test_two_point_band_bit_identical_to_box_dp(seed, n, data, psi_name):
     psi = PAIR_PSIS[psi_name]
     got = two_point_sum_expect(laws, k1, psi, scale)
     assert got.hex() == box_two_point_sum_expect(laws, k1, psi, scale).hex()
+
+
+@given(st.integers(0, 5_000), st.integers(1, 24), st.data(), st.sampled_from([1, 5, 64]))
+@settings(max_examples=30)
+def test_two_point_dp_in_row_blocks_bit_identical_to_box_dp(seed, n, data, block):
+    """The kernel split into blocks of S_k1 rows as small as one row."""
+    k1 = data.draw(st.integers(0, n))
+    rng = np.random.default_rng(seed)
+    laws = random_lattice_laws(rng, n)
+    psi = PAIR_PSIS["neg_zero"]
+    with mock.patch.object(ambiguity, "BLOCK_CELLS", block):
+        got = two_point_sum_expect(laws, k1, psi, 0.5)
+    assert got.hex() == box_two_point_sum_expect(laws, k1, psi, 0.5).hex()
 
 
 @given(st.integers(0, 5_000), st.integers(1, 6), st.data(), st.sampled_from(sorted(PAIR_PSIS)))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gexpect import (DomainError, GFunction, Grid, SigmaInterval, gbm_fdd_expect,
                      gbm_quadratic_identity, gnormal_expect, solve_gheat)
-from gexpect.pde import CFL_SAFETY, _march_1d
+from gexpect.pde import CFL_SAFETY, _check_stencil_2d, _march_1d, _march_2d
 
 SI = SigmaInterval(0.5, 1.0)
 HALF_NORMAL_MEAN = 0.3989422804014327  # E[Z+] for unit variance, oracle: 1/sqrt(2*pi)
@@ -33,6 +33,38 @@ def where_march_1d(u, lo, hi, h, horizon, tau=None, snapshots=None, snap_every=0
         d2 = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / h ** 2
         g = np.where(d2 >= 0.0, hi * d2, lo * d2)
         u[..., 1:-1] += 0.5 * tau * g
+        if snapshots is not None and snap_every and (m + 1) % snap_every == 0:
+            snapshots.append(((m + 1) * tau, u.copy()))
+    return u
+
+
+def alloc_march_2d(u, G, h, horizon, tau=None, snapshots=None, snap_every=0):
+    """The 2-d march on whole-array views, allocating every difference,
+    Laplacian and maximum afresh each step: the bit-for-bit reference for
+    pde._march_2d."""
+    if tau is None:
+        tau_max = CFL_SAFETY * h ** 2 / (2.0 * G.sigma_sq_max)
+        steps = max(1, math.ceil(horizon / tau_max))
+        tau = horizon / steps
+    else:
+        steps = round(horizon / tau)
+    _check_stencil_2d(G, h, tau)
+    u = np.array(u, dtype=float)
+    hh = h ** 2
+    coeffs = [(float(S[0, 0]), float(S[1, 1]), float(S[0, 1])) for S in G.theta]
+    for m in range(steps):
+        cen = u[1:-1, 1:-1]
+        xx = u[2:, 1:-1] + u[:-2, 1:-1] - 2.0 * cen
+        yy = u[1:-1, 2:] + u[1:-1, :-2] - 2.0 * cen
+        dd = u[2:, 2:] + u[:-2, :-2] - 2.0 * cen
+        ad = u[2:, :-2] + u[:-2, 2:] - 2.0 * cen
+        best = None
+        for a, b, c in coeffs:
+            cc = abs(c)
+            cross = dd if c >= 0 else ad
+            lap = ((a - cc) * xx + (b - cc) * yy + cc * cross) / hh
+            best = lap if best is None else np.maximum(best, lap)
+        u[1:-1, 1:-1] = cen + 0.5 * tau * best
         if snapshots is not None and snap_every and (m + 1) % snap_every == 0:
             snapshots.append(((m + 1) * tau, u.copy()))
     return u
@@ -234,4 +266,45 @@ def test_march_1d_bit_identical_to_where_form(seed, shape, band, snap):
     else:
         got = _march_1d(u, lo, hi, h, horizon)
         ref = where_march_1d(u, lo, hi, h, horizon)
+    assert got.tobytes() == ref.tobytes()
+
+
+THETA_SIGNS = {"positive": (1,), "negative": (-1,), "zero": (0,), "mixed": (1, -1, 0),
+               "single": (1,)}
+
+
+@given(st.integers(0, 5_000), st.sampled_from(sorted(THETA_SIGNS)),
+       st.sampled_from([(3, 3), (7, 7), (9, 14), (15, 6)]), st.booleans(),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_march_2d_bit_identical_to_allocating_form(seed, signs, shape, snap, fortran):
+    """Theta with c > 0, c < 0, c = 0, mixed signs or a single member, data
+    with +-0.0, the snapshots path, and column-major input."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    members = 1 if signs == "single" else int(rng.integers(2, 4))
+    for i in range(members):
+        a, b = (float(x) for x in rng.uniform(0.1, 2.0, size=2))
+        sign = THETA_SIGNS[signs][i % len(THETA_SIGNS[signs])]
+        mats.append(np.array([[a, 0.0], [0.0, b]]))
+        mats[-1][0, 1] = mats[-1][1, 0] = sign * float(rng.uniform(0.0, min(a, b)))
+    G = GFunction.from_matrices(mats)
+    u = rng.uniform(-2.0, 2.0, size=shape)
+    special = rng.choice([0.0, -0.0, 1.0, -2.0], size=shape)
+    u = np.where(rng.random(shape) < 0.5, special, u)
+    if fortran:
+        u = np.asfortranarray(u)
+    h = float(rng.uniform(0.05, 0.5))
+    horizon = float(rng.uniform(0.5, 15.0)) * h * h / G.sigma_sq_max
+    if snap:
+        tau_max = CFL_SAFETY * h ** 2 / (2.0 * G.sigma_sq_max)
+        tau = horizon / max(2, math.ceil(horizon / tau_max))
+        got_snaps, ref_snaps = [], []
+        got = _march_2d(u, G, h, horizon, tau=tau, snapshots=got_snaps, snap_every=2)
+        ref = alloc_march_2d(u, G, h, horizon, tau=tau, snapshots=ref_snaps, snap_every=2)
+        assert [t for t, _ in got_snaps] == [t for t, _ in ref_snaps]
+        assert [v.tobytes() for _, v in got_snaps] == [v.tobytes() for _, v in ref_snaps]
+    else:
+        got = _march_2d(u, G, h, horizon)
+        ref = alloc_march_2d(u, G, h, horizon)
     assert got.tobytes() == ref.tobytes()
