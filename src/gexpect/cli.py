@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,47 +24,34 @@ from .reporting import ExperimentReport, write_rows_csv
 DEFAULT_TOLERANCE = 1e-10
 
 
-def run_axioms(cfg: ExperimentConfig, rng, jobs: int) -> ExperimentReport:
-    p = cfg.params
-    trials = p.get("trials", 1000)
-    pairs = p.get("pairs", 10)
-    tol = p.get("tolerance", DEFAULT_TOLERANCE)
-    rows, worst = suites.axiom_suite(rng, trials, pairs)
-    report = ExperimentReport("axioms", ("case", "law", "violation"),
-                              provenance={"seed": cfg.seed, "trials": trials,
-                                          "pairs": pairs})
+# kind -> (suite function in gexpect.suites, first CSV column, the suite's
+# parameters in call order with their defaults, the parameters named in the
+# provenance).  The suite is looked up when it runs, so that a wrapped or
+# patched suites function is the one called.
+LAW_SUITES = {
+    "axioms": ("axiom_suite", "case", {"trials": 1000, "pairs": 10},
+               ("trials", "pairs")),
+    "tree-laws": ("tree_law_suite", "tree",
+                  {"trees": 100, "max_depth": 6, "max_children": 4, "max_members": 3},
+                  ("trees",)),
+    "g-laws": ("g_law_suite", "case", {"trials": 1000}, ("trials",)),
+}
+
+
+def run_law_suite(cfg: ExperimentConfig, rng) -> ExperimentReport:
+    suite, first, defaults, shown = LAW_SUITES[cfg.kind]
+    args = {name: cfg.params.get(name, default) for name, default in defaults.items()}
+    tol = cfg.params.get("tolerance", DEFAULT_TOLERANCE)
+    rows, worst = getattr(suites, suite)(rng, *args.values())
+    report = ExperimentReport(cfg.kind, (first, "law", "violation"),
+                              provenance={"seed": cfg.seed,
+                                          **{name: args[name] for name in shown}})
     report.rows = rows
     report.add_verdict("max_violation", worst <= tol, worst, f"tolerance {tol:g}")
     return report
 
 
-def run_tree_laws(cfg: ExperimentConfig, rng, jobs: int) -> ExperimentReport:
-    p = cfg.params
-    trees = p.get("trees", 100)
-    tol = p.get("tolerance", DEFAULT_TOLERANCE)
-    rows, worst = suites.tree_law_suite(rng, trees, p.get("max_depth", 6),
-                                        p.get("max_children", 4),
-                                        p.get("max_members", 3))
-    report = ExperimentReport("tree-laws", ("tree", "law", "violation"),
-                              provenance={"seed": cfg.seed, "trees": trees})
-    report.rows = rows
-    report.add_verdict("max_violation", worst <= tol, worst, f"tolerance {tol:g}")
-    return report
-
-
-def run_g_laws(cfg: ExperimentConfig, rng, jobs: int) -> ExperimentReport:
-    p = cfg.params
-    trials = p.get("trials", 1000)
-    tol = p.get("tolerance", DEFAULT_TOLERANCE)
-    rows, worst = suites.g_law_suite(rng, trials)
-    report = ExperimentReport("g-laws", ("case", "law", "violation"),
-                              provenance={"seed": cfg.seed, "trials": trials})
-    report.rows = rows
-    report.add_verdict("max_violation", worst <= tol, worst, f"tolerance {tol:g}")
-    return report
-
-
-def run_rosenthal(cfg: ExperimentConfig, rng, jobs: int) -> ExperimentReport:
+def run_rosenthal(cfg: ExperimentConfig, rng) -> ExperimentReport:
     p = cfg.params
     trees = p.get("trees", 100)
     rows, failures, worst_ratio = suites.rosenthal_suite(
@@ -80,8 +66,8 @@ def run_rosenthal(cfg: ExperimentConfig, rng, jobs: int) -> ExperimentReport:
     return report
 
 
-def run_pde(cfg: ExperimentConfig, rng, jobs: int,
-            dump_fields: bool = False, out_dir: str = ".") -> ExperimentReport:
+def run_pde(cfg: ExperimentConfig, rng, dump_fields: bool = False,
+            out_dir: str = ".") -> ExperimentReport:
     from .gfunc import GFunction
 
     p = cfg.params
@@ -101,16 +87,10 @@ def run_pde(cfg: ExperimentConfig, rng, jobs: int,
         provenance={"seed": cfg.seed, "accuracy": accuracy,
                     "generator": generator_label, "horizon": horizon})
 
-    def solve(case):
-        phi = functionals.get(case["functional"])
-        return pde.gnormal_expect(interval, phi, horizon=horizon, accuracy=accuracy)
-
     cases = p["cases"]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            estimates = list(pool.map(solve, cases))
-    else:
-        estimates = [solve(case) for case in cases]
+    estimates = pde.gnormal_expect(
+        interval, [functionals.get(case["functional"]) for case in cases],
+        horizon=horizon, accuracy=accuracy)
     for case, est in zip(cases, estimates):
         gap = abs(est.value - case["reference"])
         report.add_row(functional=case["functional"], value=est.value,
@@ -132,7 +112,7 @@ def run_pde(cfg: ExperimentConfig, rng, jobs: int,
     return report
 
 
-def run_clt(cfg: ExperimentConfig, rng, jobs: int) -> ExperimentReport:
+def run_clt(cfg: ExperimentConfig, rng) -> ExperimentReport:
     p = cfg.params
     family = build_family(p["family"])
     spec = cltlab.ArraySpec("iid", (family,), tuple(p["schedule"]))
@@ -144,7 +124,7 @@ def run_clt(cfg: ExperimentConfig, rng, jobs: int) -> ExperimentReport:
     return report
 
 
-def run_fdd(cfg: ExperimentConfig, rng, jobs: int) -> ExperimentReport:
+def run_fdd(cfg: ExperimentConfig, rng) -> ExperimentReport:
     p = cfg.params
     family = build_family(p["family"])
     spec = cltlab.ArraySpec("iid", (family,), tuple(p["schedule"]))
@@ -156,7 +136,7 @@ def run_fdd(cfg: ExperimentConfig, rng, jobs: int) -> ExperimentReport:
     return report
 
 
-def run_iid_conditions(cfg: ExperimentConfig, rng, jobs: int) -> ExperimentReport:
+def run_iid_conditions(cfg: ExperimentConfig, rng) -> ExperimentReport:
     p = cfg.params
     family = build_family(p["family"])
     tol = p.get("tolerance", 0.02)
@@ -194,9 +174,9 @@ def run_iid_conditions(cfg: ExperimentConfig, rng, jobs: int) -> ExperimentRepor
 
 
 RUNNERS = {
-    "axioms": run_axioms,
-    "tree-laws": run_tree_laws,
-    "g-laws": run_g_laws,
+    "axioms": run_law_suite,
+    "tree-laws": run_law_suite,
+    "g-laws": run_law_suite,
     "pde": run_pde,
     "clt": run_clt,
     "fdd": run_fdd,
@@ -205,14 +185,13 @@ RUNNERS = {
 }
 
 
-def run_config(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
-               dump_fields: bool = False) -> ExperimentReport:
+def run_config(cfg: ExperimentConfig, out_dir: str, dump_fields: bool = False) -> ExperimentReport:
     rng = np.random.default_rng(cfg.seed)
     runner = RUNNERS[cfg.kind]
     if cfg.kind == "pde":
-        report = runner(cfg, rng, jobs, dump_fields=dump_fields, out_dir=out_dir)
+        report = runner(cfg, rng, dump_fields=dump_fields, out_dir=out_dir)
     else:
-        report = runner(cfg, rng, jobs)
+        report = runner(cfg, rng)
     report.to_csv(os.path.join(out_dir, f"{cfg.output}.csv"))
     report.write_summary(os.path.join(out_dir, f"{cfg.output}_summary.txt"))
     return report
@@ -226,8 +205,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="reports", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for independent cells")
     parser.add_argument("--dump-fields", action="store_true",
                         help="write PDE snapshots (pde kind only)")
     args = parser.parse_args(argv)
@@ -241,8 +218,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        report = run_config(cfg, args.out, jobs=max(1, args.jobs),
-                            dump_fields=args.dump_fields)
+        report = run_config(cfg, args.out, dump_fields=args.dump_fields)
     except ResourceCapError as exc:
         print(f"size cap exceeded: {exc}", file=sys.stderr)
         return 3

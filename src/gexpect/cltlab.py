@@ -379,7 +379,8 @@ def run_clt_experiment(spec: ArraySpec, functionals: Sequence[TestFunction],
     dp_kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
     for phi in functionals:
         _gate_growth(phi, verified_moment)
-        limit = gnormal_expect(G, phi, horizon=1.0, accuracy=accuracy)
+    limits = gnormal_expect(G, functionals, horizon=1.0, accuracy=accuracy)
+    for phi, limit in zip(functionals, limits):
         report.provenance.setdefault("solver_h", limit.spacing)
         report.provenance.setdefault("solver_margin", limit.margin)
         gaps = []

@@ -28,6 +28,10 @@ NODES_1D = {"fast": 151, "default": 301, "fine": 601}
 NODES_2D = {"fast": 81, "default": 121, "fine": 161}
 NODES_FDD = {"fast": 101, "default": 201, "fine": 301}
 
+# cells per row block of the 1-d march: a block's three operands, 768 kB,
+# stay in a 2 MB L2
+BLOCK_CELLS = 32_768
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -129,8 +133,19 @@ def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, horizon: float,
     In 1-d the generator reduces to G(a) = hi * a+ + lo * a-, evaluated
     pointwise on the discrete second difference as max(hi * a, lo * a):
     with lo <= hi, rounding is monotone, so that is hi * a for a >= 0 and
-    lo * a otherwise, signed zeros included.  Each step works in place in
-    two preallocated arrays.
+    lo * a otherwise, signed zeros included.
+
+    The leading axes are a batch of independent rows.  They are marched in
+    blocks of about BLOCK_CELLS cells, each block taking every time step
+    before the next one starts, so that its operands stay in L2; a call
+    that asks for snapshots marches all rows as one block.  Each step works
+    in place, in two preallocated arrays, on one contiguous run of the
+    flattened block from its first to its last interior node.  The row
+    ends inside that run get throw-away values from the neighbouring row
+    and are restored after the update by two strided writes (a one-row
+    block has none).  Every interior node reads only nodes of its own row,
+    computed before the update, so it sees the same float operations in
+    the same order as a whole-array step: blocking changes no bit.
     """
     if tau is None:
         tau_max = cfl_safety * h ** 2 / max(hi, 1e-300)
@@ -138,24 +153,38 @@ def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, horizon: float,
         tau = horizon / steps
     else:
         steps = round(horizon / tau)
-    u = np.array(u, dtype=float)
+    u = np.array(u, dtype=float, order="C")
+    n = u.shape[-1]
+    rows = u.reshape(math.prod(u.shape[:-1]), n)
+    flat = u.reshape(-1)
+    snap = snapshots is not None and snap_every
+    per_block = len(rows) if snap else max(1, BLOCK_CELLS // n)
     hh = h ** 2
     half_tau = 0.5 * tau
-    left, mid, right = u[..., :-2], u[..., 1:-1], u[..., 2:]
-    d2 = np.empty(mid.shape)
-    low = np.empty(mid.shape)
-    for m in range(steps):
-        np.multiply(mid, 2.0, out=d2)
-        np.subtract(right, d2, out=d2)
-        np.add(d2, left, out=d2)
-        np.divide(d2, hh, out=d2)
-        np.multiply(d2, lo, out=low)
-        np.multiply(d2, hi, out=d2)
-        np.maximum(d2, low, out=d2)
-        np.multiply(d2, half_tau, out=d2)
-        np.add(mid, d2, out=mid)
-        if snapshots is not None and snap_every and (m + 1) % snap_every == 0:
-            snapshots.append(((m + 1) * tau, u.copy()))
+    size = max(min(per_block, len(rows)) * n - 2, 0)
+    work, scratch = np.empty(size), np.empty(size)
+    for r0 in range(0, len(rows), per_block):
+        block = rows[r0:r0 + per_block]
+        first = r0 * n + 1
+        stop = first + max(block.size - 2, 0)
+        left, mid, right = flat[first - 1:stop - 1], flat[first:stop], flat[first + 1:stop + 1]
+        d2, low = work[:stop - first], scratch[:stop - first]
+        ends = (block[:, 0].copy(), block[:, -1].copy()) if len(block) > 1 else None
+        for m in range(steps):
+            np.multiply(mid, 2.0, out=d2)
+            np.subtract(right, d2, out=d2)
+            np.add(d2, left, out=d2)
+            np.divide(d2, hh, out=d2)
+            np.multiply(d2, lo, out=low)
+            np.multiply(d2, hi, out=d2)
+            np.maximum(d2, low, out=d2)
+            np.multiply(d2, half_tau, out=d2)
+            np.add(mid, d2, out=mid)
+            if ends is not None:
+                block[:, 0] = ends[0]
+                block[:, -1] = ends[1]
+            if snap and (m + 1) % snap_every == 0:
+                snapshots.append(((m + 1) * tau, u.copy()))
     return u
 
 
@@ -166,8 +195,12 @@ def _march_2d(u: np.ndarray, G: GFunction, h: float, horizon: float,
 
     Per member (a, b, c) of Theta the Laplacian is
     ((a - |c|) xx + (b - |c|) yy + |c| cross) / h^2, with cross the diagonal
-    second difference for c >= 0 and the anti-diagonal one otherwise; only
-    the cross differences some member uses are formed.  Each step works in
+    second difference for c > 0 and the anti-diagonal one for c < 0; only
+    the cross differences some member uses are formed.  A member with c = 0
+    skips the cross term, a signed zero: that changes no value, but where a
+    node is -0.0 and the winning Laplacian a signed zero (a member with
+    a = b = c = 0, or subnormal products) the node's zero may change sign
+    against the form that adds the term.  Each step works in
     place on one contiguous run of the flattened field, from the first to
     the last interior node, so every operand is a 1-d slice; the rim nodes
     inside that run get throw-away values and are restored after the
@@ -199,8 +232,11 @@ def _march_2d(u: np.ndarray, G: GFunction, h: float, horizon: float,
     for S in G.theta:
         a, b, c = float(S[0, 0]), float(S[1, 1]), float(S[0, 1])
         cc = abs(c)
-        cross = cols + 1 if c >= 0 else cols - 1
-        members.append((a - cc, b - cc, cc, diffs.setdefault(cross, np.empty(cen.shape))))
+        cross = None
+        if cc > 0:
+            shift = cols + 1 if c > 0 else cols - 1
+            cross = diffs.setdefault(shift, np.empty(cen.shape))
+        members.append((a - cc, b - cc, cc, cross))
     xx, yy = diffs[cols], diffs[1]
     two = np.empty(cen.shape)
     best = np.empty(cen.shape)
@@ -217,8 +253,9 @@ def _march_2d(u: np.ndarray, G: GFunction, h: float, horizon: float,
             np.multiply(xx, ax, out=dst)
             np.multiply(yy, by, out=tmp)
             np.add(dst, tmp, out=dst)
-            np.multiply(cross, cc, out=tmp)
-            np.add(dst, tmp, out=dst)
+            if cross is not None:
+                np.multiply(cross, cc, out=tmp)
+                np.add(dst, tmp, out=dst)
             np.divide(dst, hh, out=dst)
             if i:
                 np.maximum(best, dst, out=best)
@@ -294,37 +331,70 @@ def _boundary_bound(G: GFunction, horizon: float, half_width: float,
     return 2.0 * dim * tail * max(data_max, 1.0)
 
 
-def _centre_value(G: GFunction, phi, half_width: float, nodes: int, horizon: float):
+def _preset_nodes(table: dict, accuracy: str) -> int:
+    try:
+        return table[accuracy]
+    except KeyError:
+        raise DomainError(f"unknown accuracy {accuracy!r}; presets are "
+                          + ", ".join(table)) from None
+
+
+def _centre_values(G: GFunction, phis: list, half_width: float, nodes: int,
+                   horizon: float):
+    """March every functional on one grid; return the grid and, per
+    functional, the centre value and max |u| at the horizon.  In 1-d the
+    initial data are stacked into one batch and marched together."""
     dim = G.dimension
     half_nodes = (nodes - 1) // 2
     h = half_width / half_nodes
     grid = Grid.build(dim, half_width, h, horizon, G.sigma_sq_max)
-    field, _ = solve_gheat(G, phi, grid)
-    centre = (half_nodes,) * dim
-    return float(field.values[centre]), grid, float(np.max(np.abs(field.values)))
+    axis = grid.axis()
+    if dim == 1:
+        lo, hi = _theta_1d_range(G)
+        u0 = np.stack([_init_values(phi, axis, 1) for phi in phis])
+        fields = list(_march_1d(u0, lo, hi, h, horizon, tau=grid.time_step))
+    else:
+        fields = [_march_2d(_init_values(phi, axis, 2), G, h, horizon, tau=grid.time_step)
+                  for phi in phis]
+    out = []
+    for u in fields:
+        if not np.all(np.isfinite(u)):
+            raise DomainError("grid function has non-finite values")
+        out.append((float(u[(half_nodes,) * dim]), float(np.max(np.abs(u)))))
+    return grid, out
 
 
 def gnormal_expect(G, phi, horizon: float = 1.0, accuracy: str = "default",
-                   half_width: float | None = None) -> PdeEstimate:
+                   half_width: float | None = None) -> PdeEstimate | list[PdeEstimate]:
     """Upper expectation of phi under the G-normal law, as the origin value
     of the G-heat march, with a two-grid Richardson error bar.
 
     The reported bar adds the coarse/fine difference, the frozen-boundary
     Gaussian tail bound, and a floating-point floor, so it brackets the true
     discretisation gap on convergent runs.
+
+    phi may also be a sequence of functionals; the result is then a list
+    with one PdeEstimate per functional, equal to what separate calls give.
+    In 1-d their initial data share one march per grid.
     """
     G = _as_gfunction(G)
     if not horizon > 0:
         raise DomainError("horizon must be positive")
-    nodes = (NODES_1D if G.dimension == 1 else NODES_2D)[accuracy]
+    nodes = _preset_nodes(NODES_1D if G.dimension == 1 else NODES_2D, accuracy)
+    phis = [phi] if callable(phi) else list(phi)
+    if not phis:
+        return []
     L = half_width if half_width is not None else _auto_half_width(G, horizon)
-    coarse, _, data_max = _centre_value(G, phi, L, nodes, horizon)
-    fine, grid, data_max2 = _centre_value(G, phi, L, 2 * nodes - 1, horizon)
-    delta = abs(fine - coarse)
-    tail = _boundary_bound(G, horizon, L, max(data_max, data_max2), G.dimension)
-    bar = 2.0 * delta + tail + 1e-9 * (1.0 + abs(fine))
-    return PdeEstimate(fine, bar, coarse, delta, tail, grid.spacing,
-                       grid.time_step, L, grid.margin())
+    _, coarse = _centre_values(G, phis, L, nodes, horizon)
+    grid, fine = _centre_values(G, phis, L, 2 * nodes - 1, horizon)
+    estimates = []
+    for (coarse_value, data_max), (value, data_max2) in zip(coarse, fine):
+        delta = abs(value - coarse_value)
+        tail = _boundary_bound(G, horizon, L, max(data_max, data_max2), G.dimension)
+        bar = 2.0 * delta + tail + 1e-9 * (1.0 + abs(value))
+        estimates.append(PdeEstimate(value, bar, coarse_value, delta, tail, grid.spacing,
+                                     grid.time_step, L, grid.margin()))
+    return estimates[0] if callable(phi) else estimates
 
 
 def gbm_fdd_expect(G, times, phi, accuracy: str = "default") -> PdeEstimate:
@@ -373,7 +443,7 @@ def gbm_fdd_expect(G, times, phi, accuracy: str = "default") -> PdeEstimate:
         u = _march_1d(u, lo, hi, h, times[0])
         return float(u[(half_nodes,) * u.ndim]), data_max
 
-    nodes = NODES_FDD[accuracy]
+    nodes = _preset_nodes(NODES_FDD, accuracy)
     if p == 3:
         nodes = (nodes // 2) | 1  # cubic state arrays; halve the resolution
     coarse, dmax1 = run(nodes)

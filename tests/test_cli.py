@@ -132,15 +132,6 @@ def test_dump_fields_writes_snapshots(tmp_path):
     assert len(header) > 100
 
 
-def test_jobs_flag_keeps_output_identical(tmp_path):
-    cfg = str(CONFIG_DIR / "pde_closed_forms.yaml")
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["--config", cfg, "--out", str(out1)]) == 0
-    assert main(["--config", cfg, "--out", str(out2), "--jobs", "3"]) == 0
-    assert (out1 / "pde_closed_forms.csv").read_bytes() == \
-        (out2 / "pde_closed_forms.csv").read_bytes()
-
-
 def test_fdd_times_validation(tmp_path):
     doc = {
         "kind": "fdd", "seed": 3, "output": "x",
