@@ -112,6 +112,14 @@ class AmbiguitySet:
                 raise DomainError("support points not pairwise distinct")
             coords.append(c)
         self._coords = tuple(coords)
+        _, first, inverse = np.unique(np.vstack(coords), axis=0, return_index=True,
+                                      return_inverse=True)
+        # the union support in lattice order; a point shared by several
+        # members takes its physical position from the first that lists it
+        self.support = np.vstack([dist.support for dist in self.members])[first]
+        # positions[i][k]: the row of `support` holding member i's k-th point
+        self.positions = tuple(np.split(inverse.reshape(-1),
+                                        np.cumsum([len(c) for c in coords])[:-1]))
 
     @property
     def dim(self) -> int:
@@ -131,6 +139,14 @@ class TestFunction:
     The growth tag ("bounded", "quadratic" or "power" with `exponent`) is
     metadata: experiment drivers use it to size PDE domains and to gate
     unbounded functionals behind verified moment conditions.
+
+    Every engine applies a functional, a TestFunction or a plain callable,
+    through `evaluate`: one vectorised call on the whole grid of points,
+    and one call per point only when that call raises TypeError,
+    ValueError or IndexError or returns the wrong shape.  Any other
+    exception propagates.  expect_upper, expect_upper_member and
+    expect_lower also take, in place of a functional of one lattice
+    vector, its vector of values on X.support.
     """
 
     fn: Callable
@@ -143,56 +159,82 @@ class TestFunction:
         return self.fn(*args)
 
 
-def _as_callable(f, expected_arity: int | None = None) -> Callable:
+def _as_callable(f, arity: int) -> Callable:
     if isinstance(f, TestFunction):
-        if expected_arity is not None and f.arity != expected_arity:
-            raise DomainError(f"arity mismatch: expected {expected_arity}, got {f.arity}")
+        if f.arity != arity:
+            raise DomainError(f"arity mismatch: expected {arity}, got {f.arity}")
         return f.fn
     return f
 
 
-def _eval_on_points(fn: Callable, support: np.ndarray) -> np.ndarray:
-    """Evaluate fn on (m, d) points; vectorised call first, scalar fallback."""
-    d = support.shape[1]
-    if d == 1:
-        xs = support[:, 0]
-        try:
-            out = np.asarray(fn(xs), dtype=float)
-            if out.shape != xs.shape:
-                raise ValueError
-        except Exception:
-            out = np.array([float(fn(float(x))) for x in xs])
-    else:
-        try:
-            out = np.asarray(fn(support), dtype=float)
-            if out.shape != (support.shape[0],):
-                raise ValueError
-        except Exception:
-            out = np.array([float(fn(support[i])) for i in range(support.shape[0])])
-    if not np.all(np.isfinite(out)):
+def evaluate(f, *points: np.ndarray, what: str = "test value") -> np.ndarray:
+    """Values of f on a grid of points, one array of points per argument.
+
+    Each array holds points with their coordinates on the last axis; the
+    leading axes, the same for all, are the grid shape the result takes.
+    f is called once on the whole grid, with the arrays (1-d points as
+    arrays of their one coordinate), and point by point, with floats or
+    (d,) vectors, only when that call raises TypeError, ValueError or
+    IndexError or returns another shape; any other exception propagates.
+    A grid whose first axis has length d > 1 gets one extra point, a copy
+    of its last, whose value is dropped: an f that reads its argument as
+    one point, as in z[0] * z[1], then returns a wrong shape instead of a
+    plausible one.
+    """
+    fn = _as_callable(f, len(points))
+    shape, d = points[0].shape[:-1], points[0].shape[-1]
+    args = [p[..., 0] for p in points] if d == 1 else list(points)
+    extra = d > 1 and shape[:1] == (d,)
+    if extra:
+        args = [np.concatenate([a, a[-1:]]) for a in args]
+    try:
+        vals = np.asarray(fn(*args), dtype=float)
+    except (TypeError, ValueError, IndexError):
+        vals = None
+    if vals is None or vals.shape != args[0].shape[:len(shape)]:
+        rows = [p.reshape(-1, d) for p in points]
+        vals = np.array([float(fn(*(float(r[i, 0]) if d == 1 else r[i] for r in rows)))
+                         for i in range(len(rows[0]))]).reshape(shape)
+    elif extra:
+        vals = vals[:d]
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(f"non-finite {what}")
+    return vals
+
+
+def _support_values(X: AmbiguitySet, f) -> np.ndarray:
+    """f on X.support: a functional is evaluated, a value vector checked."""
+    if callable(f):
+        return evaluate(f, X.support)
+    values = np.asarray(f, dtype=float)
+    if values.shape != (len(X.support),):
+        raise DomainError(f"value vector of shape {values.shape}; "
+                          f"X.support has {len(X.support)} points")
+    if not np.all(np.isfinite(values)):
         raise DomainError("non-finite test value")
-    return out
+    return values
 
 
 def expect_upper_member(X: AmbiguitySet, f) -> tuple[float, int]:
-    """Upper expectation plus the attaining member index (lowest on ties)."""
-    fn = _as_callable(f, 1)
-    vals = np.empty(len(X.members))
-    for i, dist in enumerate(X.members):
-        vals[i] = float(np.dot(dist.probs, _eval_on_points(fn, dist.support)))
-    idx = int(np.argmax(vals))
-    return float(vals[idx]), idx
+    """Upper expectation plus the attaining member index (lowest on ties).
+
+    f is a functional, or its vector of values on X.support.
+    """
+    values = _support_values(X, f)
+    means = np.array([np.dot(dist.probs, values[pos])
+                      for dist, pos in zip(X.members, X.positions)])
+    idx = int(means.argmax())
+    return float(means[idx]), idx
 
 
 def expect_upper(X: AmbiguitySet, f) -> float:
-    """max over members P of sum_z P(z) f(z)."""
+    """max over members P of sum_z P(z) f(z); f may be a value vector on X.support."""
     return expect_upper_member(X, f)[0]
 
 
 def expect_lower(X: AmbiguitySet, f) -> float:
     """Conjugate expectation -E[-f]; always <= expect_upper(X, f)."""
-    fn = _as_callable(f, 1)
-    return -expect_upper(X, lambda *a: -np.asarray(fn(*a), dtype=float))
+    return -expect_upper(X, -_support_values(X, f))
 
 
 def _event_mask(event: Callable, support: np.ndarray) -> np.ndarray:
@@ -249,7 +291,8 @@ def nested_expect(Xs: Sequence[AmbiguitySet], f, cap: int = DEFAULT_NESTING_CAP)
 
     Realises order-sensitive independence: X_k independent of (X_1..X_{k-1}),
     so the recursion freezes a prefix and integrates the deepest variable
-    first via expect_upper.
+    first via expect_upper.  Outer levels pass expect_upper the vector of
+    inner values, one per point of X.support (a float in 1-d).
     """
     k = len(Xs)
     if k == 0:
@@ -262,7 +305,8 @@ def nested_expect(Xs: Sequence[AmbiguitySet], f, cap: int = DEFAULT_NESTING_CAP)
         X = Xs[i]
         if i == k - 1:
             return expect_upper(X, lambda z: fn(*prefix, z))
-        return expect_upper(X, lambda z: level(prefix + (z,), i + 1))
+        points = X.support[:, 0].tolist() if X.dim == 1 else X.support
+        return expect_upper(X, [level(prefix + (z,), i + 1) for z in points])
 
     return level((), 0)
 
@@ -370,36 +414,6 @@ def _backward_sum(v: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
     return np.add(v, 0.0, out=v)
 
 
-def _eval_sum_grid(fn: Callable, lat: LatticeSpec, lo: np.ndarray, hi: np.ndarray,
-                   copies: int, scale: float) -> np.ndarray:
-    """Evaluate fn(scale * physical sum) on the integer box [lo, hi]."""
-    d = lat.dimension
-    shape = tuple(int(h - l + 1) for l, h in zip(lo, hi))
-    if d == 1:
-        xs = scale * (copies * lat.origin[0] + lat.step * np.arange(lo[0], hi[0] + 1, dtype=float))
-        try:
-            vals = np.asarray(fn(xs), dtype=float)
-            if vals.shape != xs.shape:
-                raise ValueError
-        except Exception:
-            vals = np.array([float(fn(float(x))) for x in xs])
-    else:
-        axes = [np.arange(lo[j], hi[j] + 1, dtype=float) for j in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack(mesh, axis=-1) * lat.step + copies * np.asarray(lat.origin)
-        pts = scale * pts
-        try:
-            vals = np.asarray(fn(pts), dtype=float)
-            if vals.shape != shape:
-                raise ValueError
-        except Exception:
-            flat = pts.reshape(-1, d)
-            vals = np.array([float(fn(flat[i])) for i in range(flat.shape[0])]).reshape(shape)
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("non-finite test value")
-    return vals
-
-
 def independent_sum_expect(laws: Sequence[AmbiguitySet], g, scale: float = 1.0,
                            max_nodes: int = DEFAULT_MAX_SUM_NODES) -> float:
     """Exact E[g(scale * (X_1 + ... + X_n))] for independent lattice laws.
@@ -416,7 +430,6 @@ def independent_sum_expect(laws: Sequence[AmbiguitySet], g, scale: float = 1.0,
     lat = _shared_lattice(laws)
     d = lat.dimension
     n = len(laws)
-    fn = _as_callable(g, 1)
 
     steps = _sum_steps(laws)
     lo = [(0,) * d]
@@ -429,7 +442,13 @@ def independent_sum_expect(laws: Sequence[AmbiguitySet], g, scale: float = 1.0,
     if size > max_nodes:
         raise ResourceCapError(f"lattice blowup: {size} sum nodes at level {n}")
 
-    v = _eval_sum_grid(fn, lat, lo[n], hi[n], n, scale)
+    axes = [np.arange(l, h + 1, dtype=float) for l, h in zip(lo[n], hi[n])]
+    if d == 1:
+        pts = scale * (n * lat.origin[0] + lat.step * axes[0])[:, None]
+    else:
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        pts = scale * (mesh * lat.step + n * np.asarray(lat.origin))
+    v = evaluate(g, pts)
     v = _backward_sum(v, [(steps[k - 1], shapes[k - 1]) for k in range(n, 0, -1)])
     return float(v.reshape(-1)[0])
 

@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .ambiguity import (AmbiguitySet, TestFunction, _backward_sum, _sum_steps,
-                        capacity_upper, expect_upper, independent_sum_expect, truncate)
+                        capacity_upper, evaluate, expect_upper, independent_sum_expect,
+                        truncate)
 from .errors import DomainError, ResourceCapError
 from .gfunc import GFunction, g_eval
 from .pde import PdeEstimate, gbm_fdd_expect, gnormal_expect
@@ -421,7 +422,6 @@ def two_point_sum_expect(laws: Sequence[AmbiguitySet], k1: int, psi, scale: floa
     for law in laws:
         if law.lattice != lat:
             raise DomainError("laws do not share a lattice")
-    fn = psi.fn if isinstance(psi, TestFunction) else psi
 
     steps = _sum_steps(laws)
     lo = [0]
@@ -446,16 +446,7 @@ def two_point_sum_expect(laws: Sequence[AmbiguitySet], k1: int, psi, scale: floa
     # row a, column j holds S_k1 = lo_k1 + a and S_k2 = lo_k2 + a + j
     X1 = np.repeat(x1[:, None], band[k2], axis=1)
     X2 = x2[np.arange(size1)[:, None] + np.arange(band[k2])]
-    try:
-        v = np.asarray(fn(X1, X2), dtype=float)
-        if v.shape != X1.shape:
-            raise ValueError
-    except Exception:
-        v = np.array([[float(fn(float(a), float(b))) for b in row]
-                      for a, row in zip(x1, X2)])
-    if not np.all(np.isfinite(v)):
-        raise DomainError("non-finite test value")
-
+    v = evaluate(psi, X1[..., None], X2[..., None])
     v = _backward_sum(v, [(steps[k - 1], (band[k - 1],)) for k in range(k2, k1, -1)])
     v = _backward_sum(v[:, 0], [(steps[k - 1], (hi[k - 1] - lo[k - 1] + 1,))
                                 for k in range(k1, 0, -1)])

@@ -114,29 +114,40 @@ def _random_symmetric(rng, d: int) -> np.ndarray:
     return (M + M.T) / 2
 
 
+def normalised(G: GFunction) -> GFunction | None:
+    """G scaled so that G(I) = 1, or None when G(I) = 0."""
+    gI = g_eval(G, np.eye(G.dimension))
+    return GFunction(G.dimension, tuple(S / gI for S in G.theta)) if gI > 0 else None
+
+
+def g_law_violations(G: GFunction, Gn: GFunction | None, rng) -> dict:
+    """One draw of symmetric A and B, lambda in [0, 3) and L, in that order,
+    and the signed violation of each law: sub-additivity, homogeneity,
+    PSD-order monotonicity, and the entrywise Lipschitz bound of
+    Gn = normalised(G) (0.0 when Gn is None)."""
+    d = G.dimension
+    A = _random_symmetric(rng, d)
+    B = _random_symmetric(rng, d)
+    lam = float(rng.uniform(0.0, 3.0))
+    L = rng.normal(size=(d, d))
+    out = {"subadditive": g_eval(G, A + B) - g_eval(G, A) - g_eval(G, B),
+           "homogeneous": abs(g_eval(G, lam * A) - lam * g_eval(G, A)),
+           "monotone": g_eval(G, A) - g_eval(G, A + L @ L.T),
+           "lipschitz": 0.0}
+    if Gn is not None:
+        bound = d * float(np.max(np.abs(A - B)))
+        out["lipschitz"] = abs(g_eval(Gn, A) - g_eval(Gn, B)) - bound
+    return out
+
+
 def verify_g_laws(G: GFunction, trials: int = 1000, seed: int = 0) -> GLawReport:
-    """Sampled sub-additivity, homogeneity, PSD-order monotonicity, and the
-    entrywise Lipschitz bound after normalising so G(I) = 1."""
+    """Largest violation of each law over `trials` draws of g_law_violations."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    d = G.dimension
-    worst = {"subadditive": 0.0, "homogeneous": 0.0, "monotone": 0.0, "lipschitz": 0.0}
-    gI = g_eval(G, np.eye(d))
-    Gn = GFunction(d, tuple(S / gI for S in G.theta)) if gI > 0 else None
+    Gn = normalised(G)
+    worst = dict.fromkeys(("subadditive", "homogeneous", "monotone", "lipschitz"), 0.0)
     for _ in range(trials):
-        A = _random_symmetric(rng, d)
-        B = _random_symmetric(rng, d)
-        worst["subadditive"] = max(worst["subadditive"],
-                                   g_eval(G, A + B) - g_eval(G, A) - g_eval(G, B))
-        lam = float(rng.uniform(0.0, 3.0))
-        worst["homogeneous"] = max(worst["homogeneous"],
-                                   abs(g_eval(G, lam * A) - lam * g_eval(G, A)))
-        L = rng.normal(size=(d, d))
-        worst["monotone"] = max(worst["monotone"],
-                                g_eval(G, A) - g_eval(G, A + L @ L.T))
-        if Gn is not None:
-            bound = d * float(np.max(np.abs(A - B)))
-            worst["lipschitz"] = max(worst["lipschitz"],
-                                     abs(g_eval(Gn, A) - g_eval(Gn, B)) - bound)
+        for law, v in g_law_violations(G, Gn, rng).items():
+            worst[law] = max(worst[law], v)
     return GLawReport(worst)

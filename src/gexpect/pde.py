@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ambiguity import evaluate
 from .errors import DomainError
 from .gfunc import GFunction, SigmaInterval, g_eval
 
@@ -69,6 +70,13 @@ class Grid:
     def axis(self) -> np.ndarray:
         half_nodes = round(self.half_width / self.spacing)
         return self.spacing * np.arange(-half_nodes, half_nodes + 1, dtype=float)
+
+    def points(self) -> np.ndarray:
+        """The nodes, coordinates on the last axis: shape (N, 1) or (N, N, 2)."""
+        axis = self.axis()
+        if self.dim == 1:
+            return axis[:, None]
+        return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
 
     def margin(self) -> float:
         """Half-width in units of the diffusion scale sqrt(sigma_sq_max * T)."""
@@ -267,31 +275,6 @@ def _march_2d(u: np.ndarray, G: GFunction, h: float, horizon: float,
     return u
 
 
-def _init_values(phi, axis: np.ndarray, dim: int) -> np.ndarray:
-    fn = phi.fn if hasattr(phi, "fn") else phi
-    if dim == 1:
-        try:
-            vals = np.asarray(fn(axis), dtype=float)
-            if vals.shape != axis.shape:
-                raise ValueError
-        except Exception:
-            vals = np.array([float(fn(float(x))) for x in axis])
-    else:
-        X, Y = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.stack([X, Y], axis=-1)
-        try:
-            vals = np.asarray(fn(pts), dtype=float)
-            if vals.shape != X.shape:
-                raise ValueError
-        except Exception:
-            flat = pts.reshape(-1, 2)
-            vals = np.array([float(fn(flat[i])) for i in range(flat.shape[0])])
-            vals = vals.reshape(X.shape)
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("non-finite initial data")
-    return vals
-
-
 def solve_gheat(G: GFunction, phi, grid: Grid, snapshot_count: int = 0):
     """March the initial data to the grid horizon.
 
@@ -300,8 +283,7 @@ def solve_gheat(G: GFunction, phi, grid: Grid, snapshot_count: int = 0):
     """
     if G.dimension != grid.dim:
         raise DomainError("generator dimension does not match grid")
-    axis = grid.axis()
-    u0 = _init_values(phi, axis, grid.dim)
+    u0 = evaluate(phi, grid.points(), what="initial data")
     snaps: list | None = [] if snapshot_count else None
     every = max(1, grid.steps // max(snapshot_count, 1)) if snapshot_count else 0
     if grid.dim == 1:
@@ -348,14 +330,14 @@ def _centre_values(G: GFunction, phis: list, half_width: float, nodes: int,
     half_nodes = (nodes - 1) // 2
     h = half_width / half_nodes
     grid = Grid.build(dim, half_width, h, horizon, G.sigma_sq_max)
-    axis = grid.axis()
+    pts = grid.points()
     if dim == 1:
         lo, hi = _theta_1d_range(G)
-        u0 = np.stack([_init_values(phi, axis, 1) for phi in phis])
+        u0 = np.stack([evaluate(phi, pts, what="initial data") for phi in phis])
         fields = list(_march_1d(u0, lo, hi, h, horizon, tau=grid.time_step))
     else:
-        fields = [_march_2d(_init_values(phi, axis, 2), G, h, horizon, tau=grid.time_step)
-                  for phi in phis]
+        fields = [_march_2d(evaluate(phi, pts, what="initial data"), G, h, horizon,
+                            tau=grid.time_step) for phi in phis]
     out = []
     for u in fields:
         if not np.all(np.isfinite(u)):
@@ -419,23 +401,13 @@ def gbm_fdd_expect(G, times, phi, accuracy: str = "default") -> PdeEstimate:
     deltas = [times[0]] + [t2 - t1 for t1, t2 in zip(times, times[1:])]
     spread = math.sqrt(G.sigma_sq_max) * sum(math.sqrt(d) for d in deltas)
     L = MARGIN_STDS * spread
-    fn = phi.fn if hasattr(phi, "fn") else phi
 
     def run(nodes: int) -> tuple[float, float]:
         half_nodes = (nodes - 1) // 2
         h = L / half_nodes
         axis = h * np.arange(-half_nodes, half_nodes + 1, dtype=float)
         grids = np.meshgrid(*([axis] * p), indexing="ij")
-        try:
-            u = np.asarray(fn(*grids), dtype=float)
-            if u.shape != grids[0].shape:
-                raise ValueError
-        except Exception:
-            flat = np.stack([g.reshape(-1) for g in grids], axis=-1)
-            u = np.array([float(fn(*flat[i])) for i in range(flat.shape[0])])
-            u = u.reshape(grids[0].shape)
-        if not np.all(np.isfinite(u)):
-            raise DomainError("non-finite initial data")
+        u = evaluate(phi, *(g[..., None] for g in grids), what="initial data")
         data_max = float(np.max(np.abs(u)))
         for j in range(p - 1, 0, -1):
             u = _march_1d(u, lo, hi, h, times[j] - times[j - 1])

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gexpect import (AmbiguitySet, DiscreteDistribution, DomainError, LatticeSpec,
-                     ResourceCapError, capacity_lower, capacity_upper,
-                     expect_lower, expect_upper, expect_upper_member, iid_sum_expect,
-                     independent_sum_expect, nested_expect, nested_product,
-                     running_max_expect, symmetric_bernoulli_family, truncate)
+                     ResourceCapError, SigmaInterval, capacity_lower, capacity_upper,
+                     expect_lower, expect_upper, expect_upper_member, gbm_fdd_expect,
+                     gnormal_expect, iid_sum_expect, independent_sum_expect, nested_expect,
+                     nested_product, running_max_expect, symmetric_bernoulli_family,
+                     truncate, two_point_sum_expect)
 from gexpect import TestFunction as TF
 from gexpect import ambiguity
-from gexpect.ambiguity import _eval_sum_grid
+from gexpect.ambiguity import evaluate
 
 B = symmetric_bernoulli_family((0.5, 1.0))
 
@@ -73,7 +74,13 @@ def loop_sum_expect(laws, g, scale=1.0):
     for k, rows in enumerate(per_law, start=1):
         lo[k] = lo[k - 1] + np.min([c.min(axis=0) for c, _ in rows], axis=0)
         hi[k] = hi[k - 1] + np.max([c.max(axis=0) for c, _ in rows], axis=0)
-    v = _eval_sum_grid(g, lat, lo[n], hi[n], n, scale)
+    axes = [np.arange(l, h + 1, dtype=float) for l, h in zip(lo[n], hi[n])]
+    if d == 1:
+        pts = scale * (n * lat.origin[0] + lat.step * axes[0])[:, None]
+    else:
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        pts = scale * (mesh * lat.step + n * np.asarray(lat.origin))
+    v = evaluate(g, pts)
     for k in range(n, 0, -1):
         prev_shape = tuple(int(h - l + 1) for l, h in zip(lo[k - 1], hi[k - 1]))
         best = None
@@ -86,6 +93,42 @@ def loop_sum_expect(laws, g, scale=1.0):
             best = acc if best is None else np.maximum(best, acc)
         v = best
     return float(v.reshape(-1)[0])
+
+
+def old_member_values(fn, support):
+    """f on one member's (m, d) support, as expect_upper evaluated it before
+    the union support: vectorised first, then point by point on any error."""
+    d = support.shape[1]
+    xs = support[:, 0] if d == 1 else support
+    try:
+        out = np.asarray(fn(xs), dtype=float)
+        if out.shape != (support.shape[0],):
+            raise ValueError
+    except Exception:
+        out = np.array([float(fn(float(z[0]) if d == 1 else z)) for z in support])
+    return out
+
+
+def union_coords(X):
+    """The union of the member supports as sorted lattice coordinate tuples."""
+    return sorted({tuple(int(c) for c in z)
+                   for i in range(len(X.members)) for z in X.member_coords(i)})
+
+
+def loop_expect_upper(X, f):
+    """The per-member expect_upper loop: f on each member's own support (a
+    value vector on the sorted union support is looked up by coordinate),
+    one np.dot per member, the first maximum."""
+    if not callable(f):
+        table = dict(zip(union_coords(X), f))
+    vals = np.empty(len(X.members))
+    for i, dist in enumerate(X.members):
+        if callable(f):
+            values = old_member_values(f, dist.support)
+        else:
+            values = np.array([table[tuple(int(c) for c in z)] for z in X.member_coords(i)])
+        vals[i] = float(np.dot(dist.probs, values))
+    return float(vals[int(np.argmax(vals))])
 
 
 # ------------------------------------------------------- basic expectations
@@ -113,6 +156,132 @@ def test_non_finite_test_value_rejected():
     blow_up = lambda x: np.where(np.asarray(x) >= 0, np.inf, 1.0)
     with pytest.raises(DomainError, match="non-finite test value"):
         expect_upper(B, blow_up)
+
+
+def test_union_support_and_member_positions():
+    lat = LatticeSpec(1, 1.0, (0.0,))
+    X = AmbiguitySet(lat, [
+        DiscreteDistribution(np.array([[2.0], [0.0]]), np.array([0.5, 0.5])),
+        DiscreteDistribution(np.array([[-1.0], [2.0]]), np.array([0.25, 0.75]))])
+    assert X.support[:, 0].tolist() == [-1.0, 0.0, 2.0]
+    assert [pos.tolist() for pos in X.positions] == [[2, 1], [0, 2]]
+    assert expect_upper_member(X, [10.0, 0.0, 4.0]) == (5.5, 1)
+    assert expect_lower(X, [10.0, 0.0, 4.0]) == 2.0
+
+
+def test_value_vector_checked():
+    with pytest.raises(DomainError, match="value vector of shape"):
+        expect_upper(B, np.zeros(4))
+    with pytest.raises(DomainError, match="non-finite test value"):
+        expect_upper(B, [0.0, np.nan, 1.0])
+    with pytest.raises(DomainError, match="non-finite test value"):
+        expect_lower(B, [0.0, 1.0, -np.inf])
+
+
+@pytest.mark.parametrize("points, value", [([[1.0, 2.0], [3.0, 5.0]], 8.5),
+                                           ([[1.0, 2.0], [2.0, 3.0]], 4.0)])
+def test_pointwise_2d_functional_on_a_d_by_d_grid(points, value):
+    """z[0] * z[1] called on the (2, 2) array of both points pairs their
+    coordinates wrongly, yet returns the shape of one value per point; the
+    same holds on the (2, 2, 2) sum grid of the second set."""
+    X = AmbiguitySet(LatticeSpec(2, 1.0, (0.0, 0.0)),
+                     [DiscreteDistribution(np.array(points), np.array([0.5, 0.5]))])
+    f = lambda z: z[0] * z[1]
+    assert expect_upper(X, f) == value
+    assert independent_sum_expect([X], f) == value
+
+
+class RaisingOnArrays:
+    """A vectorised functional with a bug: it raises RuntimeError on arrays,
+    and counts the scalar calls that a fallback would make."""
+
+    def __init__(self):
+        self.array_calls = 0
+        self.scalar_calls = 0
+
+    def __call__(self, *args):
+        if any(np.ndim(a) for a in args):
+            self.array_calls += 1
+            raise RuntimeError("bug inside the functional")
+        self.scalar_calls += 1
+        return 0.0
+
+
+EVALUATOR_CALL_SITES = {
+    "expect_upper": lambda f: expect_upper(B, f),
+    "independent_sum_expect": lambda f: independent_sum_expect([B] * 3, f),
+    "two_point_sum_expect": lambda f: two_point_sum_expect([B] * 4, 2, f, 0.5),
+    "gnormal_expect": lambda f: gnormal_expect(SigmaInterval(0.5, 1.0), f, accuracy="fast"),
+    "gbm_fdd_expect": lambda f: gbm_fdd_expect(SigmaInterval(0.5, 1.0), (0.5, 1.0), f,
+                                               accuracy="fast"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(EVALUATOR_CALL_SITES))
+def test_error_inside_functional_propagates(site):
+    f = RaisingOnArrays()
+    with pytest.raises(RuntimeError, match="bug inside the functional"):
+        EVALUATOR_CALL_SITES[site](f)
+    assert (f.array_calls, f.scalar_calls) == (1, 0)
+
+
+def test_member_means_do_not_depend_on_the_layout_f_returns():
+    """A strided view of the input and a fresh copy give the same bits: each
+    member mean is one np.dot over a contiguous gather of the values (a
+    strided np.dot sums in another order)."""
+    lat = LatticeSpec(2, 0.25, (0.0, 0.0))
+    support = lat.to_physical(np.array([[0, 1], [1, 3], [2, 2], [3, 7], [4, 5], [5, 11]]))
+    X = AmbiguitySet(lat, [DiscreteDistribution(support, np.arange(1.0, 7.0) / 21.0)])
+    view = expect_upper(X, lambda z: z[..., 1])
+    assert view.hex() == expect_upper(X, lambda z: z[..., 1].copy()).hex()
+
+
+def random_union_set(rng, dim):
+    """One to four members on one shifted lattice, each on its own random
+    subset of a 4^dim box, listed in random order, with zero probabilities."""
+    lat = LatticeSpec(dim, float(rng.choice([0.25, 0.5, 1.0])),
+                      tuple(float(o) for o in rng.choice([0.0, 0.5, -0.25], size=dim)))
+    box = np.array(np.meshgrid(*[np.arange(-2, 2)] * dim, indexing="ij")).reshape(dim, -1).T
+    members = []
+    for _ in range(rng.integers(1, 5)):
+        size = int(rng.integers(1, min(len(box), 7) + 1))
+        coords = box[rng.choice(len(box), size=size, replace=False)]
+        w = rng.integers(0, 4, size=size).astype(float)
+        w[rng.integers(size)] += 1.0
+        members.append(DiscreteDistribution(lat.to_physical(coords), w / w.sum()))
+    return AmbiguitySet(lat, members)
+
+
+UNION_FS = {
+    1: {"smooth": lambda x: np.sin(3.0 * x) + x * x,
+        "scalar_only": lambda x: math.atan(x) - 0.5 * math.cos(3.0 * x),
+        "neg_zero": lambda x: np.where(x >= 0.0, -0.0, np.cos(x))},
+    2: {"smooth": lambda z: np.sin(z[..., 0]) * z[..., 1] + z[..., 0] ** 2,
+        "scalar_only": lambda z: math.atan(z[0]) - math.cos(z[1]),
+        "neg_zero": lambda z: np.where(z[..., 0] + z[..., 1] >= 0.0, -0.0, z[..., 1] + 1.0)},
+}
+
+
+@given(st.integers(0, 10_000), st.sampled_from([1, 2]),
+       st.sampled_from(["smooth", "scalar_only", "neg_zero", "values"]))
+@settings(max_examples=60, deadline=None)
+def test_expect_upper_bit_identical_to_member_loop(seed, dim, f_name):
+    """Members on different, unsorted supports with zero probabilities, in
+    1-d and 2-d; callables (vectorised, scalar-only, with -0.0 values) and
+    value vectors holding +-0.0."""
+    rng = np.random.default_rng(seed)
+    X = random_union_set(rng, dim)
+    assert [tuple(c) for c in X.lattice.to_integer(X.support).tolist()] == union_coords(X)
+    if f_name == "values":
+        f = rng.uniform(-5.0, 5.0, size=len(X.support))
+        zero = rng.random(len(f)) < 0.3
+        f[zero] = np.where(rng.random(int(zero.sum())) < 0.5, -0.0, 0.0)
+        neg = -f
+    else:
+        f = UNION_FS[dim][f_name]
+        neg = lambda z: -np.asarray(f(z), dtype=float)
+    assert expect_upper(X, f).hex() == loop_expect_upper(X, f).hex()
+    assert expect_lower(X, f).hex() == (-loop_expect_upper(X, neg)).hex()
 
 
 def test_capacity_examples():
@@ -257,20 +426,16 @@ def random_set(rng):
 
 @given(st.integers(0, 10_000))
 def test_axioms_on_random_sets(seed):
-    from gexpect.suites import SupportTables
-
     rng = np.random.default_rng(seed)
     X = random_set(rng)
-    tables = SupportTables(X)
-    base = rng.uniform(-5, 5, size=tables.size)
-    bump = rng.uniform(0, 3, size=tables.size)
-    f = tables.fn(base)
-    g = tables.fn(base + bump)
+    m = len(X.support)
+    f = rng.uniform(-5, 5, size=m)
+    g = f + rng.uniform(0, 3, size=m)
     ef, eg = expect_upper(X, f), expect_upper(X, g)
     assert ef <= eg + 1e-12
-    assert expect_upper(X, tables.fn(2 * base + bump)) <= ef + eg + 1e-12
+    assert expect_upper(X, f + g) <= ef + eg + 1e-12
     lam = float(rng.uniform(0, 3))
-    assert expect_upper(X, tables.fn(lam * base)) == pytest.approx(lam * ef, abs=1e-12)
+    assert expect_upper(X, lam * f) == pytest.approx(lam * ef, abs=1e-12)
     assert expect_lower(X, f) <= ef + 1e-12
 
 
@@ -278,29 +443,19 @@ def test_axioms_on_random_sets(seed):
 def test_conjugate_collapse_iff_single_member(seed):
     rng = np.random.default_rng(seed)
     X = random_set(rng)
-    from gexpect.suites import SupportTables
-
-    tables = SupportTables(X)
-    f = tables.fn(rng.uniform(-5, 5, size=tables.size))
+    m = len(X.support)
+    f = rng.uniform(-5, 5, size=m)
     if len(X.members) == 1:
         assert expect_lower(X, f) == pytest.approx(expect_upper(X, f), abs=1e-12)
     else:
-        probs = np.stack([_aligned_probs(X, i, tables) for i in range(len(X.members))])
-        spread = np.max(np.ptp(probs, axis=0))
-        if spread > 1e-9:
-            j = int(np.argmax(np.ptp(probs, axis=0)))
-            witness = np.zeros(tables.size)
-            witness[j] = 1.0
-            w = tables.fn(witness)
-            assert expect_upper(X, w) > expect_lower(X, w)
-
-
-def _aligned_probs(X, i, tables):
-    out = np.zeros(tables.size)
-    lookup = {tuple(c): k for k, c in enumerate(tables.coords)}
-    for c, p in zip(X.member_coords(i), X.members[i].probs):
-        out[lookup[tuple(c)]] = p
-    return out
+        probs = np.zeros((len(X.members), m))
+        for i, dist in enumerate(X.members):
+            probs[i, X.positions[i]] = dist.probs
+        spread = np.ptp(probs, axis=0)
+        if np.max(spread) > 1e-9:
+            witness = np.zeros(m)
+            witness[int(np.argmax(spread))] = 1.0
+            assert expect_upper(X, witness) > expect_lower(X, witness)
 
 
 @given(st.integers(0, 10_000))

@@ -34,14 +34,6 @@ def small_clt_doc(**overrides):
     return doc
 
 
-def test_axioms_fixture_exits_zero(tmp_path):
-    code = main(["--config", str(CONFIG_DIR / "axioms.yaml"), "--out", str(tmp_path),
-                 "--seed", "7"])
-    assert code == 0
-    assert (tmp_path / "axioms.csv").exists()
-    assert (tmp_path / "axioms_summary.txt").exists()
-
-
 def test_negative_probability_exits_two_with_path(tmp_path, capsys):
     doc = small_clt_doc()
     doc["params"]["family"] = {"support": [-1.0, 0.0, 1.0],
@@ -96,23 +88,14 @@ def test_seed_flag_changes_random_suite_rows(tmp_path):
         (out2 / "tree_laws.csv").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["tree_laws", "rosenthal"])
-def test_tree_configs_reproduce_committed_reports(tmp_path, name):
+@pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.yaml")),
+                         ids=lambda path: path.stem)
+def test_shipped_config_reproduces_committed_reports(tmp_path, config):
     reports = CONFIG_DIR.parent / "reports"
-    assert main(["--config", str(CONFIG_DIR / f"{name}.yaml"), "--out", str(tmp_path)]) == 0
+    assert main(["--config", str(config), "--out", str(tmp_path)]) == 0
     for suffix in (".csv", "_summary.txt"):
-        assert (tmp_path / f"{name}{suffix}").read_bytes() == \
-            (reports / f"{name}{suffix}").read_bytes()
-
-
-@pytest.mark.parametrize("name", ["fdd_increment", "clt_bernoulli", "pde_closed_forms",
-                                  "iid_conditions", "g_laws"])
-def test_dp_and_march_configs_reproduce_committed_reports(tmp_path, name):
-    reports = CONFIG_DIR.parent / "reports"
-    assert main(["--config", str(CONFIG_DIR / f"{name}.yaml"), "--out", str(tmp_path)]) == 0
-    for suffix in (".csv", "_summary.txt"):
-        assert (tmp_path / f"{name}{suffix}").read_bytes() == \
-            (reports / f"{name}{suffix}").read_bytes()
+        name = config.stem + suffix
+        assert (tmp_path / name).read_bytes() == (reports / name).read_bytes()
 
 
 def test_g_laws_dimension_rejected():

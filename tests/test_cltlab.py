@@ -352,6 +352,11 @@ def test_two_point_dp_increment_mean_zero():
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
+def test_two_point_dp_rejects_wrong_arity():
+    with pytest.raises(DomainError, match="arity mismatch: expected 2, got 1"):
+        two_point_sum_expect([B] * 4, 2, get("square"), 0.5)
+
+
 def test_two_point_cap():
     with pytest.raises(Exception, match="augmentation blowup"):
         two_point_sum_expect([B] * 64, 32, get_pair("increment"), 1 / 8, max_nodes=10)

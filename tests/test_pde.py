@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gexpect import (DomainError, GFunction, Grid, SigmaInterval, gbm_fdd_expect,
                      gbm_quadratic_identity, gnormal_expect, solve_gheat)
 from gexpect import pde
+from gexpect.functionals import get, get_pair
 from gexpect.pde import CFL_SAFETY, _check_stencil_2d, _march_1d, _march_2d
 
 SI = SigmaInterval(0.5, 1.0)
@@ -190,6 +191,13 @@ def test_fdd_increment_examples():
 def test_fdd_arity_cap():
     with pytest.raises(DomainError, match="fdd arity cap"):
         gbm_fdd_expect(SI, (0.2, 0.4, 0.6, 0.8), lambda *a: 0.0)
+
+
+def test_fdd_rejects_wrong_arity():
+    with pytest.raises(DomainError, match="arity mismatch: expected 2, got 1"):
+        gbm_fdd_expect(SI, (0.5, 1.0), get("square"), accuracy="fast")
+    with pytest.raises(DomainError, match="arity mismatch: expected 1, got 2"):
+        gbm_fdd_expect(SI, (0.5,), get_pair("increment"), accuracy="fast")
 
 
 def test_fdd_three_marginals_smoke():
