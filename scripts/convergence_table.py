@@ -7,13 +7,13 @@ the solver value for the matching G-normal law, with the solver error bar.
 
 import numpy as np
 
-from gexpect import ArraySpec, run_clt_experiment, symmetric_bernoulli_family
+from gexpect import IidRows, run_clt_experiment, symmetric_bernoulli_family
 from gexpect.functionals import get
 
 
 def main():
     family = symmetric_bernoulli_family((0.5, 1.0))
-    spec = ArraySpec("iid", (family,), (16, 64, 256))
+    spec = IidRows(family, (16, 64, 256))
     phis = [get(n) for n in ("positive_part", "sin", "excess_square")]
     report = run_clt_experiment(spec, phis, accuracy="default")
     header = f"{'functional':>14s} {'n':>4s} {'prelimit':>12s} {'limit':>12s} {'gap':>10s}"

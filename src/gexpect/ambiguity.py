@@ -107,19 +107,21 @@ class AmbiguitySet:
         for dist in self.members:
             if dist.dim != lattice.dimension:
                 raise DomainError("member dimension does not match lattice")
-            c = lattice.to_integer(dist.support)
-            if np.unique(c, axis=0).shape[0] != c.shape[0]:
-                raise DomainError("support points not pairwise distinct")
-            coords.append(c)
+            coords.append(lattice.to_integer(dist.support))
         self._coords = tuple(coords)
+        sizes = [len(c) for c in coords]
         _, first, inverse = np.unique(np.vstack(coords), axis=0, return_index=True,
                                       return_inverse=True)
+        inverse = inverse.reshape(-1)
+        # a member lists a point twice iff two of its rows share a union row
+        owner = np.repeat(np.arange(len(coords)), sizes)
+        if len(np.unique(owner * len(first) + inverse)) != len(inverse):
+            raise DomainError("support points not pairwise distinct")
         # the union support in lattice order; a point shared by several
         # members takes its physical position from the first that lists it
         self.support = np.vstack([dist.support for dist in self.members])[first]
         # positions[i][k]: the row of `support` holding member i's k-th point
-        self.positions = tuple(np.split(inverse.reshape(-1),
-                                        np.cumsum([len(c) for c in coords])[:-1]))
+        self.positions = tuple(np.split(inverse, np.cumsum(sizes)[:-1]))
 
     @property
     def dim(self) -> int:
@@ -237,19 +239,12 @@ def expect_lower(X: AmbiguitySet, f) -> float:
     return -expect_upper(X, -_support_values(X, f))
 
 
-def _event_mask(event: Callable, support: np.ndarray) -> np.ndarray:
-    d = support.shape[1]
-    if d == 1:
-        return np.array([bool(event(float(z))) for z in support[:, 0]])
-    return np.array([bool(event(support[i])) for i in range(support.shape[0])])
-
-
 def capacity_upper(X: AmbiguitySet, event: Callable) -> float:
-    """max over members of P(event)."""
+    """max over members of P(event); the event is evaluated once on X.support."""
+    hit = evaluate(event, X.support, what="event value") != 0.0
     best = 0.0
-    for dist in X.members:
-        mask = _event_mask(event, dist.support)
-        best = max(best, float(dist.probs[mask].sum()))
+    for dist, pos in zip(X.members, X.positions):
+        best = max(best, float(dist.probs[hit[pos]].sum()))
     return min(best, 1.0)
 
 

@@ -115,7 +115,7 @@ def run_pde(cfg: ExperimentConfig, rng, dump_fields: bool = False,
 def run_clt(cfg: ExperimentConfig, rng) -> ExperimentReport:
     p = cfg.params
     family = build_family(p["family"])
-    spec = cltlab.ArraySpec("iid", (family,), tuple(p["schedule"]))
+    spec = cltlab.IidRows(family, tuple(p["schedule"]))
     phis = [functionals.get(name) for name in p["functionals"]]
     report = cltlab.run_clt_experiment(
         spec, phis, accuracy=p.get("accuracy", "default"),
@@ -127,7 +127,7 @@ def run_clt(cfg: ExperimentConfig, rng) -> ExperimentReport:
 def run_fdd(cfg: ExperimentConfig, rng) -> ExperimentReport:
     p = cfg.params
     family = build_family(p["family"])
-    spec = cltlab.ArraySpec("iid", (family,), tuple(p["schedule"]))
+    spec = cltlab.IidRows(family, tuple(p["schedule"]))
     psi = functionals.get_pair(p["functional"])
     report = cltlab.run_fdd_experiment(spec, p["times"], psi,
                                        accuracy=p.get("accuracy", "default"),
@@ -160,7 +160,7 @@ def run_iid_conditions(cfg: ExperimentConfig, rng) -> ExperimentReport:
                        abs(sm[-1] - sm[-2]) <= 1e-12 if len(sm) > 1 else True,
                        abs(sm[-1] - sm[-2]) if len(sm) > 1 else 0.0)
     n_est = p.get("estimate_n", 256)
-    spec = cltlab.ArraySpec("iid", (family,), (n_est,))
+    spec = cltlab.IidRows(family, (n_est,))
     from .gfunc import g_eval
     c_big = p["c_schedule"][-1]
     for name, A in (("plus", np.array([[1.0]])), ("minus", np.array([[-1.0]]))):

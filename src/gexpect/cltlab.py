@@ -10,18 +10,19 @@ the finite schedule, never a claimed limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .ambiguity import (AmbiguitySet, TestFunction, _backward_sum, _sum_steps,
-                        capacity_upper, evaluate, expect_upper, independent_sum_expect,
-                        truncate)
+from .ambiguity import (AmbiguitySet, TestFunction, _backward_sum, _shared_lattice,
+                        _sum_steps, capacity_upper, evaluate, expect_lower, expect_upper,
+                        independent_sum_expect, truncate)
 from .errors import DomainError, ResourceCapError
 from .gfunc import GFunction, g_eval
 from .pde import PdeEstimate, gbm_fdd_expect, gnormal_expect
 from .reporting import ExperimentReport
+from .trees import MartingaleArray, drift_stat, lindeberg_stat, quadratic_characteristic
 
 DEFAULT_SCHEDULE = (16, 64, 256)
 GAP_CONSTANT = 0.01  # flat tolerance added to the solver error bar
@@ -35,106 +36,206 @@ def member_second_moments(X: AmbiguitySet) -> list:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class ArraySpec:
-    """A triangular-array experiment: base laws, row sizes, scaling rule.
-
-    iid mode holds one law and scales row n by 1/sqrt(n); heterogeneous mode
-    holds a sequence of laws on one lattice (row n uses the first n) and
-    scales by the reciprocal root of the accumulated upper variance;
-    tree-martingale mode holds one scenario tree per row (the row size is
-    the tree depth and the scaling is already baked into the edge labels),
-    so the condition statistics run through the conditional operators.
-    """
-
-    mode: str
-    laws: tuple = ()
-    schedule: tuple = DEFAULT_SCHEDULE
-    r_target: float | None = None
-    trees: tuple = ()
-
-    def __post_init__(self):
-        if self.mode not in ("iid", "heterogeneous", "tree-martingale"):
-            raise DomainError(f"unknown array mode: {self.mode}")
-        if self.mode == "tree-martingale":
-            if len(self.trees) == 0:
-                raise DomainError("tree mode needs at least one tree")
-            depths = tuple(t.depth for t in self.trees)
-            object.__setattr__(self, "schedule", depths)
-            if any(b <= a for a, b in zip(depths, depths[1:])):
-                raise DomainError("schedule must be strictly increasing")
-            return
-        if len(self.schedule) == 0 or any(
-                b <= a for a, b in zip(self.schedule, self.schedule[1:])):
-            raise DomainError("schedule must be strictly increasing")
-        if any(n < 1 for n in self.schedule):
-            raise DomainError("row sizes must be positive")
-        if self.mode == "iid" and len(self.laws) != 1:
-            raise DomainError("iid mode takes exactly one law")
-        if self.mode == "heterogeneous":
-            if len(self.laws) < max(self.schedule):
-                raise DomainError("heterogeneous mode needs a law per step")
-            if any(law.dim != 1 for law in self.laws):
-                raise DomainError("heterogeneous mode is 1-d")
-
-    @property
-    def dim(self) -> int:
-        if self.mode == "tree-martingale":
-            return self.trees[0].dim
-        return self.laws[0].dim
-
-    def row_laws(self, n: int) -> list:
-        if self.mode == "tree-martingale":
-            raise DomainError("tree mode has no row laws")
-        if self.mode == "iid":
-            return [self.laws[0]] * n
-        return list(self.laws[:n])
-
-    def upper_variances(self, n: int) -> np.ndarray:
-        if self.mode == "tree-martingale":
-            raise DomainError("tree mode has no row laws")
-        if self.mode == "iid":
-            v = expect_upper(self.laws[0], _sq_norm(self.dim))
-            return np.full(n, v)
-        return np.array([expect_upper(law, _sq_norm(1)) for law in self.laws[:n]])
-
-    def lower_variances(self, n: int) -> np.ndarray:
-        if self.mode == "iid":
-            v = -expect_upper(self.laws[0], _neg_sq_norm(self.dim))
-            return np.full(n, v)
-        return np.array([-expect_upper(law, _neg_sq_norm(1)) for law in self.laws[:n]])
-
-    def row_scale(self, n: int) -> float:
-        if self.mode == "iid":
-            return 1.0 / np.sqrt(n)
-        total = float(self.upper_variances(n).sum())
-        if total <= 0.0:
-            raise DomainError("zero total variance")
-        return 1.0 / np.sqrt(total)
-
-    def induced_gfunction(self) -> GFunction:
-        """Generator of the row limit: member second moments for iid rows,
-        the variance-ratio interval for normalised heterogeneous rows."""
-        if self.mode == "tree-martingale":
-            raise DomainError("tree mode carries no canonical generator")
-        if self.mode == "iid":
-            return GFunction.from_matrices(member_second_moments(self.laws[0]))
-        n = max(self.schedule)
-        r = self.r_target
-        if r is None:
-            r = float(self.lower_variances(n).sum() / self.upper_variances(n).sum())
-        return GFunction.from_matrices([np.array([[r]]), np.array([[1.0]])])
-
-
 def _sq_norm(d: int):
     if d == 1:
         return lambda x: x * x
     return lambda z: np.sum(np.square(z), axis=-1)
 
 
-def _neg_sq_norm(d: int):
-    base = _sq_norm(d)
-    return lambda z: -base(z)
+def _quad_form(A: np.ndarray, d: int):
+    """z -> <z A, z> on points with their coordinates on the last axis."""
+    if d == 1:
+        a = float(A[0, 0])
+        return lambda z: a * z * z
+    return lambda z: np.einsum("...i,ij,...j->...", z, A, z)
+
+
+def _drift(law: AmbiguitySet, scale: float) -> float:
+    """|E[scale X]| + |conjugate E[scale X]|, each a vector of coordinate means."""
+    pts = scale * law.support
+    up = [expect_upper(law, pts[:, j]) for j in range(law.dim)]
+    lo = [expect_lower(law, pts[:, j]) for j in range(law.dim)]
+    return float(np.linalg.norm(up) + np.linalg.norm(lo))
+
+
+def _interval_generator(r: float) -> GFunction:
+    return GFunction.from_matrices([np.array([[r]]), np.array([[1.0]])])
+
+
+def _non_increasing(series) -> bool:
+    """The soft trend test: no value above the one before it by more than 1e-12."""
+    return all(b <= a + 1e-12 for a, b in zip(series, series[1:]))
+
+
+def _check_schedule(schedule):
+    if len(schedule) == 0 or any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise DomainError("schedule must be strictly increasing")
+    if any(n < 1 for n in schedule):
+        raise DomainError("row sizes must be positive")
+
+
+class Rows:
+    """A triangular array: one row for each row size n in `schedule`.
+
+    IidRows and HeterogeneousRows give row n as (law, count) runs, count
+    independent copies of law, and every law statistic here is written once
+    over those runs.  By default a row is scaled by the reciprocal root of
+    its accumulated upper variance and its limit generator is the matching
+    variance-ratio interval; iid rows replace both.  TreeRows has no runs,
+    so `runs` is where every law-only path rejects it; it replaces the three
+    statistics that run through its conditional operators instead.
+    """
+
+    label = ""  # the `mode` line of a report's provenance
+
+    def runs(self, n: int) -> list:
+        """Row n as (law, count) runs."""
+        raise DomainError("iid or heterogeneous rows only")
+
+    def row_laws(self, n: int) -> list:
+        return [law for law, count in self.runs(n) for _ in range(count)]
+
+    def _run_sum(self, n: int, stat) -> float:
+        """Sum of stat(law) over the steps of row n: count * stat(law) per run."""
+        return float(sum(count * stat(law) for law, count in self.runs(n)))
+
+    def _per_step(self, n: int, f) -> np.ndarray:
+        """expect_upper(law, f) at each of the n steps of row n."""
+        return np.concatenate([np.full(count, expect_upper(law, f))
+                               for law, count in self.runs(n)])
+
+    def upper_variances(self, n: int) -> np.ndarray:
+        return self._per_step(n, _sq_norm(self.dim))
+
+    def lower_variances(self, n: int) -> np.ndarray:
+        sq = _sq_norm(self.dim)
+        return -self._per_step(n, lambda z: -sq(z))
+
+    def variance_ratio(self, n: int) -> float:
+        return float(self.lower_variances(n).sum() / self.upper_variances(n).sum())
+
+    def row_scale(self, n: int) -> float:
+        total = float(self.upper_variances(n).sum())
+        if total <= 0.0:
+            raise DomainError("zero total variance")
+        return 1.0 / np.sqrt(total)
+
+    def induced_gfunction(self) -> GFunction:
+        """Generator of the self-normalised row limit: the interval [r, 1],
+        r the lower/upper variance ratio of the longest row."""
+        return _interval_generator(self.variance_ratio(max(self.schedule)))
+
+    def lindeberg(self, n: int, eps_grid: Sequence[float]) -> list:
+        """Row sum of E[(|scale X|^2 - eps)^+], one value per eps."""
+        scale, sq = self.row_scale(n), _sq_norm(self.dim)
+        return [self._run_sum(n, lambda law, e=eps: expect_upper(
+                    law, lambda z: np.maximum(scale * scale * sq(z) - e, 0.0)))
+                for eps in eps_grid]
+
+    def drift(self, n: int) -> float:
+        scale = self.row_scale(n)
+        return self._run_sum(n, lambda law: _drift(law, scale))
+
+    def quadratic(self, n: int, A: np.ndarray, t_grid: Sequence[float]) -> list:
+        """Scaled partial sums of E[<X A, X>] up to the checkpoint tau(t)."""
+        scale = self.row_scale(n)
+        sched = variance_time_change(self, n)
+        prefix = np.concatenate([[0.0], np.cumsum(self._per_step(n, _quad_form(A, self.dim)))])
+        return [scale * scale * float(prefix[sched.tau(float(t))]) for t in t_grid]
+
+
+@dataclass(frozen=True, eq=False)
+class IidRows(Rows):
+    """Row n holds n independent copies of one law, scaled by 1/sqrt(n)."""
+
+    law: AmbiguitySet
+    schedule: tuple = DEFAULT_SCHEDULE
+    label = "iid"
+
+    def __post_init__(self):
+        if not isinstance(self.law, AmbiguitySet):
+            raise DomainError("iid rows take one AmbiguitySet")
+        _check_schedule(self.schedule)
+
+    @property
+    def dim(self) -> int:
+        return self.law.dim
+
+    def runs(self, n: int) -> list:
+        return [(self.law, n)]
+
+    def row_scale(self, n: int) -> float:
+        return 1.0 / np.sqrt(n)
+
+    def induced_gfunction(self) -> GFunction:
+        """Generator of the row limit: the member second moments."""
+        return GFunction.from_matrices(member_second_moments(self.law))
+
+
+@dataclass(frozen=True, eq=False)
+class HeterogeneousRows(Rows):
+    """Row n holds the first n of a sequence of 1-d laws on one lattice;
+    r_target, when given, pins the limit of the lower/upper variance ratio."""
+
+    laws: tuple
+    schedule: tuple = DEFAULT_SCHEDULE
+    r_target: float | None = None
+    label = "heterogeneous"
+    dim = 1
+
+    def __post_init__(self):
+        _check_schedule(self.schedule)
+        if len(self.laws) < max(self.schedule):
+            raise DomainError("heterogeneous rows need a law per step")
+        if any(law.dim != 1 for law in self.laws):
+            raise DomainError("heterogeneous rows are 1-d")
+
+    def runs(self, n: int) -> list:
+        return [(law, 1) for law in self.laws[:n]]
+
+    def induced_gfunction(self) -> GFunction:
+        if self.r_target is None:
+            return super().induced_gfunction()
+        return _interval_generator(self.r_target)
+
+
+@dataclass(frozen=True, eq=False)
+class TreeRows(Rows):
+    """Martingale-like rows, one scenario tree per row: the row size is the
+    tree depth, the scaling is already baked into the edge labels, and the
+    condition statistics run through the conditional operators."""
+
+    trees: tuple
+    label = "tree-martingale"
+
+    def __post_init__(self):
+        if len(self.trees) == 0:
+            raise DomainError("tree rows need at least one tree")
+        _check_schedule(self.schedule)
+
+    @property
+    def schedule(self) -> tuple:
+        return tuple(tree.depth for tree in self.trees)
+
+    @property
+    def dim(self) -> int:
+        return self.trees[0].dim
+
+    def _row(self, n: int):
+        tree = self.trees[self.schedule.index(n)]
+        return tree, MartingaleArray(tree)
+
+    def lindeberg(self, n: int, eps_grid: Sequence[float]) -> list:
+        tree, Z = self._row(n)
+        return [lindeberg_stat(tree, Z, float(eps))[1] for eps in eps_grid]
+
+    def drift(self, n: int) -> float:
+        return drift_stat(*self._row(n))
+
+    def quadratic(self, n: int, A: np.ndarray, t_grid: Sequence[float]) -> list:
+        tree, Z = self._row(n)
+        return [quadratic_characteristic(tree, Z, A, min(n, int(np.floor(n * float(t)))))
+                for t in t_grid]
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +266,7 @@ class CheckpointSchedule:
         return int(np.searchsorted(self.boundaries, t, side="right") - 1)
 
 
-def variance_time_change(spec: ArraySpec, n: int) -> CheckpointSchedule:
+def variance_time_change(spec: Rows, n: int) -> CheckpointSchedule:
     """Checkpoints where the accumulated upper variance crosses fractions of
     the row total; the target time change is the identity."""
     sig = spec.upper_variances(n)
@@ -187,138 +288,54 @@ class SeriesReport:
         return all(self.trends.values())
 
 
-def check_lindeberg(spec: ArraySpec, eps_grid: Sequence[float]) -> SeriesReport:
-    """Row sums of clipped (conditional) second moments, per (n, eps).
-
-    Independent rows reduce to unconditional sums; tree-martingale rows run
-    the conditional statistic through the tree operators.
-    """
+def check_lindeberg(spec: Rows, eps_grid: Sequence[float]) -> SeriesReport:
+    """Row sums of clipped (conditional) second moments, per (n, eps)."""
     if any(not eps > 0 for eps in eps_grid):
         raise DomainError("eps must be positive")
-    rows = []
-    if spec.mode == "tree-martingale":
-        from .trees import MartingaleArray, lindeberg_stat
-
-        for tree in spec.trees:
-            Z = MartingaleArray(tree)
-            for eps in eps_grid:
-                _, value = lindeberg_stat(tree, Z, float(eps))
-                rows.append({"n": tree.depth, "eps": float(eps), "value": value})
-    else:
-        d = spec.dim
-        for n in spec.schedule:
-            scale = spec.row_scale(n)
-            for eps in eps_grid:
-                sq = _sq_norm(d)
-                f = (lambda s, e: (lambda z: np.maximum(s * s * sq(z) - e, 0.0)))(
-                    scale, eps)
-                if spec.mode == "iid":
-                    value = n * expect_upper(spec.laws[0], f)
-                else:
-                    value = sum(expect_upper(law, f) for law in spec.row_laws(n))
-                rows.append({"n": n, "eps": float(eps), "value": float(value)})
-    trends = {}
-    for eps in eps_grid:
-        series = [r["value"] for r in rows if r["eps"] == float(eps)]
-        trends[float(eps)] = all(b <= a + 1e-12 for a, b in zip(series, series[1:]))
+    rows = [{"n": n, "eps": float(eps), "value": value} for n in spec.schedule
+            for eps, value in zip(eps_grid, spec.lindeberg(n, eps_grid))]
+    trends = {float(eps): _non_increasing([r["value"] for r in rows if r["eps"] == float(eps)])
+              for eps in eps_grid}
     return SeriesReport(rows, trends)
 
 
-def check_p_moments(spec: ArraySpec, p: float) -> SeriesReport:
+def check_p_moments(spec: Rows, p: float) -> SeriesReport:
     """Row sums of p-th absolute moments of the scaled variables (p > 2)."""
     if p <= 2:
         raise DomainError("p must exceed 2")
-    d = spec.dim
-    sq = _sq_norm(d)
+    sq = _sq_norm(spec.dim)
     rows = []
     for n in spec.schedule:
         scale = spec.row_scale(n)
         f = lambda z: (scale * scale * sq(z)) ** (p / 2.0)
-        if spec.mode == "iid":
-            value = n * expect_upper(spec.laws[0], f)
-        else:
-            value = sum(expect_upper(law, f) for law in spec.row_laws(n))
-        rows.append({"n": n, "p": float(p), "value": float(value)})
-    series = [r["value"] for r in rows]
-    ok = all(b <= a + 1e-12 for a, b in zip(series, series[1:]))
-    return SeriesReport(rows, {float(p): ok})
+        rows.append({"n": n, "p": float(p),
+                     "value": spec._run_sum(n, lambda law: expect_upper(law, f))})
+    return SeriesReport(rows, {float(p): _non_increasing([r["value"] for r in rows])})
 
 
-def check_moment_conditions(spec: ArraySpec) -> SeriesReport:
+def check_moment_conditions(spec: Rows) -> SeriesReport:
     """Row drift sums |E[X]| + |conjugate E[X]| and, for heterogeneous rows,
     the running lower/upper variance ratio."""
-    if spec.mode == "tree-martingale":
-        from .trees import MartingaleArray, drift_stat
-
-        rows = [{"n": tree.depth, "drift": drift_stat(tree, MartingaleArray(tree))}
-                for tree in spec.trees]
-        ok = all(b["drift"] <= a["drift"] + 1e-12 for a, b in zip(rows, rows[1:]))
-        return SeriesReport(rows, {"drift": ok})
-    d = spec.dim
-    rows = []
-    for n in spec.schedule:
-        scale = spec.row_scale(n)
-        total = 0.0
-        laws = [spec.laws[0]] if spec.mode == "iid" else spec.row_laws(n)
-        for law in laws:
-            up = np.empty(d)
-            lo = np.empty(d)
-            for i in range(d):
-                coord = (lambda j: (lambda z: scale * (z if d == 1 else z[..., j])))(i)
-                up[i] = expect_upper(law, coord)
-                lo[i] = -expect_upper(law, lambda z, c=coord: -c(z))
-            total += float(np.linalg.norm(up) + np.linalg.norm(lo))
-        if spec.mode == "iid":
-            total *= n
-        row = {"n": n, "drift": total}
-        if spec.mode == "heterogeneous":
-            row["ratio"] = float(spec.lower_variances(n).sum()
-                                 / spec.upper_variances(n).sum())
-        rows.append(row)
-    drift_ok = all(b["drift"] <= a["drift"] + 1e-12 for a, b in zip(rows, rows[1:]))
-    trends = {"drift": drift_ok}
-    if spec.mode == "heterogeneous" and spec.r_target is not None:
-        gaps = [abs(r["ratio"] - spec.r_target) for r in rows]
-        trends["ratio"] = all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
+    rows = [{"n": n, "drift": spec.drift(n)} for n in spec.schedule]
+    trends = {"drift": _non_increasing([r["drift"] for r in rows])}
+    if isinstance(spec, HeterogeneousRows):
+        for row in rows:
+            row["ratio"] = spec.variance_ratio(row["n"])
+        if spec.r_target is not None:
+            trends["ratio"] = _non_increasing([abs(r["ratio"] - spec.r_target) for r in rows])
     return SeriesReport(rows, trends)
 
 
-def quadratic_series(spec: ArraySpec, A, t_grid: Sequence[float]) -> SeriesReport:
+def quadratic_series(spec: Rows, A, t_grid: Sequence[float]) -> SeriesReport:
     """Partial sums of (conditional) quadratic forms up to the checkpoint
     floor(n*t), one value per (n, t); the target is G(A) * t."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    rows = []
-    if spec.mode == "tree-martingale":
-        from .trees import MartingaleArray, quadratic_characteristic
-
-        for tree in spec.trees:
-            Z = MartingaleArray(tree)
-            for t in t_grid:
-                cp = min(tree.depth, int(np.floor(tree.depth * float(t))))
-                value = quadratic_characteristic(tree, Z, A, cp)
-                rows.append({"n": tree.depth, "t": float(t), "value": value})
-        return SeriesReport(rows, {})
-    d = spec.dim
-    if d == 1:
-        a = float(A[0, 0])
-        quad = lambda z: a * z * z
-    else:
-        quad = lambda z: np.einsum("...i,ij,...j->...", z, A, z)
-    for n in spec.schedule:
-        scale = spec.row_scale(n)
-        sched = variance_time_change(spec, n)
-        if spec.mode == "iid":
-            per_step = [expect_upper(spec.laws[0], quad)] * n
-        else:
-            per_step = [expect_upper(law, quad) for law in spec.row_laws(n)]
-        prefix = np.concatenate([[0.0], np.cumsum(per_step)])
-        for t in t_grid:
-            value = scale * scale * float(prefix[sched.tau(float(t))])
-            rows.append({"n": n, "t": float(t), "value": value})
+    rows = [{"n": n, "t": float(t), "value": value} for n in spec.schedule
+            for t, value in zip(t_grid, spec.quadratic(n, A, t_grid))]
     return SeriesReport(rows, {})
 
 
-def attach_condition_verdicts(report: ExperimentReport, spec: ArraySpec,
+def attach_condition_verdicts(report: ExperimentReport, spec: Rows,
                               eps_grid: Sequence[float] = (0.1, 0.5)):
     """Soft (trend) verdicts for the limit-theorem hypotheses: clipped second
     moments falling, drift falling, quadratic characteristic approaching the
@@ -331,7 +348,7 @@ def attach_condition_verdicts(report: ExperimentReport, spec: ArraySpec,
     mom = check_moment_conditions(spec)
     report.add_verdict("drift", mom.trends["drift"], mom.rows[-1]["drift"],
                        "non-increasing row sums", hard=False)
-    if spec.mode == "heterogeneous":
+    if isinstance(spec, HeterogeneousRows):
         target = spec.r_target
         ratio = mom.rows[-1]["ratio"]
         ok = mom.trends.get("ratio", True)
@@ -343,8 +360,7 @@ def attach_condition_verdicts(report: ExperimentReport, spec: ArraySpec,
     for A, tag in zip(probes, ("plus", "minus")):
         target = g_eval(G, A)
         series = quadratic_series(spec, A, [1.0])
-        gaps = [abs(r["value"] - target) for r in series.rows]
-        ok = all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
+        ok = _non_increasing([abs(r["value"] - target) for r in series.rows])
         report.add_verdict(f"quadratic[{tag}]", ok, series.rows[-1]["value"],
                            f"target {target!r}", hard=False)
 
@@ -363,19 +379,24 @@ def _gate_growth(phi: TestFunction, verified_moment: float):
     raise DomainError(f"unknown growth tag: {phi.growth}")
 
 
-def run_clt_experiment(spec: ArraySpec, functionals: Sequence[TestFunction],
+def _add_final_gap(report: ExperimentReport, name: str, gaps: list,
+                   limit: PdeEstimate, gap_tolerance: float | None):
+    tol = gap_tolerance if gap_tolerance is not None else limit.error_bar + GAP_CONSTANT
+    report.add_verdict(f"final_gap[{name}]", gaps[-1] <= tol, gaps[-1],
+                       f"tolerance {tol:.3g}")
+
+
+def run_clt_experiment(spec: Rows, functionals: Sequence[TestFunction],
                        accuracy: str = "default", gap_tolerance: float | None = None,
                        verified_moment: float = 2.0, max_nodes: int | None = None,
                        ) -> ExperimentReport:
     """Exact DP value of each row functional against its G-normal limit."""
-    if spec.mode == "tree-martingale":
-        raise DomainError("iid or heterogeneous mode only")
     G = spec.induced_gfunction()
     report = ExperimentReport(
         kind="clt",
         columns=("n", "functional", "prelimit", "limit", "gap", "error_bar"),
         provenance={"schedule": "/".join(str(n) for n in spec.schedule),
-                    "accuracy": accuracy, "mode": spec.mode},
+                    "accuracy": accuracy, "mode": spec.label},
     )
     dp_kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
     for phi in functionals:
@@ -392,9 +413,7 @@ def run_clt_experiment(spec: ArraySpec, functionals: Sequence[TestFunction],
             gaps.append(gap)
             report.add_row(n=n, functional=phi.name or "phi", prelimit=prelimit,
                            limit=limit.value, gap=gap, error_bar=limit.error_bar)
-        tol = gap_tolerance if gap_tolerance is not None else limit.error_bar + GAP_CONSTANT
-        report.add_verdict(f"final_gap[{phi.name}]", gaps[-1] <= tol, gaps[-1],
-                           f"tolerance {tol:.3g}")
+        _add_final_gap(report, phi.name, gaps, limit, gap_tolerance)
     attach_condition_verdicts(report, spec)
     return report
 
@@ -416,12 +435,9 @@ def two_point_sum_expect(laws: Sequence[AmbiguitySet], k1: int, psi, scale: floa
     k2 = len(laws)
     if not 0 <= k1 <= k2:
         raise DomainError("checkpoint order violated")
-    lat = laws[0].lattice
+    lat = _shared_lattice(laws)
     if lat.dimension != 1:
         raise DomainError("1-d only")
-    for law in laws:
-        if law.lattice != lat:
-            raise DomainError("laws do not share a lattice")
 
     steps = _sum_steps(laws)
     lo = [0]
@@ -453,7 +469,7 @@ def two_point_sum_expect(laws: Sequence[AmbiguitySet], k1: int, psi, scale: floa
     return float(v[0])
 
 
-def run_fdd_experiment(spec: ArraySpec, times: Sequence[float], psi: TestFunction,
+def run_fdd_experiment(spec: Rows, times: Sequence[float], psi: TestFunction,
                        accuracy: str = "default", gap_tolerance: float | None = None,
                        ) -> ExperimentReport:
     """Two-checkpoint marginals of the normalised partial-sum path against
@@ -463,8 +479,6 @@ def run_fdd_experiment(spec: ArraySpec, times: Sequence[float], psi: TestFunctio
     t1, t2 = float(times[0]), float(times[1])
     if not 0 < t1 < t2 <= 1.0:
         raise DomainError("times must satisfy 0 < t1 < t2 <= 1")
-    if spec.mode == "tree-martingale":
-        raise DomainError("iid or heterogeneous mode only")
     if spec.dim != 1:
         raise DomainError("1-d only")
     G = spec.induced_gfunction()
@@ -472,7 +486,7 @@ def run_fdd_experiment(spec: ArraySpec, times: Sequence[float], psi: TestFunctio
     report = ExperimentReport(
         kind="fdd",
         columns=("n", "functional", "t1", "t2", "prelimit", "limit", "gap", "error_bar"),
-        provenance={"accuracy": accuracy, "mode": spec.mode,
+        provenance={"accuracy": accuracy, "mode": spec.label,
                     "solver_h": limit.spacing, "solver_margin": limit.margin},
     )
     gaps = []
@@ -486,9 +500,7 @@ def run_fdd_experiment(spec: ArraySpec, times: Sequence[float], psi: TestFunctio
         report.add_row(n=n, functional=psi.name or "psi", t1=t1, t2=t2,
                        prelimit=prelimit, limit=limit.value, gap=gap,
                        error_bar=limit.error_bar)
-    tol = gap_tolerance if gap_tolerance is not None else limit.error_bar + GAP_CONSTANT
-    report.add_verdict(f"final_gap[{psi.name}]", gaps[-1] <= tol, gaps[-1],
-                       f"tolerance {tol:.3g}")
+    _add_final_gap(report, psi.name, gaps, limit, gap_tolerance)
     attach_condition_verdicts(report, spec)
     return report
 
@@ -540,35 +552,20 @@ def check_iid_necessary_conditions(X: AmbiguitySet, c_schedule: Sequence[float],
     for c in c_schedule:
         Xc = truncate(X, c)
         truncated_sets[c] = Xc
-        up = np.empty(d)
-        lo = np.empty(d)
-        for i in range(d):
-            coord = (lambda j: (lambda z: z if d == 1 else z[..., j]))(i)
-            up[i] = expect_upper(Xc, coord)
-            lo[i] = -expect_upper(Xc, lambda z, cc=coord: -cc(z))
-        rows_iii.append((float(c), float(np.linalg.norm(up) + np.linalg.norm(lo))))
+        rows_iii.append((float(c), _drift(Xc, 1.0)))
         for pi, A in enumerate(probes):
-            if d == 1:
-                quad = (lambda a: (lambda z: a * z * z))(float(A[0, 0]))
-            else:
-                quad = (lambda a: (lambda z: np.einsum("...i,ij,...j->...", z, a, z)))(A)
-            rows_iv.append((pi, float(c), expect_upper(Xc, quad)))
+            rows_iv.append((pi, float(c), expect_upper(Xc, _quad_form(A, d))))
 
-    c_max = c_schedule[-1]
-    induced = GFunction.from_matrices(member_second_moments(truncated_sets[c_max]))
-    stabilized = True
-    if len(c_schedule) >= 2:
-        c_prev = c_schedule[-2]
-        for pi in range(len(probes)):
-            last = [v for p, c, v in rows_iv if p == pi and c == float(c_max)][0]
-            prev = [v for p, c, v in rows_iv if p == pi and c == float(c_prev)][0]
-            if abs(last - prev) > 1e-12 * max(1.0, abs(last)):
-                stabilized = False
+    induced = GFunction.from_matrices(member_second_moments(truncated_sets[c_schedule[-1]]))
+    # rows_iv runs level by level: its last two blocks are the two largest levels
+    k = len(probes)
+    last, prev = [v for *_, v in rows_iv[-k:]], [v for *_, v in rows_iv[-2 * k:-k]]
+    stabilized = all(abs(a - b) <= 1e-12 * max(1.0, abs(a)) for a, b in zip(last, prev))
     return IidConditionReport(rows_i, rows_ii, rows_iii, rows_iv, list(probes),
                               induced, stabilized)
 
 
-def estimate_limit_G(spec: ArraySpec, A, c: float, n: int,
+def estimate_limit_G(spec: Rows, A, c: float, n: int,
                      max_nodes: int | None = None) -> float:
     """Truncated quadratic form of the normalised row sum: the DP estimator
     of the limit generator evaluated at the probe matrix A."""

@@ -58,8 +58,8 @@ class Grid:
 
     @classmethod
     def build(cls, dim: int, half_width: float, spacing: float, horizon: float,
-              sigma_sq_max: float, cfl_safety: float = CFL_SAFETY) -> "Grid":
-        tau_max = cfl_safety * spacing ** 2 / max(dim * sigma_sq_max, 1e-300)
+              sigma_sq_max: float) -> "Grid":
+        tau_max = CFL_SAFETY * spacing ** 2 / max(dim * sigma_sq_max, 1e-300)
         steps = max(1, math.ceil(horizon / tau_max))
         return cls(dim, half_width, spacing, horizon / steps, horizon, sigma_sq_max)
 
@@ -134,8 +134,8 @@ def _check_stencil_2d(G: GFunction, h: float, tau: float):
 
 
 def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, horizon: float,
-              tau: float | None = None, cfl_safety: float = CFL_SAFETY,
-              snapshots: list | None = None, snap_every: int = 0) -> np.ndarray:
+              tau: float | None = None, snapshots: list | None = None,
+              snap_every: int = 0) -> np.ndarray:
     """Explicit march along the last axis; endpoints frozen at the data.
 
     In 1-d the generator reduces to G(a) = hi * a+ + lo * a-, evaluated
@@ -156,7 +156,7 @@ def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, horizon: float,
     the same order as a whole-array step: blocking changes no bit.
     """
     if tau is None:
-        tau_max = cfl_safety * h ** 2 / max(hi, 1e-300)
+        tau_max = CFL_SAFETY * h ** 2 / max(hi, 1e-300)
         steps = max(1, math.ceil(horizon / tau_max))
         tau = horizon / steps
     else:
@@ -197,8 +197,8 @@ def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, horizon: float,
 
 
 def _march_2d(u: np.ndarray, G: GFunction, h: float, horizon: float,
-              tau: float | None = None, cfl_safety: float = CFL_SAFETY,
-              snapshots: list | None = None, snap_every: int = 0) -> np.ndarray:
+              tau: float | None = None, snapshots: list | None = None,
+              snap_every: int = 0) -> np.ndarray:
     """Explicit march of the sign-adapted nine-point stencil; rim frozen.
 
     Per member (a, b, c) of Theta the Laplacian is
@@ -217,7 +217,7 @@ def _march_2d(u: np.ndarray, G: GFunction, h: float, horizon: float,
     operations in the same order as the whole-array form.
     """
     if tau is None:
-        tau_max = cfl_safety * h ** 2 / (2.0 * G.sigma_sq_max)
+        tau_max = CFL_SAFETY * h ** 2 / (2.0 * G.sigma_sq_max)
         steps = max(1, math.ceil(horizon / tau_max))
         tau = horizon / steps
     else:
@@ -313,6 +313,15 @@ def _boundary_bound(G: GFunction, horizon: float, half_width: float,
     return 2.0 * dim * tail * max(data_max, 1.0)
 
 
+def _two_grid_estimate(value: float, coarse: float, tail: float, spacing: float,
+                       time_step: float, half_width: float, margin: float) -> PdeEstimate:
+    """The fine-grid value with its bar: twice the coarse/fine difference,
+    the boundary tail bound and a floating-point floor."""
+    delta = abs(value - coarse)
+    bar = 2.0 * delta + tail + 1e-9 * (1.0 + abs(value))
+    return PdeEstimate(value, bar, coarse, delta, tail, spacing, time_step, half_width, margin)
+
+
 def _preset_nodes(table: dict, accuracy: str) -> int:
     try:
         return table[accuracy]
@@ -371,11 +380,9 @@ def gnormal_expect(G, phi, horizon: float = 1.0, accuracy: str = "default",
     grid, fine = _centre_values(G, phis, L, 2 * nodes - 1, horizon)
     estimates = []
     for (coarse_value, data_max), (value, data_max2) in zip(coarse, fine):
-        delta = abs(value - coarse_value)
         tail = _boundary_bound(G, horizon, L, max(data_max, data_max2), G.dimension)
-        bar = 2.0 * delta + tail + 1e-9 * (1.0 + abs(value))
-        estimates.append(PdeEstimate(value, bar, coarse_value, delta, tail, grid.spacing,
-                                     grid.time_step, L, grid.margin()))
+        estimates.append(_two_grid_estimate(value, coarse_value, tail, grid.spacing,
+                                            grid.time_step, L, grid.margin()))
     return estimates[0] if callable(phi) else estimates
 
 
@@ -420,12 +427,9 @@ def gbm_fdd_expect(G, times, phi, accuracy: str = "default") -> PdeEstimate:
         nodes = (nodes // 2) | 1  # cubic state arrays; halve the resolution
     coarse, dmax1 = run(nodes)
     fine, dmax2 = run(2 * nodes - 1)
-    delta = abs(fine - coarse)
     tail = _boundary_bound(G, times[-1], L, max(dmax1, dmax2), 1)
-    bar = 2.0 * delta + tail + 1e-9 * (1.0 + abs(fine))
-    half_nodes = nodes - 1
-    return PdeEstimate(fine, bar, coarse, delta, tail, L / half_nodes, 0.0, L,
-                       L / math.sqrt(G.sigma_sq_max * times[-1]))
+    return _two_grid_estimate(fine, coarse, tail, L / (nodes - 1), 0.0, L,
+                              L / math.sqrt(G.sigma_sq_max * times[-1]))
 
 
 def gbm_quadratic_identity(G, A, t: float, accuracy: str = "fast"):

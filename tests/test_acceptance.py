@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from gexpect import (ArraySpec, GFunction, SigmaInterval, check_iid_necessary_conditions,
+from gexpect import (GFunction, IidRows, SigmaInterval, check_iid_necessary_conditions,
                      estimate_limit_G, g_eval, gbm_fdd_expect, gbm_quadratic_identity,
                      gnormal_expect, iid_sum_expect, run_clt_experiment,
                      symmetric_bernoulli_family, two_point_sum_expect)
@@ -89,7 +89,7 @@ def test_criterion_05_pde_closed_forms():
 
 
 def test_criterion_06_flagship_clt(bernoulli, flagship_limits):
-    spec = ArraySpec("iid", (bernoulli,), (16, 64, 256))
+    spec = IidRows(bernoulli, (16, 64, 256))
     rows = {}
     t0 = time.perf_counter()
     for name in ("positive_part", "sin", "excess_square"):
@@ -155,7 +155,7 @@ def test_criterion_09_iid_condition_block(bernoulli):
                      for pi, c, v in block.rows_quadratic)
     exact_g = (quad_exact and g_eval(block.induced, [[1.0]]) == 1.0
                and g_eval(block.induced, [[-1.0]]) == -0.5)
-    spec = ArraySpec("iid", (bernoulli,), (256,))
+    spec = IidRows(bernoulli, (256,))
     up = estimate_limit_G(spec, [[1.0]], 8.0, 256)
     lo = estimate_limit_G(spec, [[-1.0]], 8.0, 256)
     est_ok = abs(up - 1.0) <= 0.02 and abs(lo + 0.5) <= 0.02

@@ -292,6 +292,25 @@ def test_capacity_examples():
 
 # ----------------------------------------------------------------- truncate
 
+def test_capacity_evaluates_the_event_once_per_union_point():
+    lat = LatticeSpec(1, 1.0, (0.0,))
+    unsorted = AmbiguitySet(lat, [
+        DiscreteDistribution(np.array([[2.0], [-1.0]]), np.array([0.3, 0.7])),
+        DiscreteDistribution(np.array([[1.0], [0.0], [-1.0]]), np.array([0.5, 0.2, 0.3]))])
+    for X in (nested_product(B, B), unsorted):
+        expected = max(float(dist.probs[np.sum(dist.support, axis=1) > 0.0].sum())
+                       for dist in X.members)
+        calls = []
+
+        def event(z):
+            calls.append(z)
+            return float(np.sum(z)) > 0.0
+
+        assert capacity_upper(X, event) == expected
+        # one vectorised attempt (it returns a scalar), then one call per point
+        assert len(calls) <= len(X.support) + 1
+
+
 def test_truncate_clamps_and_merges():
     lat = LatticeSpec(1, 1.0, (0.0,))
     dist = DiscreteDistribution(np.array([[-2.0], [0.0], [2.0]]),
@@ -547,8 +566,12 @@ def test_probabilities_must_sum_to_one():
 def test_duplicate_support_rejected():
     lat = LatticeSpec(1, 1.0, (0.0,))
     dist = DiscreteDistribution(np.array([[1.0], [1.0]]), np.array([0.5, 0.5]))
-    with pytest.raises(DomainError, match="distinct"):
-        AmbiguitySet(lat, [dist])
+    fine = DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+    # 1.0 + 1e-14 rounds to the same lattice point as 1.0
+    near = DiscreteDistribution(np.array([[1.0], [1.0 + 1e-14]]), np.array([0.5, 0.5]))
+    for members in ([dist], [fine, dist], [near]):
+        with pytest.raises(DomainError, match="support points not pairwise distinct"):
+            AmbiguitySet(lat, members)
 
 
 def test_off_lattice_support_rejected():

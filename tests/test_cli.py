@@ -1,6 +1,7 @@
 """CLI contract: exit codes, determinism, report files."""
 
 import pathlib
+import runpy
 
 import pytest
 import yaml
@@ -171,3 +172,13 @@ def test_all_shipped_configs_parse():
     for path in sorted(CONFIG_DIR.glob("*.yaml")):
         cfg = load_config(str(path))
         assert cfg.kind
+
+
+def test_convergence_table_script(capsys):
+    script = CONFIG_DIR.parent / "scripts" / "convergence_table.py"
+    runpy.run_path(str(script), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines[2:11]] == [
+        [name, n] for name in ("positive_part", "sin", "excess_square")
+        for n in ("16", "64", "256")]
+    assert sum(line.startswith("PASS final_gap[") for line in lines) == 3

@@ -9,19 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from gexpect import (AmbiguitySet, ArraySpec, DiscreteDistribution, DomainError,
-                     LatticeSpec, check_iid_necessary_conditions, check_lindeberg,
-                     check_moment_conditions, check_p_moments, estimate_limit_G,
-                     g_eval, iid_sum_expect, nested_expect, nested_product,
-                     run_clt_experiment, run_fdd_experiment,
-                     symmetric_bernoulli_family, two_point_sum_expect,
+from gexpect import (AmbiguitySet, DiscreteDistribution, DomainError, HeterogeneousRows,
+                     IidRows, LatticeSpec, TreeRows, check_iid_necessary_conditions,
+                     check_lindeberg, check_moment_conditions, check_p_moments,
+                     estimate_limit_G, g_eval, iid_level_tree, iid_sum_expect,
+                     nested_expect, nested_product, quadratic_series, run_clt_experiment,
+                     run_fdd_experiment, symmetric_bernoulli_family, two_point_sum_expect,
                      variance_time_change)
 from gexpect import ambiguity
 from gexpect.cltlab import CheckpointSchedule, check_p_moments as _cpm
 from gexpect.functionals import get, get_pair
 
 B = symmetric_bernoulli_family((0.5, 1.0))
-IID = ArraySpec("iid", (B,), (16, 64, 256))
+IID = IidRows(B, (16, 64, 256))
 
 
 # ---------------------------------------------------------------- oracles
@@ -128,7 +128,7 @@ def scan_time_change(variances, t):
 # ----------------------------------------------------------- condition checks
 
 def test_lindeberg_iid_rows_vanish_beyond_eps():
-    rep = check_lindeberg(ArraySpec("iid", (B,), (16, 64, 256)), [0.1])
+    rep = check_lindeberg(IidRows(B, (16, 64, 256)), [0.1])
     for row in rep.rows:
         if row["n"] >= 16:
             assert row["value"] == 0.0
@@ -142,7 +142,7 @@ def test_lindeberg_persistent_macroscopic_jump():
     jump = AmbiguitySet(lat, [DiscreteDistribution(np.array([[-16.0], [16.0]]),
                                                    np.array([0.5, 0.5]))])
     laws = tuple([jump] + [B] * 63)
-    spec = ArraySpec("heterogeneous", laws, (16, 64))
+    spec = HeterogeneousRows(laws, (16, 64))
     rep = check_lindeberg(spec, [0.25])
     for row in rep.rows:
         scaled_jump_sq = 256.0 / (256.0 + row["n"] - 1)
@@ -165,7 +165,7 @@ def test_drift_zero_for_symmetric_family():
 
 def test_ratio_alternating_variances():
     laws = tuple(symmetric_bernoulli_family((0.5, 1.0)) for _ in range(64))
-    spec = ArraySpec("heterogeneous", laws, (16, 64), r_target=0.5)
+    spec = HeterogeneousRows(laws, (16, 64), r_target=0.5)
     rep = check_moment_conditions(spec)
     for row in rep.rows:
         assert row["ratio"] == pytest.approx(0.5, abs=1e-12)
@@ -178,7 +178,7 @@ def test_ratio_even_odd_blocks_tend_to_half():
             laws.append(symmetric_bernoulli_family((1.0, 1.0)))  # lower = upper = 1
         else:
             laws.append(symmetric_bernoulli_family((0.0, 1.0)))  # lower = 0
-    spec = ArraySpec("heterogeneous", tuple(laws), (7, 31, 127), r_target=0.5)
+    spec = HeterogeneousRows(tuple(laws), (7, 31, 127), r_target=0.5)
     rep = check_moment_conditions(spec)
     for row in rep.rows:
         n = row["n"]
@@ -189,11 +189,9 @@ def test_ratio_even_odd_blocks_tend_to_half():
 
 
 def test_tree_martingale_mode_series(bernoulli):
-    from gexpect import iid_level_tree, quadratic_series
-
     trees = tuple(iid_level_tree(bernoulli, n, scale=1 / np.sqrt(n))
                   for n in (2, 3, 4))
-    spec = ArraySpec("tree-martingale", trees=trees)
+    spec = TreeRows(trees)
     assert spec.schedule == (2, 3, 4)
     lind = check_lindeberg(spec, [0.6])
     assert all(row["value"] == 0.0 for row in lind.rows)  # |Z|^2 <= 1/2 < eps
@@ -206,8 +204,6 @@ def test_tree_martingale_mode_series(bernoulli):
 
 
 def test_quadratic_series_iid_matches_closed_form():
-    from gexpect import quadratic_series
-
     quad = quadratic_series(IID, [[-1.0]], [0.25, 1.0])
     for row in quad.rows:
         expected = -0.5 * np.floor(row["n"] * row["t"]) / row["n"]
@@ -215,10 +211,7 @@ def test_quadratic_series_iid_matches_closed_form():
 
 
 def test_tree_mode_rejected_by_sum_experiments(bernoulli):
-    from gexpect import iid_level_tree
-
-    spec = ArraySpec("tree-martingale",
-                     trees=(iid_level_tree(bernoulli, 2),))
+    spec = TreeRows((iid_level_tree(bernoulli, 2),))
     with pytest.raises(DomainError, match="iid or heterogeneous"):
         run_clt_experiment(spec, [get("square")], accuracy="fast")
     with pytest.raises(DomainError, match="iid or heterogeneous"):
@@ -232,7 +225,7 @@ def test_heterogeneous_ratio_pipeline_end_to_end():
     for k in range(256):
         top = 1.0 if k % 2 == 0 else 0.5
         laws.append(symmetric_bernoulli_family((0.5 * top, top)))
-    spec = ArraySpec("heterogeneous", tuple(laws), (16, 64, 256), r_target=0.5)
+    spec = HeterogeneousRows(tuple(laws), (16, 64, 256), r_target=0.5)
     mom = check_moment_conditions(spec)
     assert all(row["ratio"] == pytest.approx(0.5, abs=1e-12) for row in mom.rows)
     report = run_clt_experiment(spec, [get("positive_part")], accuracy="default")
@@ -241,10 +234,67 @@ def test_heterogeneous_ratio_pipeline_end_to_end():
     assert report.hard_pass
 
 
+# -------------------------------------------------------------- row kinds
+
+def test_iid_and_heterogeneous_rows_agree_at_unit_upper_variance():
+    """B's upper variance is exactly 1, so both kinds scale row n by 1/sqrt(n)."""
+    het = HeterogeneousRows((B,) * 64, (4, 16, 64))
+    iid = IidRows(B, (4, 16, 64))
+    for stat, key in ((lambda s: check_lindeberg(s, [0.1, 0.5]), "value"),
+                      (lambda s: check_p_moments(s, 3.0), "value"),
+                      (check_moment_conditions, "drift"),
+                      (lambda s: quadratic_series(s, [[1.0]], [0.25, 0.5, 1.0]), "value"),
+                      (lambda s: quadratic_series(s, [[-1.0]], [0.3, 1.0]), "value")):
+        het_rows, iid_rows = stat(het).rows, stat(iid).rows
+        assert [r["n"] for r in het_rows] == [r["n"] for r in iid_rows]
+        for a, b in zip(het_rows, iid_rows):
+            assert a[key] == pytest.approx(b[key], abs=1e-12)
+    assert check_lindeberg(iid, [0.1]).rows[0]["value"] > 0.0  # 4 * (1/4 - 0.1)
+    for n in (4, 16, 64):
+        np.testing.assert_allclose(variance_time_change(het, n).boundaries,
+                                   variance_time_change(iid, n).boundaries, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: IidRows(B, (16, 16)), "schedule must be strictly increasing"),
+    (lambda: IidRows(B, (0, 4)), "row sizes must be positive"),
+    (lambda: IidRows((B,), (4,)), "one AmbiguitySet"),
+    (lambda: HeterogeneousRows((B,) * 3, (2, 4)), "a law per step"),
+    (lambda: HeterogeneousRows((nested_product(B, B),) * 4, (4,)), "1-d"),
+    (lambda: TreeRows(()), "at least one tree"),
+    (lambda: TreeRows((iid_level_tree(B, 3), iid_level_tree(B, 2))),
+     "schedule must be strictly increasing"),
+], ids=["non_increasing_schedule", "row_size_zero", "iid_law_not_a_set",
+        "too_few_heterogeneous_laws", "heterogeneous_law_2d", "empty_tree_rows",
+        "non_increasing_tree_depths"])
+def test_row_kind_constructor_rejects(make, message):
+    with pytest.raises(DomainError, match=message):
+        make()
+
+
+TREE_ROWS = TreeRows((iid_level_tree(B, 2), iid_level_tree(B, 3)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run_clt_experiment(TREE_ROWS, [get("square")], accuracy="fast"),
+    lambda: run_fdd_experiment(TREE_ROWS, (0.5, 1.0), get_pair("increment"), accuracy="fast"),
+    lambda: estimate_limit_G(TREE_ROWS, [[1.0]], 1.0, 2),
+    lambda: check_p_moments(TREE_ROWS, 3.0),
+    lambda: variance_time_change(TREE_ROWS, 2),
+    lambda: TREE_ROWS.row_laws(2),
+    lambda: TREE_ROWS.upper_variances(2),
+    lambda: TREE_ROWS.lower_variances(2),
+], ids=["clt", "fdd", "estimate_limit_G", "p_moments", "time_change", "row_laws",
+        "upper_variances", "lower_variances"])
+def test_tree_rows_rejected_by_law_only_paths(call):
+    with pytest.raises(DomainError, match="iid or heterogeneous rows only"):
+        call()
+
+
 # ------------------------------------------------------------- time change
 
 def test_time_change_uniform_boundary():
-    spec = ArraySpec("iid", (B,), (4,))
+    spec = IidRows(B, (4,))
     sched = variance_time_change(spec, 4)
     assert sched.tau(0.5) == 2
     assert sched.tau(0.0) == 0 and sched.tau(1.0) == 4
@@ -252,7 +302,7 @@ def test_time_change_uniform_boundary():
 
 def test_time_change_endpoints_always_pinned():
     for n in (1, 5, 17):
-        sched = variance_time_change(ArraySpec("iid", (B,), (n,)), n)
+        sched = variance_time_change(IidRows(B, (n,)), n)
         assert sched.tau(0.0) == 0 and sched.tau(1.0) == n
 
 
@@ -261,7 +311,7 @@ def test_time_change_geometric_matches_scan():
                  for k in range(8))
     variances = [0.5 ** k for k in range(8)]
     # family variance = upper variance = 2^-k exactly
-    spec = ArraySpec("heterogeneous", laws, (8,))
+    spec = HeterogeneousRows(laws, (8,))
     sched = variance_time_change(spec, 8)
     for t in np.linspace(0, 1, 97):
         assert sched.tau(float(t)) == scan_time_change(variances, float(t))
@@ -270,7 +320,7 @@ def test_time_change_geometric_matches_scan():
 def test_time_change_zero_total_variance():
     from gexpect import point_mass
 
-    spec = ArraySpec("iid", (point_mass(0.0),), (4,))
+    spec = IidRows(point_mass(0.0), (4,))
     with pytest.raises(DomainError, match="zero total variance"):
         variance_time_change(spec, 4)
 
@@ -335,7 +385,7 @@ def test_clt_growth_gate_rejects_unverified_power():
         run_clt_experiment(IID, [cubic], accuracy="fast")
     rep = check_p_moments(IID, p=3.0)
     assert rep.all_trends_ok
-    report = run_clt_experiment(ArraySpec("iid", (B,), (4, 16)), [cubic],
+    report = run_clt_experiment(IidRows(B, (4, 16)), [cubic],
                                 accuracy="fast", verified_moment=3.0)
     assert len(report.rows) == 2
 
@@ -422,7 +472,7 @@ def test_fdd_increment_stationarity():
     psi = get_pair("increment_square")
     a = two_point_sum_expect([B] * 256, 64, psi, 1 / 16)
     b = two_point_sum_expect([B] * 256, 0, psi, 1 / 16)
-    sched = variance_time_change(ArraySpec("iid", (B,), (256,)), 256)
+    sched = variance_time_change(IidRows(B, (256,)), 256)
     k1 = sched.tau(0.25)
     short = two_point_sum_expect([B] * (k1 + 192), k1, psi, 1 / 16)
     assert a == pytest.approx(short, abs=1e-12)  # both spans cover 192 steps
@@ -487,7 +537,7 @@ def test_iid_conditions_2d_product_matches_geval(bernoulli):
 
 
 def test_estimate_limit_g_probes(bernoulli):
-    spec = ArraySpec("iid", (bernoulli,), (256,))
+    spec = IidRows(bernoulli, (256,))
     assert estimate_limit_G(spec, [[0.0]], 4.0, 64) == 0.0
     up = estimate_limit_G(spec, [[1.0]], 8.0, 256)
     lo = estimate_limit_G(spec, [[-1.0]], 8.0, 256)
@@ -497,7 +547,7 @@ def test_estimate_limit_g_probes(bernoulli):
 
 def test_estimate_limit_g_2d(bernoulli):
     joint = nested_product(bernoulli, bernoulli)
-    spec = ArraySpec("iid", (joint,), (16,))
+    spec = IidRows(joint, (16,))
     val = estimate_limit_G(spec, np.eye(2), 8.0, 16)
     assert val == pytest.approx(2.0, abs=1e-10)
 
@@ -505,7 +555,7 @@ def test_estimate_limit_g_2d(bernoulli):
 # ----------------------------------------------------------------- reports
 
 def test_clt_report_carries_condition_verdicts():
-    report = run_clt_experiment(ArraySpec("iid", (B,), (4, 16)), [get("square")],
+    report = run_clt_experiment(IidRows(B, (4, 16)), [get("square")],
                                 accuracy="fast")
     names = {v.name for v in report.verdicts}
     assert any(n.startswith("lindeberg") for n in names)
