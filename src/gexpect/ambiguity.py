@@ -63,9 +63,9 @@ class LatticeSpec:
             raise DomainError(f"point off lattice: {bad.tolist()}")
         return r.astype(np.int64)
 
-    def to_physical(self, coords: np.ndarray, copies: int = 1) -> np.ndarray:
-        """Physical position of integer coordinates in a `copies`-fold sum."""
-        return copies * np.asarray(self.origin) + self.step * np.asarray(coords, dtype=float)
+    def to_physical(self, coords: np.ndarray) -> np.ndarray:
+        """Physical position of integer coordinates."""
+        return np.asarray(self.origin) + self.step * np.asarray(coords, dtype=float)
 
 @dataclass(eq=False)
 class DiscreteDistribution:
@@ -239,18 +239,20 @@ def expect_lower(X: AmbiguitySet, f) -> float:
     return -expect_upper(X, -_support_values(X, f))
 
 
-def capacity_upper(X: AmbiguitySet, event: Callable) -> float:
-    """max over members of P(event); the event is evaluated once on X.support."""
+def _event_probabilities(X: AmbiguitySet, event: Callable) -> list:
+    """P(event) under each member; the event is evaluated once on X.support."""
     hit = evaluate(event, X.support, what="event value") != 0.0
-    best = 0.0
-    for dist, pos in zip(X.members, X.positions):
-        best = max(best, float(dist.probs[hit[pos]].sum()))
-    return min(best, 1.0)
+    return [float(dist.probs[hit[pos]].sum()) for dist, pos in zip(X.members, X.positions)]
+
+
+def capacity_upper(X: AmbiguitySet, event: Callable) -> float:
+    """max over members of P(event)."""
+    return min(max(_event_probabilities(X, event)), 1.0)
 
 
 def capacity_lower(X: AmbiguitySet, event: Callable) -> float:
-    """1 - capacity_upper(complement) = min over members of P(event)."""
-    return 1.0 - capacity_upper(X, lambda z: not event(z))
+    """min over members of P(event) = 1 - capacity_upper(complement)."""
+    return min(min(_event_probabilities(X, event)), 1.0)
 
 
 def truncate(X: AmbiguitySet, c: float) -> AmbiguitySet:

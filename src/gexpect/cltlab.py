@@ -402,13 +402,14 @@ def run_clt_experiment(spec: Rows, functionals: Sequence[TestFunction],
     for phi in functionals:
         _gate_growth(phi, verified_moment)
     limits = gnormal_expect(G, functionals, horizon=1.0, accuracy=accuracy)
+    scales = {n: spec.row_scale(n) for n in spec.schedule}
     for phi, limit in zip(functionals, limits):
         report.provenance.setdefault("solver_h", limit.spacing)
         report.provenance.setdefault("solver_margin", limit.margin)
         gaps = []
         for n in spec.schedule:
-            prelimit = independent_sum_expect(spec.row_laws(n), phi,
-                                              scale=spec.row_scale(n), **dp_kwargs)
+            prelimit = independent_sum_expect(spec.row_laws(n), phi, scale=scales[n],
+                                              **dp_kwargs)
             gap = abs(prelimit - limit.value)
             gaps.append(gap)
             report.add_row(n=n, functional=phi.name or "phi", prelimit=prelimit,

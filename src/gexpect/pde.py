@@ -59,6 +59,8 @@ class Grid:
     @classmethod
     def build(cls, dim: int, half_width: float, spacing: float, horizon: float,
               sigma_sq_max: float) -> "Grid":
+        """The grid marched in the fewest equal steps within CFL_SAFETY of the
+        CFL bound: the one place that picks a march's (tau, steps)."""
         tau_max = CFL_SAFETY * spacing ** 2 / max(dim * sigma_sq_max, 1e-300)
         steps = max(1, math.ceil(horizon / tau_max))
         return cls(dim, half_width, spacing, horizon / steps, horizon, sigma_sq_max)
@@ -108,15 +110,6 @@ class PdeEstimate:
     half_width: float
     margin: float
 
-    def row(self) -> dict:
-        return {
-            "value": self.value, "error_bar": self.error_bar,
-            "richardson_delta": self.richardson_delta,
-            "boundary_bound": self.boundary_bound,
-            "h": self.spacing, "tau": self.time_step,
-            "half_width": self.half_width, "margin": self.margin,
-        }
-
 
 def _theta_1d_range(G: GFunction) -> tuple[float, float]:
     vals = [float(S[0, 0]) for S in G.theta]
@@ -133,9 +126,8 @@ def _check_stencil_2d(G: GFunction, h: float, tau: float):
             raise DomainError("non-monotone stencil; tighten the CFL ratio")
 
 
-def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, horizon: float,
-              tau: float | None = None, snapshots: list | None = None,
-              snap_every: int = 0) -> np.ndarray:
+def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, tau: float,
+              steps: int) -> np.ndarray:
     """Explicit march along the last axis; endpoints frozen at the data.
 
     In 1-d the generator reduces to G(a) = hi * a+ + lo * a-, evaluated
@@ -145,9 +137,8 @@ def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, horizon: float,
 
     The leading axes are a batch of independent rows.  They are marched in
     blocks of about BLOCK_CELLS cells, each block taking every time step
-    before the next one starts, so that its operands stay in L2; a call
-    that asks for snapshots marches all rows as one block.  Each step works
-    in place, in two preallocated arrays, on one contiguous run of the
+    before the next one starts, so that its operands stay in L2.  Each step
+    works in place, in two preallocated arrays, on one contiguous run of the
     flattened block from its first to its last interior node.  The row
     ends inside that run get throw-away values from the neighbouring row
     and are restored after the update by two strided writes (a one-row
@@ -155,18 +146,11 @@ def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, horizon: float,
     computed before the update, so it sees the same float operations in
     the same order as a whole-array step: blocking changes no bit.
     """
-    if tau is None:
-        tau_max = CFL_SAFETY * h ** 2 / max(hi, 1e-300)
-        steps = max(1, math.ceil(horizon / tau_max))
-        tau = horizon / steps
-    else:
-        steps = round(horizon / tau)
     u = np.array(u, dtype=float, order="C")
     n = u.shape[-1]
     rows = u.reshape(math.prod(u.shape[:-1]), n)
     flat = u.reshape(-1)
-    snap = snapshots is not None and snap_every
-    per_block = len(rows) if snap else max(1, BLOCK_CELLS // n)
+    per_block = max(1, BLOCK_CELLS // n)
     hh = h ** 2
     half_tau = 0.5 * tau
     size = max(min(per_block, len(rows)) * n - 2, 0)
@@ -178,7 +162,7 @@ def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, horizon: float,
         left, mid, right = flat[first - 1:stop - 1], flat[first:stop], flat[first + 1:stop + 1]
         d2, low = work[:stop - first], scratch[:stop - first]
         ends = (block[:, 0].copy(), block[:, -1].copy()) if len(block) > 1 else None
-        for m in range(steps):
+        for _ in range(steps):
             np.multiply(mid, 2.0, out=d2)
             np.subtract(right, d2, out=d2)
             np.add(d2, left, out=d2)
@@ -191,14 +175,11 @@ def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, horizon: float,
             if ends is not None:
                 block[:, 0] = ends[0]
                 block[:, -1] = ends[1]
-            if snap and (m + 1) % snap_every == 0:
-                snapshots.append(((m + 1) * tau, u.copy()))
     return u
 
 
-def _march_2d(u: np.ndarray, G: GFunction, h: float, horizon: float,
-              tau: float | None = None, snapshots: list | None = None,
-              snap_every: int = 0) -> np.ndarray:
+def _march_2d(u: np.ndarray, G: GFunction, h: float, tau: float,
+              steps: int) -> np.ndarray:
     """Explicit march of the sign-adapted nine-point stencil; rim frozen.
 
     Per member (a, b, c) of Theta the Laplacian is
@@ -216,12 +197,6 @@ def _march_2d(u: np.ndarray, G: GFunction, h: float, horizon: float,
     serves as scratch for products.  Interior nodes see the same float
     operations in the same order as the whole-array form.
     """
-    if tau is None:
-        tau_max = CFL_SAFETY * h ** 2 / (2.0 * G.sigma_sq_max)
-        steps = max(1, math.ceil(horizon / tau_max))
-        tau = horizon / steps
-    else:
-        steps = round(horizon / tau)
     _check_stencil_2d(G, h, tau)
     u = np.array(u, dtype=float, order="C")
     hh = h ** 2
@@ -250,7 +225,7 @@ def _march_2d(u: np.ndarray, G: GFunction, h: float, horizon: float,
     best = np.empty(cen.shape)
     lap = np.empty(cen.shape) if len(members) > 1 else None
     rim = u[1:-1, [0, -1]]
-    for m in range(steps):
+    for _ in range(steps):
         np.multiply(cen, 2.0, out=two)
         for shift, diff in diffs.items():
             np.add(run(shift), run(-shift), out=diff)
@@ -270,30 +245,36 @@ def _march_2d(u: np.ndarray, G: GFunction, h: float, horizon: float,
         np.multiply(best, half_tau, out=best)
         np.add(cen, best, out=cen)
         u[1:-1, [0, -1]] = rim
-        if snapshots is not None and snap_every and (m + 1) % snap_every == 0:
-            snapshots.append(((m + 1) * tau, u.copy()))
     return u
 
 
 def solve_gheat(G: GFunction, phi, grid: Grid, snapshot_count: int = 0):
     """March the initial data to the grid horizon.
 
-    Returns (GridFunction at time T, snapshots) where snapshots is a list of
-    (time, values) pairs when snapshot_count > 0.
+    Returns (GridFunction at time T, snapshots): min(snapshot_count,
+    steps - 1) (time, values) pairs, one every max(1, steps //
+    (snapshot_count + 1)) steps, all before the horizon.  The march resumes
+    from each snapshot; a step reads only the values of the step before, so
+    the field is the same, bit for bit, as one uninterrupted march.
     """
     if G.dimension != grid.dim:
         raise DomainError("generator dimension does not match grid")
-    u0 = evaluate(phi, grid.points(), what="initial data")
-    snaps: list | None = [] if snapshot_count else None
-    every = max(1, grid.steps // max(snapshot_count, 1)) if snapshot_count else 0
+    if snapshot_count < 0:
+        raise DomainError("snapshot_count must be >= 0")
+    u = evaluate(phi, grid.points(), what="initial data")
+    h, tau = grid.spacing, grid.time_step
     if grid.dim == 1:
         lo, hi = _theta_1d_range(G)
-        u = _march_1d(u0, lo, hi, grid.spacing, grid.horizon, tau=grid.time_step,
-                      snapshots=snaps, snap_every=every)
+        march = lambda u, steps: _march_1d(u, lo, hi, h, tau, steps)
     else:
-        u = _march_2d(u0, G, grid.spacing, grid.horizon, tau=grid.time_step,
-                      snapshots=snaps, snap_every=every)
-    return GridFunction(grid, u), (snaps or [])
+        march = lambda u, steps: _march_2d(u, G, h, tau, steps)
+    every = max(1, grid.steps // (snapshot_count + 1))
+    snaps = []
+    for k in range(1, min(snapshot_count, grid.steps - 1) + 1):
+        u = march(u, every)
+        snaps.append((k * every * tau, u))
+    u = march(u, grid.steps - len(snaps) * every)
+    return GridFunction(grid, u), snaps
 
 
 def _as_gfunction(G) -> GFunction:
@@ -302,24 +283,14 @@ def _as_gfunction(G) -> GFunction:
     return G
 
 
-def _auto_half_width(G: GFunction, horizon: float, spread: float | None = None) -> float:
-    scale = spread if spread is not None else math.sqrt(G.sigma_sq_max * horizon)
-    return max(MARGIN_STDS * scale, 1e-6)
+def _auto_half_width(G: GFunction, horizon: float) -> float:
+    return max(MARGIN_STDS * math.sqrt(G.sigma_sq_max * horizon), 1e-6)
 
 
 def _boundary_bound(G: GFunction, horizon: float, half_width: float,
                     data_max: float, dim: int) -> float:
     tail = math.exp(-half_width ** 2 / (2.0 * G.sigma_sq_max * horizon))
     return 2.0 * dim * tail * max(data_max, 1.0)
-
-
-def _two_grid_estimate(value: float, coarse: float, tail: float, spacing: float,
-                       time_step: float, half_width: float, margin: float) -> PdeEstimate:
-    """The fine-grid value with its bar: twice the coarse/fine difference,
-    the boundary tail bound and a floating-point floor."""
-    delta = abs(value - coarse)
-    bar = 2.0 * delta + tail + 1e-9 * (1.0 + abs(value))
-    return PdeEstimate(value, bar, coarse, delta, tail, spacing, time_step, half_width, margin)
 
 
 def _preset_nodes(table: dict, accuracy: str) -> int:
@@ -330,33 +301,33 @@ def _preset_nodes(table: dict, accuracy: str) -> int:
                           + ", ".join(table)) from None
 
 
-def _centre_values(G: GFunction, phis: list, half_width: float, nodes: int,
-                   horizon: float):
-    """March every functional on one grid; return the grid and, per
-    functional, the centre value and max |u| at the horizon.  In 1-d the
-    initial data are stacked into one batch and marched together."""
-    dim = G.dimension
-    half_nodes = (nodes - 1) // 2
-    h = half_width / half_nodes
-    grid = Grid.build(dim, half_width, h, horizon, G.sigma_sq_max)
-    pts = grid.points()
-    if dim == 1:
-        lo, hi = _theta_1d_range(G)
-        u0 = np.stack([evaluate(phi, pts, what="initial data") for phi in phis])
-        fields = list(_march_1d(u0, lo, hi, h, horizon, tau=grid.time_step))
-    else:
-        fields = [_march_2d(evaluate(phi, pts, what="initial data"), G, h, horizon,
-                            tau=grid.time_step) for phi in phis]
-    out = []
-    for u in fields:
-        if not np.all(np.isfinite(u)):
-            raise DomainError("grid function has non-finite values")
-        out.append((float(u[(half_nodes,) * dim]), float(np.max(np.abs(u)))))
-    return grid, out
+def _two_grid(G: GFunction, horizon: float, half_width: float, nodes: int,
+              march) -> list[PdeEstimate]:
+    """Richardson estimates from a coarse and a fine run of `march`.
+
+    march(grid) runs on the grid [-half_width, half_width]^d to the horizon
+    with `nodes` nodes per axis, then on the one with 2 * nodes - 1; it
+    returns the time step it marched with (0.0 when its stages differ) and,
+    per functional, the centre value and a bound on |data|.  Each estimate
+    is the fine value with its bar: twice the coarse/fine difference, the
+    frozen-boundary Gaussian tail bound and a floating-point floor.
+    """
+    coarse_grid, grid = (Grid.build(G.dimension, half_width, half_width / ((count - 1) // 2),
+                                    horizon, G.sigma_sq_max) for count in (nodes, 2 * nodes - 1))
+    _, coarse = march(coarse_grid)
+    time_step, fine = march(grid)
+    estimates = []
+    for (coarse_value, data_max), (value, data_max2) in zip(coarse, fine):
+        tail = _boundary_bound(G, horizon, half_width, max(data_max, data_max2), G.dimension)
+        delta = abs(value - coarse_value)
+        bar = 2.0 * delta + tail + 1e-9 * (1.0 + abs(value))
+        estimates.append(PdeEstimate(value, bar, coarse_value, delta, tail, grid.spacing,
+                                     time_step, half_width, grid.margin()))
+    return estimates
 
 
-def gnormal_expect(G, phi, horizon: float = 1.0, accuracy: str = "default",
-                   half_width: float | None = None) -> PdeEstimate | list[PdeEstimate]:
+def gnormal_expect(G, phi, horizon: float = 1.0,
+                   accuracy: str = "default") -> PdeEstimate | list[PdeEstimate]:
     """Upper expectation of phi under the G-normal law, as the origin value
     of the G-heat march, with a two-grid Richardson error bar.
 
@@ -375,14 +346,24 @@ def gnormal_expect(G, phi, horizon: float = 1.0, accuracy: str = "default",
     phis = [phi] if callable(phi) else list(phi)
     if not phis:
         return []
-    L = half_width if half_width is not None else _auto_half_width(G, horizon)
-    _, coarse = _centre_values(G, phis, L, nodes, horizon)
-    grid, fine = _centre_values(G, phis, L, 2 * nodes - 1, horizon)
-    estimates = []
-    for (coarse_value, data_max), (value, data_max2) in zip(coarse, fine):
-        tail = _boundary_bound(G, horizon, L, max(data_max, data_max2), G.dimension)
-        estimates.append(_two_grid_estimate(value, coarse_value, tail, grid.spacing,
-                                            grid.time_step, L, grid.margin()))
+
+    def march(grid: Grid):
+        pts = grid.points()
+        if grid.dim == 1:
+            lo, hi = _theta_1d_range(G)
+            u0 = np.stack([evaluate(f, pts, what="initial data") for f in phis])
+            fields = _march_1d(u0, lo, hi, grid.spacing, grid.time_step, grid.steps)
+        else:
+            fields = (_march_2d(evaluate(f, pts, what="initial data"), G, grid.spacing,
+                                grid.time_step, grid.steps) for f in phis)
+        out = []
+        for u in fields:
+            if not np.all(np.isfinite(u)):
+                raise DomainError("grid function has non-finite values")
+            out.append((float(u[(len(u) // 2,) * grid.dim]), float(np.max(np.abs(u)))))
+        return grid.time_step, out
+
+    estimates = _two_grid(G, horizon, _auto_half_width(G, horizon), nodes, march)
     return estimates[0] if callable(phi) else estimates
 
 
@@ -392,7 +373,8 @@ def gbm_fdd_expect(G, times, phi, accuracy: str = "default") -> PdeEstimate:
     Backward nesting: the last increment is integrated out by a batched
     G-heat march over horizon t_p - t_{p-1}, the result is read on the
     diagonal (the increment starts at the previous marginal), and the
-    recursion continues to t_1.
+    recursion continues to t_1.  The stages march with different time
+    steps, so the estimate's time_step is 0.0.
     """
     G = _as_gfunction(G)
     if G.dimension != 1:
@@ -406,30 +388,23 @@ def gbm_fdd_expect(G, times, phi, accuracy: str = "default") -> PdeEstimate:
 
     lo, hi = _theta_1d_range(G)
     deltas = [times[0]] + [t2 - t1 for t1, t2 in zip(times, times[1:])]
-    spread = math.sqrt(G.sigma_sq_max) * sum(math.sqrt(d) for d in deltas)
-    L = MARGIN_STDS * spread
+    L = MARGIN_STDS * (math.sqrt(G.sigma_sq_max) * sum(math.sqrt(d) for d in deltas))
 
-    def run(nodes: int) -> tuple[float, float]:
-        half_nodes = (nodes - 1) // 2
-        h = L / half_nodes
-        axis = h * np.arange(-half_nodes, half_nodes + 1, dtype=float)
-        grids = np.meshgrid(*([axis] * p), indexing="ij")
-        u = evaluate(phi, *(g[..., None] for g in grids), what="initial data")
+    def march(grid: Grid):
+        mesh = np.meshgrid(*([grid.axis()] * p), indexing="ij")
+        u = evaluate(phi, *(g[..., None] for g in mesh), what="initial data")
         data_max = float(np.max(np.abs(u)))
-        for j in range(p - 1, 0, -1):
-            u = _march_1d(u, lo, hi, h, times[j] - times[j - 1])
-            u = np.einsum("...ii->...i", u)
-        u = _march_1d(u, lo, hi, h, times[0])
-        return float(u[(half_nodes,) * u.ndim]), data_max
+        for j in range(p - 1, -1, -1):
+            stage = Grid.build(1, L, grid.spacing, deltas[j], G.sigma_sq_max)
+            u = _march_1d(u, lo, hi, grid.spacing, stage.time_step, stage.steps)
+            if j:
+                u = np.einsum("...ii->...i", u)
+        return 0.0, [(float(u[len(u) // 2]), data_max)]
 
     nodes = _preset_nodes(NODES_FDD, accuracy)
     if p == 3:
         nodes = (nodes // 2) | 1  # cubic state arrays; halve the resolution
-    coarse, dmax1 = run(nodes)
-    fine, dmax2 = run(2 * nodes - 1)
-    tail = _boundary_bound(G, times[-1], L, max(dmax1, dmax2), 1)
-    return _two_grid_estimate(fine, coarse, tail, L / (nodes - 1), 0.0, L,
-                              L / math.sqrt(G.sigma_sq_max * times[-1]))
+    return _two_grid(G, times[-1], L, nodes, march)[0]
 
 
 def gbm_quadratic_identity(G, A, t: float, accuracy: str = "fast"):

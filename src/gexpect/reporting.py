@@ -53,10 +53,7 @@ class ExperimentReport:
         return all(v.passed for v in self.verdicts if v.hard)
 
     def to_csv(self, path: str):
-        lines = [f"# {CSV_VERSION} kind={self.kind}", ",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_fmt(row[c]) for c in self.columns))
-        _atomic_write(path, "\n".join(lines) + "\n")
+        write_rows_csv(path, self.kind, self.columns, self.rows)
 
     def summary_text(self) -> str:
         lines = [f"suite: {self.kind}"]
@@ -87,8 +84,6 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 
@@ -107,7 +102,7 @@ def _atomic_write(path: str, text: str):
 
 
 def write_rows_csv(path: str, kind: str, columns, rows):
-    """Standalone CSV writer for auxiliary dumps (PDE field snapshots)."""
+    """The CSV layout above, for reports and auxiliary dumps (PDE field snapshots)."""
     lines = [f"# {CSV_VERSION} kind={kind}", ",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in columns))

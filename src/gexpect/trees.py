@@ -10,7 +10,7 @@ exactly, node by node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,14 +137,9 @@ class MartingaleArray:
     """Edge-labeled increment array Z_k, one d-vector per level-k node."""
 
     tree: ScenarioTree
-    increments: list = field(default=None)
-
-    def __post_init__(self):
-        if self.increments is None:
-            self.increments = [None] + [self.tree.inc[k] for k in range(1, self.tree.depth + 1)]
 
     def level(self, k: int) -> np.ndarray:
-        return self.increments[k]
+        return self.tree.inc[k]
 
 
 def _one_step(tree: ScenarioTree, level: int, vals: np.ndarray) -> np.ndarray:
@@ -337,10 +332,6 @@ class LawCheckReport:
     def passed(self) -> bool:
         return all(v <= self.tolerance for v in self.violations.values())
 
-    def worst(self) -> tuple[str, float]:
-        name = max(self.violations, key=self.violations.get)
-        return name, self.violations[name]
-
 
 def _rand_var(tree: ScenarioTree, level: int, rng) -> TreeRandomVariable:
     return TreeRandomVariable(level, rng.uniform(-2.0, 2.0, size=tree.sizes[level]))
@@ -421,16 +412,16 @@ def verify_operator_laws(tree: ScenarioTree, rng=None, samples: int = 3,
 
 
 def random_tree(rng, max_depth: int = 6, max_children: int = 4, max_members: int = 3,
-                dim: int = 1, step: float = 1.0, zero_mean: bool = False,
+                dim: int = 1, zero_mean: bool = False,
                 nonpositive_mean: bool = False) -> ScenarioTree:
-    """Seeded bounded generator used by the property suites.
+    """Seeded bounded generator on the integer lattice, used by the property suites.
 
     zero_mean pairs up +-v children with symmetric probabilities so every
     member mean vanishes exactly; nonpositive_mean shifts increments down by
     whole lattice steps until every member mean is <= 0 (1-d only).
     """
     depth = int(rng.integers(2, max_depth + 1))
-    lattice = LatticeSpec(dim, step, (0.0,) * dim)
+    lattice = LatticeSpec(dim, 1.0, (0.0,) * dim)
     parent = [None]
     inc = [None]
     members = []
@@ -442,7 +433,7 @@ def random_tree(rng, max_depth: int = 6, max_children: int = 4, max_members: int
                 pairs = int(rng.integers(1, max(2, max_children // 2) + 1))
                 vecs = []
                 for _ in range(pairs):
-                    v = rng.integers(1, 4, size=dim) * step
+                    v = rng.integers(1, 4, size=dim)
                     vecs.extend([v.astype(float), -v.astype(float)])
                 if rng.random() < 0.5 and len(vecs) < max_children:
                     vecs.append(np.zeros(dim))
@@ -461,7 +452,7 @@ def random_tree(rng, max_depth: int = 6, max_children: int = 4, max_members: int
                     node_members.append(probs)
             else:
                 cnt = int(rng.integers(1, max_children + 1))
-                child_inc = rng.integers(-3, 4, size=(cnt, dim)) * step
+                child_inc = rng.integers(-3, 4, size=(cnt, dim)).astype(float)
                 node_members = []
                 for _ in range(int(rng.integers(1, max_members + 1))):
                     node_members.append(rng.dirichlet(np.ones(cnt)))
@@ -473,7 +464,7 @@ def random_tree(rng, max_depth: int = 6, max_children: int = 4, max_members: int
                         raise DomainError("1-d only")
                     top = max(float(np.dot(p, child_inc[:, 0])) for p in node_members)
                     if top > 0:
-                        shift = np.ceil(top / step - 1e-12) * step
+                        shift = np.ceil(top - 1e-12)
                         child_inc = child_inc - shift
             pars.extend([j] * cnt)
             incs.extend(child_inc)

@@ -310,6 +310,17 @@ def test_capacity_evaluates_the_event_once_per_union_point():
         # one vectorised attempt (it returns a scalar), then one call per point
         assert len(calls) <= len(X.support) + 1
 
+        lower = min(float(dist.probs[np.sum(dist.support, axis=1) > 0.0].sum())
+                    for dist in X.members)
+        calls.clear()
+
+        def vectorised(z):
+            calls.append(z)
+            return (z if X.dim == 1 else np.sum(z, axis=-1)) > 0.0
+
+        assert capacity_lower(X, vectorised) == lower
+        assert len(calls) == 1
+
 
 def test_truncate_clamps_and_merges():
     lat = LatticeSpec(1, 1.0, (0.0,))

@@ -13,7 +13,7 @@ from gexpect import (DomainError, GFunction, Grid, SigmaInterval, gbm_fdd_expect
                      gbm_quadratic_identity, gnormal_expect, solve_gheat)
 from gexpect import pde
 from gexpect.functionals import get, get_pair
-from gexpect.pde import CFL_SAFETY, _check_stencil_2d, _march_1d, _march_2d
+from gexpect.pde import _check_stencil_2d, _march_1d, _march_2d
 
 SI = SigmaInterval(0.5, 1.0)
 HALF_NORMAL_MEAN = 0.3989422804014327  # E[Z+] for unit variance, oracle: 1/sqrt(2*pi)
@@ -23,40 +23,32 @@ def small_grid(G, half_width=4.0, h=0.1, horizon=1.0):
     return Grid.build(G.dimension, half_width, h, horizon, G.sigma_sq_max)
 
 
-def where_march_1d(u, lo, hi, h, horizon, tau=None, snapshots=None, snap_every=0):
+def cfl(dim, h, horizon, sigma_sq_max):
+    """(tau, steps) of the CFL-limited march of `horizon` on spacing h."""
+    grid = Grid.build(dim, 1.0, h, horizon, sigma_sq_max)
+    return grid.time_step, grid.steps
+
+
+def where_march_1d(u, lo, hi, h, tau, steps):
     """The 1-d march with the generator picked by np.where on the sign of the
     second difference: the bit-for-bit reference for pde._march_1d."""
-    if tau is None:
-        tau_max = CFL_SAFETY * h ** 2 / max(hi, 1e-300)
-        steps = max(1, math.ceil(horizon / tau_max))
-        tau = horizon / steps
-    else:
-        steps = round(horizon / tau)
     u = np.array(u, dtype=float)
-    for m in range(steps):
+    for _ in range(steps):
         d2 = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / h ** 2
         g = np.where(d2 >= 0.0, hi * d2, lo * d2)
         u[..., 1:-1] += 0.5 * tau * g
-        if snapshots is not None and snap_every and (m + 1) % snap_every == 0:
-            snapshots.append(((m + 1) * tau, u.copy()))
     return u
 
 
-def alloc_march_2d(u, G, h, horizon, tau=None, snapshots=None, snap_every=0):
+def alloc_march_2d(u, G, h, tau, steps):
     """The 2-d march on whole-array views, allocating every difference,
     Laplacian and maximum afresh each step: the bit-for-bit reference for
     pde._march_2d."""
-    if tau is None:
-        tau_max = CFL_SAFETY * h ** 2 / (2.0 * G.sigma_sq_max)
-        steps = max(1, math.ceil(horizon / tau_max))
-        tau = horizon / steps
-    else:
-        steps = round(horizon / tau)
     _check_stencil_2d(G, h, tau)
     u = np.array(u, dtype=float)
     hh = h ** 2
     coeffs = [(float(S[0, 0]), float(S[1, 1]), float(S[0, 1])) for S in G.theta]
-    for m in range(steps):
+    for _ in range(steps):
         cen = u[1:-1, 1:-1]
         xx = u[2:, 1:-1] + u[:-2, 1:-1] - 2.0 * cen
         yy = u[1:-1, 2:] + u[1:-1, :-2] - 2.0 * cen
@@ -69,8 +61,6 @@ def alloc_march_2d(u, G, h, horizon, tau=None, snapshots=None, snap_every=0):
             lap = ((a - cc) * xx + (b - cc) * yy + cc * cross) / hh
             best = lap if best is None else np.maximum(best, lap)
         u[1:-1, 1:-1] = cen + 0.5 * tau * best
-        if snapshots is not None and snap_every and (m + 1) % snap_every == 0:
-            snapshots.append(((m + 1) * tau, u.copy()))
     return u
 
 
@@ -224,13 +214,23 @@ def test_snapshots_and_field_rows_1d():
     G = GFunction.from_interval(SI)
     grid = small_grid(G, half_width=3.0, h=0.1, horizon=0.5)
     field, snaps = solve_gheat(G, lambda x: x * x, grid, snapshot_count=3)
-    assert len(snaps) >= 3
+    assert len(snaps) == 3
     times = [t for t, _ in snaps]
-    assert times == sorted(times) and times[-1] <= 0.5 + 1e-12
+    assert times == sorted(set(times)) and times[-1] < 0.5
     rows = fields_rows(field, snaps, 0.5)
     n_axis = len(grid.axis())
-    assert len(rows) == (len(snaps) + 1) * n_axis
+    assert len(rows) == 4 * n_axis
+    assert len({r["time"] for r in rows}) == 4
     assert rows[0]["y"] == ""
+    # 10 steps leave room for 4 snapshots, 2 steps apart, and 2 steps for
+    # 9: one before each step but the last
+    short = small_grid(G, half_width=3.0, h=0.1, horizon=10 * grid.time_step)
+    assert short.steps == 10
+    for count, steps_at in ((4, [2, 4, 6, 8]), (9, list(range(1, 10))), (20, list(range(1, 10)))):
+        _, snaps = solve_gheat(G, lambda x: x * x, short, snapshot_count=count)
+        assert [t for t, _ in snaps] == [k * short.time_step for k in steps_at]
+    with pytest.raises(DomainError):
+        solve_gheat(G, lambda x: x * x, short, snapshot_count=-1)
 
 
 def test_snapshots_and_field_rows_2d():
@@ -240,9 +240,11 @@ def test_snapshots_and_field_rows_2d():
     grid = small_grid(G, half_width=2.0, h=0.25, horizon=0.3)
     field, snaps = solve_gheat(G, lambda p: np.sum(np.square(p), axis=-1), grid,
                                snapshot_count=2)
+    assert len(snaps) == 2
     rows = fields_rows(field, snaps, 0.3)
     n_axis = len(grid.axis())
-    assert len(rows) == (len(snaps) + 1) * n_axis * n_axis
+    assert len(rows) == 3 * n_axis * n_axis
+    assert len({r["time"] for r in rows}) == 3
     assert isinstance(rows[0]["y"], float)
 
 
@@ -254,14 +256,14 @@ def test_richardson_brackets_on_smooth_and_kinked_data():
 
 
 @given(st.integers(0, 5_000), st.sampled_from([(9,), (3, 7), (5, 7), (2, 3, 6), (2, 2, 3, 5)]),
-       st.sampled_from(["interval", "zero_lo", "equal"]), st.booleans(),
+       st.sampled_from(["interval", "zero_lo", "equal"]),
        st.sampled_from([5, 14, 25, pde.BLOCK_CELLS]))
 @settings(max_examples=60)
-def test_march_1d_bit_identical_to_where_form(seed, shape, band, snap, block_cells):
+def test_march_1d_bit_identical_to_where_form(seed, shape, band, block_cells):
     """1-3 batch axes or one row, sigma_ = 0 and sigma_ = sigma^-, data with
-    +-0.0, the snapshots path, and row blocks narrower than a row (5 cells),
-    of two rows with a partial last block (14), of three or four rows (25),
-    or holding every row."""
+    +-0.0, and row blocks narrower than a row (5 cells), of two rows with a
+    partial last block (14), of three or four rows (25), or holding every
+    row.  k1 steps and then k2 more give the same bytes as k1 + k2 steps."""
     rng = np.random.default_rng(seed)
     u = rng.uniform(-2.0, 2.0, size=shape)
     special = rng.choice([0.0, -0.0, 1.0, -2.0], size=shape)
@@ -269,22 +271,14 @@ def test_march_1d_bit_identical_to_where_form(seed, shape, band, snap, block_cel
     hi = float(rng.uniform(0.2, 2.0))
     lo = {"interval": float(rng.uniform(0.0, hi)), "zero_lo": 0.0, "equal": hi}[band]
     h = float(rng.uniform(0.05, 0.5))
-    horizon = float(rng.uniform(0.5, 15.0)) * h * h / hi
+    tau, steps = cfl(1, h, float(rng.uniform(0.5, 15.0)) * h * h / hi, hi)
+    k1 = int(rng.integers(0, steps + 1))
     with mock.patch.object(pde, "BLOCK_CELLS", block_cells):
-        if snap:
-            tau = horizon / int(rng.integers(2, 12))
-            got_snaps, ref_snaps = [], []
-            got = _march_1d(u, lo, hi, h, horizon, tau=tau, snapshots=got_snaps,
-                            snap_every=2)
-            ref = where_march_1d(u, lo, hi, h, horizon, tau=tau, snapshots=ref_snaps,
-                                 snap_every=2)
-            assert [t for t, _ in got_snaps] == [t for t, _ in ref_snaps]
-            assert [v.tobytes() for _, v in got_snaps] == \
-                [v.tobytes() for _, v in ref_snaps]
-        else:
-            got = _march_1d(u, lo, hi, h, horizon)
-            ref = where_march_1d(u, lo, hi, h, horizon)
+        got = _march_1d(u, lo, hi, h, tau, steps)
+        split = _march_1d(_march_1d(u, lo, hi, h, tau, k1), lo, hi, h, tau, steps - k1)
+    ref = where_march_1d(u, lo, hi, h, tau, steps)
     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    assert split.tobytes() == got.tobytes()
 
 
 THETA_SIGNS = {"positive": (1,), "negative": (-1,), "zero": (0,), "mixed": (1, -1, 0),
@@ -292,13 +286,13 @@ THETA_SIGNS = {"positive": (1,), "negative": (-1,), "zero": (0,), "mixed": (1, -
 
 
 @given(st.integers(0, 5_000), st.sampled_from(sorted(THETA_SIGNS)),
-       st.sampled_from([(3, 3), (7, 7), (9, 14), (15, 6)]), st.booleans(),
-       st.booleans())
+       st.sampled_from([(3, 3), (7, 7), (9, 14), (15, 6)]), st.booleans())
 @settings(max_examples=80, deadline=None)
-def test_march_2d_bit_identical_to_allocating_form(seed, signs, shape, snap, fortran):
+def test_march_2d_bit_identical_to_allocating_form(seed, signs, shape, fortran):
     """Theta with c > 0, c < 0, c = +-0.0, mixed signs, a single member, or
     degenerate members with a = 0 or b = 0; data with +-0.0 and +-1e-300;
-    the snapshots path; column-major input."""
+    column-major input.  k1 steps and then k2 more give the same bytes as
+    k1 + k2 steps."""
     rng = np.random.default_rng(seed)
     mats = []
     members = 1 if signs == "single" else int(rng.integers(2, 4))
@@ -316,19 +310,14 @@ def test_march_2d_bit_identical_to_allocating_form(seed, signs, shape, snap, for
     if fortran:
         u = np.asfortranarray(u)
     h = float(rng.uniform(0.05, 0.5))
-    horizon = float(rng.uniform(0.5, 15.0)) * h * h / G.sigma_sq_max
-    if snap:
-        tau_max = CFL_SAFETY * h ** 2 / (2.0 * G.sigma_sq_max)
-        tau = horizon / max(2, math.ceil(horizon / tau_max))
-        got_snaps, ref_snaps = [], []
-        got = _march_2d(u, G, h, horizon, tau=tau, snapshots=got_snaps, snap_every=2)
-        ref = alloc_march_2d(u, G, h, horizon, tau=tau, snapshots=ref_snaps, snap_every=2)
-        assert [t for t, _ in got_snaps] == [t for t, _ in ref_snaps]
-        assert [v.tobytes() for _, v in got_snaps] == [v.tobytes() for _, v in ref_snaps]
-    else:
-        got = _march_2d(u, G, h, horizon)
-        ref = alloc_march_2d(u, G, h, horizon)
+    tau, steps = cfl(2, h, float(rng.uniform(0.5, 15.0)) * h * h / G.sigma_sq_max,
+                     G.sigma_sq_max)
+    k1 = int(rng.integers(0, steps + 1))
+    got = _march_2d(u, G, h, tau, steps)
+    split = _march_2d(_march_2d(u, G, h, tau, k1), G, h, tau, steps - k1)
+    ref = alloc_march_2d(u, G, h, tau, steps)
     assert got.tobytes() == ref.tobytes()
+    assert split.tobytes() == got.tobytes()
 
 
 def test_march_2d_skipped_cross_term_changes_at_most_signs_of_zero():
@@ -343,9 +332,10 @@ def test_march_2d_skipped_cross_term_changes_at_most_signs_of_zero():
         G = GFunction.from_matrices([np.zeros((2, 2)),
                                      np.diag(rng.uniform(0.05, 2.0, 2))])
         u = rng.choice([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324], size=(7, 9))
-        horizon = float(rng.uniform(0.5, 3.0)) / G.sigma_sq_max
-        got = _march_2d(u, G, 1.0, horizon)
-        ref = alloc_march_2d(u, G, 1.0, horizon)
+        tau, steps = cfl(2, 1.0, float(rng.uniform(0.5, 3.0)) / G.sigma_sq_max,
+                         G.sigma_sq_max)
+        got = _march_2d(u, G, 1.0, tau, steps)
+        ref = alloc_march_2d(u, G, 1.0, tau, steps)
         assert np.array_equal(got, ref)
         differ = got.view(np.int64) != ref.view(np.int64)
         assert np.all(got[differ] == 0.0)
@@ -369,6 +359,35 @@ def test_stacked_gnormal_matches_separate_calls():
         for phi, est in zip(phis, stacked):
             assert hexes(est) == hexes(gnormal_expect(G, phi, horizon=0.7,
                                                       accuracy=accuracy))
+
+
+# every PdeEstimate field, in field order, by float.hex, as computed before
+# the two-grid driver was shared; no committed report covers these
+PINNED = {
+    "gnormal_2d": ("0x1.6a87be742bdcfp-2", "0x1.78db92c38ab42p-15", "0x1.6a8d92726e0dfp-2",
+                   "0x1.74ff908c40000p-16", "0x1.ec8cea033d8a0p-22", "0x1.01059f2e3382ep-4",
+                   "0x1.cf62c7a0d724bp-10", "0x1.414706f9c063ap+2", "0x1.8000000000000p+2"),
+    "fdd_p1": ("0x1.3c6bea191ec69p-2", "0x1.7e32d94e7f71ap-14", "0x1.3c5ffd4d9bcd0p-2",
+               "0x1.7d99705f32000p-15", "0x1.30023c78a3da8p-23", "0x1.7cbad13701bcap-5",
+               "0x0.0p+0", "0x1.2971f372f95b6p+2", "0x1.8000000000000p+2"),
+    "fdd_p3": ("0x1.8d1d6840465e6p-1", "0x1.b83cc514bff7ep-7", "0x1.908de1c2cf8f2p-1",
+               "0x1.b83cc14498600p-8", "0x1.33570fab3675cp-70", "0x1.a389df3c2312ep-3",
+               "0x0.0p+0", "0x1.47c3b666fb66cp+3", "0x1.47c3b666fb66cp+3"),
+}
+
+
+def test_2d_gnormal_and_fdd_estimates_pinned():
+    G2 = GFunction.from_matrices([np.diag([1.0, 0.5]), np.array([[0.6, -0.2], [-0.2, 0.4]])])
+    got = {
+        "gnormal_2d": gnormal_expect(G2, lambda p: np.maximum(p[..., 0] + 0.5 * p[..., 1], 0.0),
+                                     horizon=0.7, accuracy="fast"),
+        "fdd_p1": gbm_fdd_expect(SI, (0.6,), lambda a: np.maximum(a, 0.0), accuracy="fast"),
+        "fdd_p3": gbm_fdd_expect(SI, (0.25, 0.5, 1.0),
+                                 lambda a, b, c: np.maximum(a + b + c, 0.0), accuracy="fast"),
+    }
+    for name, est in got.items():
+        assert tuple(float.hex(float(getattr(est, f.name))) for f in fields(est)) == \
+            PINNED[name], name
 
 
 def test_unknown_accuracy_preset_rejected():
