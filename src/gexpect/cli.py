@@ -19,9 +19,7 @@ from . import cltlab, functionals, pde, suites
 from .config import ExperimentConfig, build_family, load_config
 from .errors import ConfigError, DomainError, ResourceCapError
 from .gfunc import SigmaInterval
-from .reporting import ExperimentReport, write_rows_csv
-
-DEFAULT_TOLERANCE = 1e-10
+from .reporting import LAW_TOLERANCE, ExperimentReport, write_rows_csv
 
 
 # kind -> (suite function in gexpect.suites, first CSV column, the suite's
@@ -41,11 +39,10 @@ LAW_SUITES = {
 def run_law_suite(cfg: ExperimentConfig, rng) -> ExperimentReport:
     suite, first, defaults, shown = LAW_SUITES[cfg.kind]
     args = {name: cfg.params.get(name, default) for name, default in defaults.items()}
-    tol = cfg.params.get("tolerance", DEFAULT_TOLERANCE)
+    tol = cfg.params.get("tolerance", LAW_TOLERANCE)
     rows, worst = getattr(suites, suite)(rng, *args.values())
     report = ExperimentReport(cfg.kind, (first, "law", "violation"),
-                              provenance={"seed": cfg.seed,
-                                          **{name: args[name] for name in shown}})
+                              provenance={name: args[name] for name in shown})
     report.rows = rows
     report.add_verdict("max_violation", worst <= tol, worst, f"tolerance {tol:g}")
     return report
@@ -53,13 +50,13 @@ def run_law_suite(cfg: ExperimentConfig, rng) -> ExperimentReport:
 
 def run_rosenthal(cfg: ExperimentConfig, rng) -> ExperimentReport:
     p = cfg.params
-    trees = p.get("trees", 100)
+    trees, power = p.get("trees", 100), p.get("p", 2.0)
     rows, failures, worst_ratio = suites.rosenthal_suite(
-        rng, trees, p.get("p", 2.0), p.get("max_depth", 5))
+        rng, trees, power, p.get("max_depth", 5))
     report = ExperimentReport(
         "rosenthal",
         ("tree", "first_lhs", "first_rhs", "first_pass", "second_lhs", "second_ratio"),
-        provenance={"seed": cfg.seed, "trees": trees, "p": p.get("p", 2.0)})
+        provenance={"trees": trees, "p": power})
     report.rows = rows
     report.add_verdict("failures", failures == 0, float(failures))
     report.add_verdict("ratio_finite", bool(np.isfinite(worst_ratio)), worst_ratio)
@@ -84,7 +81,7 @@ def run_pde(cfg: ExperimentConfig, rng, dump_fields: bool = False,
     accuracy = p.get("accuracy", "default")
     report = ExperimentReport(
         "pde", ("functional", "value", "reference", "gap", "error_bar", "h", "margin"),
-        provenance={"seed": cfg.seed, "accuracy": accuracy,
+        provenance={"accuracy": accuracy,
                     "generator": generator_label, "horizon": horizon})
 
     cases = p["cases"]
@@ -117,11 +114,9 @@ def run_clt(cfg: ExperimentConfig, rng) -> ExperimentReport:
     family = build_family(p["family"])
     spec = cltlab.IidRows(family, tuple(p["schedule"]))
     phis = [functionals.get(name) for name in p["functionals"]]
-    report = cltlab.run_clt_experiment(
+    return cltlab.run_clt_experiment(
         spec, phis, accuracy=p.get("accuracy", "default"),
         gap_tolerance=p.get("tolerance"), max_nodes=p.get("max_nodes"))
-    report.provenance["seed"] = cfg.seed
-    return report
 
 
 def run_fdd(cfg: ExperimentConfig, rng) -> ExperimentReport:
@@ -129,11 +124,9 @@ def run_fdd(cfg: ExperimentConfig, rng) -> ExperimentReport:
     family = build_family(p["family"])
     spec = cltlab.IidRows(family, tuple(p["schedule"]))
     psi = functionals.get_pair(p["functional"])
-    report = cltlab.run_fdd_experiment(spec, p["times"], psi,
-                                       accuracy=p.get("accuracy", "default"),
-                                       gap_tolerance=p.get("tolerance"))
-    report.provenance["seed"] = cfg.seed
-    return report
+    return cltlab.run_fdd_experiment(spec, p["times"], psi,
+                                     accuracy=p.get("accuracy", "default"),
+                                     gap_tolerance=p.get("tolerance"))
 
 
 def run_iid_conditions(cfg: ExperimentConfig, rng) -> ExperimentReport:
@@ -143,8 +136,7 @@ def run_iid_conditions(cfg: ExperimentConfig, rng) -> ExperimentReport:
     block = cltlab.check_iid_necessary_conditions(family, p["c_schedule"],
                                                   p["x_schedule"])
     report = ExperimentReport(
-        "iid-conditions", ("condition", "probe", "level", "value"),
-        provenance={"seed": cfg.seed})
+        "iid-conditions", ("condition", "probe", "level", "value"))
     for c, v in block.rows_second_moment:
         report.add_row(condition="capped_second_moment", probe="", level=c, value=v)
     for x, v in block.rows_tail:
@@ -192,6 +184,7 @@ def run_config(cfg: ExperimentConfig, out_dir: str, dump_fields: bool = False) -
         report = runner(cfg, rng, dump_fields=dump_fields, out_dir=out_dir)
     else:
         report = runner(cfg, rng)
+    report.provenance["seed"] = cfg.seed
     report.to_csv(os.path.join(out_dir, f"{cfg.output}.csv"))
     report.write_summary(os.path.join(out_dir, f"{cfg.output}_summary.txt"))
     return report

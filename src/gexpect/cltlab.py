@@ -544,8 +544,8 @@ def check_iid_necessary_conditions(X: AmbiguitySet, c_schedule: Sequence[float],
 
     rows_i = [(float(c), expect_upper(X, lambda z, cc=c: np.minimum(sq(z), cc)))
               for c in c_schedule]
-    rows_ii = [(float(x), x * x * capacity_upper(
-        X, (lambda xx: (lambda z: float(np.sqrt(sq(z))) >= xx))(x))) for x in x_schedule]
+    rows_ii = [(float(x), x * x * capacity_upper(X, lambda z, xx=x: np.sqrt(sq(z)) >= xx))
+               for x in x_schedule]
 
     rows_iii = []
     rows_iv = []

@@ -198,6 +198,10 @@ def _semantic_checks(kind: str, params: dict):
             lo, hi = params["sigma_interval"]
             if lo > hi:
                 raise ConfigError("params/sigma_interval", "needs lower <= upper")
+            if hi == 0:
+                raise ConfigError("params/sigma_interval", "upper bound must be positive")
+        elif not any(m[0][0] for m in params["theta"]):
+            raise ConfigError("params/theta", "needs an entry with positive variance")
     if kind in ("clt", "fdd"):
         sched = params["schedule"]
         if any(b <= a for a, b in zip(sched, sched[1:])):

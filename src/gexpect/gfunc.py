@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .reporting import LawReport
 
 SYM_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -99,16 +100,6 @@ def regularize(G: GFunction, eps: float) -> GFunction:
     return GFunction(G.dimension, tuple(S + eye for S in G.theta))
 
 
-@dataclass
-class GLawReport:
-    violations: dict
-    tolerance: float = 1e-10
-
-    @property
-    def passed(self) -> bool:
-        return all(v <= self.tolerance for v in self.violations.values())
-
-
 def _random_symmetric(rng, d: int) -> np.ndarray:
     M = rng.normal(size=(d, d))
     return (M + M.T) / 2
@@ -140,7 +131,7 @@ def g_law_violations(G: GFunction, Gn: GFunction | None, rng) -> dict:
     return out
 
 
-def verify_g_laws(G: GFunction, trials: int = 1000, seed: int = 0) -> GLawReport:
+def verify_g_laws(G: GFunction, trials: int = 1000, seed: int = 0) -> LawReport:
     """Largest violation of each law over `trials` draws of g_law_violations."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
@@ -150,4 +141,4 @@ def verify_g_laws(G: GFunction, trials: int = 1000, seed: int = 0) -> GLawReport
     for _ in range(trials):
         for law, v in g_law_violations(G, Gn, rng).items():
             worst[law] = max(worst[law], v)
-    return GLawReport(worst)
+    return LawReport(worst)

@@ -279,7 +279,9 @@ def solve_gheat(G: GFunction, phi, grid: Grid, snapshot_count: int = 0):
 
 def _as_gfunction(G) -> GFunction:
     if isinstance(G, SigmaInterval):
-        return GFunction.from_interval(G)
+        G = GFunction.from_interval(G)
+    if G.sigma_sq_max == 0:
+        raise DomainError("upper variance is zero: the G-heat equation has no diffusion")
     return G
 
 

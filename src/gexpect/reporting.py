@@ -13,6 +13,18 @@ import tempfile
 from dataclasses import dataclass, field
 
 CSV_VERSION = "gexpect-csv v1"
+LAW_TOLERANCE = 1e-10  # largest violation a law suite passes with by default
+
+
+@dataclass
+class LawReport:
+    """Worst violation per law of an operator or G-function property suite."""
+
+    violations: dict
+
+    @property
+    def passed(self) -> bool:
+        return all(v <= LAW_TOLERANCE for v in self.violations.values())
 
 
 @dataclass

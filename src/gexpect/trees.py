@@ -16,6 +16,7 @@ import numpy as np
 
 from .ambiguity import LatticeSpec, PROB_TOL
 from .errors import DomainError
+from .reporting import LawReport
 
 
 @dataclass(frozen=True)
@@ -201,6 +202,25 @@ def path_sums(tree: ScenarioTree, Z: MartingaleArray) -> list:
     return sums
 
 
+def _given_parent(tree: ScenarioTree, vals: np.ndarray, k: int) -> np.ndarray:
+    """E[vals | level k-1] for a level-k array."""
+    return cond_expect(tree, TreeRandomVariable(k, vals), k - 1).values
+
+
+def _mean_range(tree: ScenarioTree, Z: MartingaleArray, k: int):
+    """Upper and lower conditional means of Z_k given level k-1."""
+    z = Z.level(k)
+    return _given_parent(tree, z, k), -_given_parent(tree, -z, k)
+
+
+def _predictable_sum(tree: ScenarioTree, upto: int, term) -> np.ndarray:
+    """sum_{k<=upto} of the level-(k-1) array term(k), lifted to level upto."""
+    total = np.zeros(tree.sizes[upto])
+    for k in range(1, upto + 1):
+        total = total + lift(tree, TreeRandomVariable(k - 1, term(k)), upto).values
+    return total
+
+
 def lindeberg_stat(tree: ScenarioTree, Z: MartingaleArray, eps: float):
     """Sum over k of E[(|Z_k|^2 - eps)^+ | level k-1], aggregated to the root.
 
@@ -208,25 +228,20 @@ def lindeberg_stat(tree: ScenarioTree, Z: MartingaleArray, eps: float):
     """
     if not eps > 0:
         raise DomainError("eps must be positive")
-    total = np.zeros(tree.sizes[tree.depth])
-    for k in range(1, tree.depth + 1):
-        term = np.maximum(np.sum(Z.level(k) ** 2, axis=1) - eps, 0.0)
-        cond = cond_expect(tree, TreeRandomVariable(k, term), k - 1)
-        total = total + lift(tree, cond, tree.depth).values
+    total = _predictable_sum(tree, tree.depth, lambda k: _given_parent(
+        tree, np.maximum(np.sum(Z.level(k) ** 2, axis=1) - eps, 0.0), k))
     root = cond_expect(tree, TreeRandomVariable(tree.depth, total), 0)
     return root, float(root.values[0])
 
 
 def drift_stat(tree: ScenarioTree, Z: MartingaleArray) -> float:
     """Upper expectation of sum_k (|E[Z_k|k-1]| + |conjugate E[Z_k|k-1]|)."""
-    total = np.zeros(tree.sizes[tree.depth])
-    for k in range(1, tree.depth + 1):
-        var = TreeRandomVariable(k, Z.level(k))
-        up = cond_expect(tree, var, k - 1).values
-        lo = -cond_expect(tree, -var, k - 1).values
-        term = np.linalg.norm(up, axis=-1) + np.linalg.norm(lo, axis=-1)
-        total = total + lift(tree, TreeRandomVariable(k - 1, term), tree.depth).values
-    return expectation(tree, TreeRandomVariable(tree.depth, total))
+    def term(k):
+        up, lo = _mean_range(tree, Z, k)
+        return np.linalg.norm(up, axis=-1) + np.linalg.norm(lo, axis=-1)
+
+    return expectation(tree, TreeRandomVariable(
+        tree.depth, _predictable_sum(tree, tree.depth, term)))
 
 
 def quadratic_characteristic(tree: ScenarioTree, Z: MartingaleArray, A: np.ndarray,
@@ -237,14 +252,8 @@ def quadratic_characteristic(tree: ScenarioTree, Z: MartingaleArray, A: np.ndarr
         raise DomainError("A must be symmetric and match the tree dimension")
     if not 0 <= checkpoint <= tree.depth:
         raise DomainError("checkpoint outside tree depth")
-    if checkpoint == 0:
-        return 0.0
-    total = np.zeros(tree.sizes[checkpoint])
-    for k in range(1, checkpoint + 1):
-        z = Z.level(k)
-        quad = np.einsum("ni,ij,nj->n", z, A, z)
-        cond = cond_expect(tree, TreeRandomVariable(k, quad), k - 1)
-        total = total + lift(tree, cond, checkpoint).values
+    total = _predictable_sum(tree, checkpoint, lambda k: _given_parent(
+        tree, np.einsum("ni,ij,nj->n", Z.level(k), A, Z.level(k)), k))
     return expectation(tree, TreeRandomVariable(checkpoint, total))
 
 
@@ -258,8 +267,7 @@ class RosenthalReport:
     second_ratio: float
 
 
-def rosenthal_check(tree: ScenarioTree, Z: MartingaleArray | None = None,
-                    p: float = 2.0) -> RosenthalReport:
+def rosenthal_check(tree: ScenarioTree, p: float = 2.0) -> RosenthalReport:
     """Exact evaluation of the two maximal-moment inequalities on the tree.
 
     First display (requires conditional upper means <= 0 at every node):
@@ -269,17 +277,14 @@ def rosenthal_check(tree: ScenarioTree, Z: MartingaleArray | None = None,
     constant is unspecified, the empirical ratio lhs/rhs is reported rather
     than asserted against a guess.
     """
-    if Z is None:
-        Z = MartingaleArray(tree)
     if tree.dim != 1:
         raise DomainError("1-d only")
     if p < 2:
         raise DomainError("p must be >= 2")
-
-    for k in range(1, tree.depth + 1):
-        up = cond_expect(tree, TreeRandomVariable(k, Z.level(k)[:, 0]), k - 1).values
-        if np.any(up > 1e-9):
-            raise DomainError("conditional mean sign violated")
+    Z = MartingaleArray(tree)
+    ranges = [None] + [_mean_range(tree, Z, k) for k in range(1, tree.depth + 1)]
+    if any(np.any(up > 1e-9) for up, _ in ranges[1:]):
+        raise DomainError("conditional mean sign violated")
 
     sums = path_sums(tree, Z)
     run_min = [np.zeros(1)]
@@ -292,26 +297,17 @@ def rosenthal_check(tree: ScenarioTree, Z: MartingaleArray | None = None,
 
     first_lhs = expectation(tree, TreeRandomVariable(
         tree.depth, (terminal - run_min[tree.depth]) ** 2))
-    cond_sq = np.zeros(tree.sizes[tree.depth])
-    for k in range(1, tree.depth + 1):
-        c = cond_expect(tree, TreeRandomVariable(k, Z.level(k)[:, 0] ** 2), k - 1)
-        cond_sq = cond_sq + lift(tree, c, tree.depth).values
+    cond_sq = _predictable_sum(tree, tree.depth, lambda k: _given_parent(
+        tree, Z.level(k)[:, 0] ** 2, k))
     first_rhs = expectation(tree, TreeRandomVariable(tree.depth, cond_sq))
     first_pass = first_lhs <= first_rhs + 1e-10 * max(1.0, abs(first_rhs))
 
     second_lhs = expectation(tree, TreeRandomVariable(
         tree.depth, run_absmax[tree.depth] ** p))
-    abs_p = np.zeros(tree.sizes[tree.depth])
-    mean_defect = np.zeros(tree.sizes[tree.depth])
-    for k in range(1, tree.depth + 1):
-        zk = Z.level(k)[:, 0]
-        c = cond_expect(tree, TreeRandomVariable(k, np.abs(zk) ** p), k - 1)
-        abs_p = abs_p + lift(tree, c, tree.depth).values
-        up = cond_expect(tree, TreeRandomVariable(k, zk), k - 1).values
-        lo = -cond_expect(tree, TreeRandomVariable(k, -zk), k - 1).values
-        defect = np.maximum(up, 0.0) + np.maximum(-lo, 0.0)
-        mean_defect = mean_defect + lift(tree, TreeRandomVariable(k - 1, defect),
-                                         tree.depth).values
+    abs_p = _predictable_sum(tree, tree.depth, lambda k: _given_parent(
+        tree, np.abs(Z.level(k)[:, 0]) ** p, k))
+    mean_defect = _predictable_sum(tree, tree.depth, lambda k: (
+        np.maximum(ranges[k][0][:, 0], 0.0) + np.maximum(-ranges[k][1][:, 0], 0.0)))
     t1 = expectation(tree, TreeRandomVariable(tree.depth, abs_p))
     t2 = expectation(tree, TreeRandomVariable(tree.depth, cond_sq ** (p / 2)))
     t3 = expectation(tree, TreeRandomVariable(tree.depth, mean_defect ** p))
@@ -321,24 +317,12 @@ def rosenthal_check(tree: ScenarioTree, Z: MartingaleArray | None = None,
                            second_lhs, (t1, t2, t3), ratio)
 
 
-@dataclass
-class LawCheckReport:
-    """Worst violation per operator law, with the shared pass tolerance."""
-
-    violations: dict
-    tolerance: float = 1e-10
-
-    @property
-    def passed(self) -> bool:
-        return all(v <= self.tolerance for v in self.violations.values())
-
-
 def _rand_var(tree: ScenarioTree, level: int, rng) -> TreeRandomVariable:
     return TreeRandomVariable(level, rng.uniform(-2.0, 2.0, size=tree.sizes[level]))
 
 
 def verify_operator_laws(tree: ScenarioTree, rng=None, samples: int = 3,
-                         variables: list | None = None) -> LawCheckReport:
+                         variables: list | None = None) -> LawReport:
     """Exercise the conditional-operator laws on sampled variables.
 
     Checks, nodewise and exactly on the finite tree: translation and the
@@ -367,38 +351,38 @@ def verify_operator_laws(tree: ScenarioTree, rng=None, samples: int = 3,
         k = int(rng.integers(0, l))
         X = _rand_var(tree, k, rng)
         Xl = lift(tree, X, l)
+        EY = cond_expect(tree, Y, k)
 
         lhs = cond_expect(tree, TreeRandomVariable(l, Xl.values + Y.values), k)
-        rhs = X.values + cond_expect(tree, Y, k).values
+        rhs = X.values + EY.values
         bump("translation", np.abs(lhs.values - rhs))
 
         lhs = cond_expect(tree, TreeRandomVariable(l, Xl.values * Y.values), k)
-        rhs = (np.maximum(X.values, 0.0) * cond_expect(tree, Y, k).values
+        rhs = (np.maximum(X.values, 0.0) * EY.values
                + np.maximum(-X.values, 0.0) * cond_expect(tree, -Y, k).values)
         bump("product", np.abs(lhs.values - rhs))
 
-        bump("aggregation", abs(expectation(tree, cond_expect(tree, Y, k))
-                                - expectation(tree, Y)))
+        bump("aggregation", abs(expectation(tree, EY) - expectation(tree, Y)))
 
         c = float(rng.uniform(-3, 3))
         const = TreeRandomVariable(l, np.full(tree.sizes[l], c))
         bump("constants", np.abs(cond_expect(tree, const, k).values - c))
         lam = float(rng.uniform(0, 2.5))
         bump("homogeneity", np.abs(cond_expect(tree, TreeRandomVariable(l, lam * Y.values), k).values
-                                   - lam * cond_expect(tree, Y, k).values))
+                                   - lam * EY.values))
 
         Y2 = TreeRandomVariable(l, Y.values + rng.uniform(0.0, 1.5, size=tree.sizes[l]))
-        gap = cond_expect(tree, Y, k).values - cond_expect(tree, Y2, k).values
+        gap = EY.values - cond_expect(tree, Y2, k).values
         bump("monotone", np.maximum(gap, 0.0))
 
         W = _rand_var(tree, l, rng)
-        sub = (cond_expect(tree, Y, k).values - cond_expect(tree, W, k).values
+        sub = (EY.values - cond_expect(tree, W, k).values
                - cond_expect(tree, TreeRandomVariable(l, Y.values - W.values), k).values)
         bump("subadditive", np.maximum(sub, 0.0))
 
         mid = int(rng.integers(k, l + 1))
         two_step = cond_expect(tree, cond_expect(tree, Y, mid), k)
-        bump("tower", np.abs(two_step.values - cond_expect(tree, Y, k).values))
+        bump("tower", np.abs(two_step.values - EY.values))
         if k >= 1:
             inner = cond_expect(tree, Y, k - 1)
             lifted = lift(tree, inner, tree.depth)
@@ -406,9 +390,9 @@ def verify_operator_laws(tree: ScenarioTree, rng=None, samples: int = 3,
             bump("tower", np.abs(back.values - lift(tree, inner, k).values))
 
         M = float(np.max(np.abs(Y.values)))
-        bump("bounded", np.maximum(np.abs(cond_expect(tree, Y, k).values) - M, 0.0))
+        bump("bounded", np.maximum(np.abs(EY.values) - M, 0.0))
 
-    return LawCheckReport(worst)
+    return LawReport(worst)
 
 
 def random_tree(rng, max_depth: int = 6, max_children: int = 4, max_members: int = 3,
@@ -533,35 +517,48 @@ def tree_to_text(tree: ScenarioTree) -> str:
 
 
 def tree_from_text(text: str) -> ScenarioTree:
+    """Parse a tree_to_text document; a malformed one raises DomainError
+    naming the offending line or node."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise DomainError("empty tree document")
     head = lines[0].split()
-    if head[0] != "tree" or head[1] != "v1":
+    if head[:2] != ["tree", "v1"]:
         raise DomainError("unrecognised tree document header")
-    meta = dict(item.split("=", 1) for item in head[2:])
-    depth = int(meta["depth"])
-    dim = int(meta["dim"])
-    lattice = LatticeSpec(dim, float(meta["step"]),
-                          tuple(float(v) for v in meta["origin"].split(",")))
+    try:
+        meta = dict(item.split("=", 1) for item in head[2:])
+        depth = int(meta["depth"])
+        lattice = LatticeSpec(int(meta["dim"]), float(meta["step"]),
+                              tuple(float(v) for v in meta["origin"].split(",")))
+    except (KeyError, ValueError):
+        raise DomainError(f"malformed tree document header: {lines[0]}") from None
     parents = {}
     incs = {}
     member_map = {}
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] == "node":
-            nid = int(parts[1])
-            if parts[3] == "-":
-                parents[nid] = None
-            else:
+        try:
+            if parts[0] == "node" and parts[2:] == ["parent", "-"]:
+                parents[int(parts[1])] = None
+            elif parts[0] == "node" and len(parts) == 6 and parts[2::2] == ["parent", "inc"]:
+                nid = int(parts[1])
                 parents[nid] = int(parts[3])
                 incs[nid] = np.array([float(v) for v in parts[5].split(",")])
-        elif parts[0] == "members":
-            member_map[int(parts[1])] = [np.array([float(v) for v in blk.split(",")])
-                                         for blk in parts[2:]]
-        else:
-            raise DomainError(f"unrecognised line: {ln}")
+            elif parts[0] == "members" and len(parts) > 2:
+                member_map[int(parts[1])] = [np.array([float(v) for v in blk.split(",")])
+                                             for blk in parts[2:]]
+            else:
+                raise ValueError
+        except ValueError:
+            raise DomainError(f"unrecognised line: {ln}") from None
     level_of = {}
     for nid in sorted(parents):
-        level_of[nid] = 0 if parents[nid] is None else level_of[parents[nid]] + 1
+        par = parents[nid]
+        if par is not None and par not in level_of:
+            raise DomainError(f"node {nid}: parent {par} is not a lower-numbered node")
+        level_of[nid] = 0 if par is None else level_of[par] + 1
+        if level_of[nid] > depth:
+            raise DomainError(f"node {nid}: level {level_of[nid]} is below depth {depth}")
     pos = {}
     parent_arrays = [None]
     inc_arrays = [None]
@@ -575,9 +572,8 @@ def tree_from_text(text: str) -> ScenarioTree:
             parent_arrays.append(np.array([pos[parents[nid]] for nid in ids]))
             inc_arrays.append(np.array([incs[nid] for nid in ids]))
         if k < depth:
-            members.append([])
-    for k in range(depth):
-        ids = [nid for nid in sorted(parents) if level_of[nid] == k]
-        ids.sort(key=lambda nid: pos[nid])
-        members[k] = [member_map[nid] for nid in ids]
+            missing = [nid for nid in ids if nid not in member_map]
+            if missing:
+                raise DomainError(f"node {missing[0]}: no members line")
+            members.append([member_map[nid] for nid in ids])
     return ScenarioTree(lattice, parent_arrays, inc_arrays, members)

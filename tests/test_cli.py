@@ -162,6 +162,19 @@ def test_pde_requires_exactly_one_generator_form(tmp_path):
         parse_config(doc)
 
 
+@pytest.mark.parametrize("generator, field", [
+    ({"sigma_interval": [0.0, 0.0]}, "params/sigma_interval"),
+    ({"theta": [[[0.0]], [[0.0]]]}, "params/theta"),
+], ids=["interval", "theta"])
+def test_pde_zero_upper_variance_exits_two_with_path(tmp_path, capsys, generator, field):
+    doc = {"kind": "pde", "seed": 5, "output": "x",
+           "params": {**generator, "cases": [{"functional": "square", "reference": 0.0,
+                                              "tolerance": 0.01}]}}
+    code = main(["--config", write_config(tmp_path, doc), "--out", str(tmp_path)])
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
 def test_build_family_explicit_support():
     fam = build_family({"support": [-2.0, 0.0, 2.0], "step": 2.0,
                         "members": [[0.25, 0.5, 0.25]]})

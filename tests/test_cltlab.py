@@ -514,6 +514,23 @@ def test_iid_conditions_on_bernoulli(bernoulli):
     assert g_eval(block.induced, [[-1.0]]) == -0.5
 
 
+def test_iid_conditions_call_each_functional_once(bernoulli):
+    """Capped moment and tail event each take the whole 3-point support in
+    one call per level."""
+    from gexpect import cltlab
+
+    calls = []
+    real = cltlab._sq_norm
+
+    def counting(d):
+        sq = real(d)
+        return lambda z: calls.append(np.shape(z)) or sq(z)
+
+    with mock.patch.object(cltlab, "_sq_norm", counting):
+        check_iid_necessary_conditions(bernoulli, [1.0, 2.0], [0.5, 1.0, 2.0])
+    assert calls == [(3,)] * 5
+
+
 def test_iid_conditions_point_mass():
     from gexpect import point_mass
 

@@ -395,3 +395,14 @@ def test_unknown_accuracy_preset_rejected():
         gnormal_expect(SI, np.sin, accuracy="ultra")
     with pytest.raises(DomainError, match="unknown accuracy 'ultra'; presets are fast"):
         gbm_fdd_expect(SI, (0.5, 1.0), lambda a, b: b - a, accuracy="ultra")
+
+
+@pytest.mark.parametrize("solve", [
+    lambda G: gnormal_expect(G, get("square"), accuracy="fast"),
+    lambda G: gbm_fdd_expect(G, (0.5, 1.0), get_pair("increment_square"), accuracy="fast"),
+], ids=["gnormal_expect", "gbm_fdd_expect"])
+@pytest.mark.parametrize("G", [SigmaInterval(0.0, 0.0), GFunction.from_matrices([[[0.0]]])],
+                         ids=["interval", "theta"])
+def test_zero_upper_variance_rejected(solve, G):
+    with pytest.raises(DomainError, match="upper variance is zero"):
+        solve(G)

@@ -357,6 +357,57 @@ def test_rosenthal_first_display_never_fails(seed):
     assert np.isfinite(rep.second_ratio)
 
 
+# ---------------------------------------------------- pinned statistic bits
+
+PINNED_SEEDS = range(8)
+PINNED_PATH = "fixtures/tree_statistics_hex.json"
+
+
+def tree_statistics(dim, shape, seed):
+    """Every tree statistic on one seeded random tree, keyed by name; floats
+    as float.hex, a precondition failure as its message."""
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, max_depth=5, max_children=4, max_members=3, dim=dim,
+                       **shape)
+    Z = MartingaleArray(tree)
+    out = {}
+    for eps in (0.5, 4.0):
+        root, val = lindeberg_stat(tree, Z, eps)
+        out[f"lindeberg_root[{eps}]"] = float(root.values[0]).hex()
+        out[f"lindeberg[{eps}]"] = val.hex()
+    out["drift"] = drift_stat(tree, Z).hex()
+    A = np.array([[1.0]]) if dim == 1 else np.array([[2.0, 0.5], [0.5, -1.0]])
+    for t in range(tree.depth + 1):
+        out[f"quadratic[{t}]"] = quadratic_characteristic(tree, Z, A, t).hex()
+    if dim == 1:
+        for p in (2.0, 3.0):
+            try:
+                rep = rosenthal_check(tree, p=p)
+            except DomainError as exc:
+                out[f"rosenthal[{p}]"] = str(exc)
+                continue
+            fields = (rep.first_lhs, rep.first_rhs, rep.second_lhs,
+                      *rep.second_terms, rep.second_ratio)
+            out[f"rosenthal[{p}]"] = [rep.first_pass] + [v.hex() for v in fields]
+    laws = verify_operator_laws(tree, np.random.default_rng(seed), samples=3)
+    for law, v in laws.violations.items():
+        out[f"law[{law}]"] = v.hex()
+    return out
+
+
+def test_tree_statistics_pinned_bit_for_bit():
+    """Lindeberg, drift, quadratic characteristic, both Rosenthal displays and
+    the operator-law violations on 40 seeded trees equal the values recorded
+    from the per-statistic loops that `_predictable_sum` replaced."""
+    import json
+    import pathlib
+
+    pinned = json.loads((pathlib.Path(__file__).parent / PINNED_PATH).read_text())
+    got = {f"{dim}/{'/'.join(shape) or 'generic'}/{seed}": tree_statistics(dim, shape, seed)
+           for dim, shape in TREE_KINDS for seed in PINNED_SEEDS}
+    assert got == pinned
+
+
 # ------------------------------------------------------------- serialization
 
 def test_shipped_fixture_regression():
@@ -426,3 +477,23 @@ PAIR_INC = [None, np.array([[1.0], [-1.0]])]
 def test_tree_validation_rejects(parent, inc, members, match):
     with pytest.raises(DomainError, match=match):
         ScenarioTree(LAT1, parent, inc, members)
+
+
+TREE_DOC = ("tree v1 depth=1 dim=1 step=1.0 origin=0.0\n"
+            "node 0 parent -\nnode 1 parent 0 inc 1.0\nnode 2 parent 0 inc -1.0\n"
+            "members 0 0.5,0.5\n")
+
+
+@pytest.mark.parametrize("text, match", [
+    (TREE_DOC + "node 3 parent 1 inc 1.0\n", "node 3: level 2 is below depth 1"),
+    (TREE_DOC.replace("node 1 parent 0", "node 1 parent 2"),
+     "node 1: parent 2 is not a lower-numbered node"),
+    (TREE_DOC.replace("members 0 0.5,0.5\n", ""), "node 0: no members line"),
+    (TREE_DOC.replace(" inc -1.0", ""), "unrecognised line: node 2 parent 0$"),
+    ("", "empty tree document"),
+    (TREE_DOC.replace("depth=1", "depth=one"), "malformed tree document header: tree v1"),
+], ids=["too_deep", "parent_after_child", "no_members", "no_inc", "empty", "header"])
+def test_tree_document_rejects(text, match):
+    assert tree_to_text(tree_from_text(TREE_DOC)) == TREE_DOC
+    with pytest.raises(DomainError, match=match):
+        tree_from_text(text)
