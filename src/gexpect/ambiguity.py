@@ -48,8 +48,8 @@ class LatticeSpec:
             raise DomainError("lattice dimension must be positive")
         if not (self.step > 0.0) or not np.isfinite(self.step):
             raise DomainError("lattice step must be positive and finite")
-        if len(self.origin) != self.dimension:
-            raise DomainError("origin length does not match dimension")
+        if len(self.origin) != self.dimension or not np.all(np.isfinite(self.origin)):
+            raise DomainError("origin needs one finite coordinate per dimension")
         object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
 
     def to_integer(self, points: np.ndarray) -> np.ndarray:
@@ -78,7 +78,7 @@ class DiscreteDistribution:
         self.support = np.atleast_2d(np.asarray(self.support, dtype=float))
         self.probs = np.asarray(self.probs, dtype=float).reshape(-1)
         if self.support.shape[0] != self.probs.shape[0]:
-            raise DomainError("support and probs length mismatch")
+            raise DomainError(f"{len(self.probs)} probabilities for {len(self.support)} points")
         if self.support.shape[0] == 0:
             raise DomainError("empty support")
         if not np.all(np.isfinite(self.support)):
@@ -88,7 +88,7 @@ class DiscreteDistribution:
         if np.any(self.probs < 0.0):
             raise DomainError("negative probability")
         if abs(float(self.probs.sum()) - 1.0) > PROB_TOL:
-            raise DomainError(f"probabilities sum to {self.probs.sum()!r}, not 1")
+            raise DomainError(f"probabilities sum to {float(self.probs.sum())!r}, not 1")
 
     @property
     def dim(self) -> int:
@@ -255,24 +255,25 @@ def capacity_lower(X: AmbiguitySet, event: Callable) -> float:
     return min(min(_event_probabilities(X, event)), 1.0)
 
 
+def truncation_box(lattice: LatticeSpec, c: float) -> np.ndarray:
+    """Integer corners (lower, upper) of the clamp box [-c, c]^d, c > 0, on the lattice."""
+    if not 0 < c < np.inf:
+        raise DomainError("truncation level must be positive and finite")
+    q = (np.array([[-c], [c]], dtype=float) - np.asarray(lattice.origin)) / lattice.step
+    r = np.rint(q)
+    if np.any(np.abs(q - r) > LATTICE_RTOL * np.maximum(1.0, np.abs(q))):
+        raise DomainError("truncation off-lattice")
+    return r.astype(np.int64)
+
+
 def truncate(X: AmbiguitySet, c: float) -> AmbiguitySet:
     """Componentwise clamp of every support point to [-c, c].
 
     Both clamp points must sit on the lattice so that the result keeps the
     exact-DP contract; probabilities of collided points are merged.
     """
-    if not c > 0:
-        raise DomainError("truncation level must be positive")
     lat = X.lattice
-    los = np.empty(X.dim, dtype=np.int64)
-    his = np.empty(X.dim, dtype=np.int64)
-    for j in range(X.dim):
-        for sign, tgt in ((1.0, his), (-1.0, los)):
-            q = (sign * c - lat.origin[j]) / lat.step
-            r = np.rint(q)
-            if abs(q - r) > LATTICE_RTOL * max(1.0, abs(q)):
-                raise DomainError("truncation off-lattice")
-            tgt[j] = int(r)
+    los, his = truncation_box(lat, c)
     members = []
     for i, dist in enumerate(X.members):
         coords = np.clip(X.member_coords(i), los, his)

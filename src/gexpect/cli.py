@@ -2,23 +2,24 @@
 
 Outputs per run: <out>/<output>.csv (fixed columns, versioned header
 comment), <out>/<output>_summary.txt (one verdict line per check), and with
---dump-fields on pde runs, <out>/<output>_fields.csv.  Exit status: 0 all
-hard checks pass, 1 a hard check failed, 2 config rejected, 3 a size cap
+--dump-fields (pde configs only) <out>/<output>_fields.csv.  Exit status: 0
+all hard checks pass, 1 a hard check failed, 2 config rejected, 3 a size cap
 tripped.  Reruns with the same seed produce byte-identical CSV.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 import numpy as np
 
-from . import cltlab, functionals, pde, suites
-from .config import ExperimentConfig, build_family, load_config
+from . import cltlab, pde, suites
+from .config import ExperimentConfig, load_config
 from .errors import ConfigError, DomainError, ResourceCapError
-from .gfunc import SigmaInterval
+from .gfunc import g_eval
 from .reporting import LAW_TOLERANCE, ExperimentReport, write_rows_csv
 
 
@@ -63,31 +64,18 @@ def run_rosenthal(cfg: ExperimentConfig, rng) -> ExperimentReport:
     return report
 
 
-def run_pde(cfg: ExperimentConfig, rng, dump_fields: bool = False,
-            out_dir: str = ".") -> ExperimentReport:
-    from .gfunc import GFunction
-
+def run_pde(cfg: ExperimentConfig, rng) -> ExperimentReport:
     p = cfg.params
-    if "theta" in p:
-        interval = GFunction.from_matrices([np.asarray(m, dtype=float)
-                                            for m in p["theta"]])
-        generator_label = "theta[" + "/".join(repr(float(m[0][0]))
-                                              for m in p["theta"]) + "]"
-    else:
-        lo, hi = p["sigma_interval"]
-        interval = SigmaInterval(lo, hi)
-        generator_label = f"{lo}/{hi}"
     horizon = p.get("horizon", 1.0)
     accuracy = p.get("accuracy", "default")
     report = ExperimentReport(
         "pde", ("functional", "value", "reference", "gap", "error_bar", "h", "margin"),
         provenance={"accuracy": accuracy,
-                    "generator": generator_label, "horizon": horizon})
+                    "generator": cfg.inputs["generator_label"], "horizon": horizon})
 
     cases = p["cases"]
-    estimates = pde.gnormal_expect(
-        interval, [functionals.get(case["functional"]) for case in cases],
-        horizon=horizon, accuracy=accuracy)
+    estimates = pde.gnormal_expect(cfg.inputs["generator"], cfg.inputs["functionals"],
+                                   horizon=horizon, accuracy=accuracy)
     for case, est in zip(cases, estimates):
         gap = abs(est.value - case["reference"])
         report.add_row(functional=case["functional"], value=est.value,
@@ -97,43 +85,39 @@ def run_pde(cfg: ExperimentConfig, rng, dump_fields: bool = False,
                            f"tolerance {case['tolerance']:g}")
         report.add_verdict(f"bar_brackets[{case['functional']}]",
                            est.error_bar >= gap, est.error_bar - gap)
-    if dump_fields:
-        phi = functionals.get(cases[0]["functional"])
-        G = pde._as_gfunction(interval)
-        half = pde._auto_half_width(G, horizon)
-        grid = pde.Grid.build(1, half, half / 60, horizon, G.sigma_sq_max)
-        field, snaps = pde.solve_gheat(G, phi, grid, snapshot_count=4)
-        rows = pde.fields_rows(field, snaps, horizon)
-        write_rows_csv(os.path.join(out_dir, f"{cfg.output}_fields.csv"),
-                       "pde-fields", ("time", "x", "y", "value"), rows)
     return report
+
+
+def write_fields(cfg: ExperimentConfig, out_dir: str):
+    """Write the G-heat snapshots of a pde config's first case to <output>_fields.csv."""
+    G, phi = cfg.inputs["generator"], cfg.inputs["functionals"][0]
+    horizon = cfg.params.get("horizon", 1.0)
+    half = pde._auto_half_width(G, horizon)
+    grid = pde.Grid.build(1, half, half / 60, horizon, G.sigma_sq_max)
+    field, snaps = pde.solve_gheat(G, phi, grid, snapshot_count=4)
+    write_rows_csv(os.path.join(out_dir, f"{cfg.output}_fields.csv"), "pde-fields",
+                   ("time", "x", "y", "value"), pde.fields_rows(field, snaps, horizon))
 
 
 def run_clt(cfg: ExperimentConfig, rng) -> ExperimentReport:
     p = cfg.params
-    family = build_family(p["family"])
-    spec = cltlab.IidRows(family, tuple(p["schedule"]))
-    phis = [functionals.get(name) for name in p["functionals"]]
     return cltlab.run_clt_experiment(
-        spec, phis, accuracy=p.get("accuracy", "default"),
+        cfg.inputs["rows"], cfg.inputs["functionals"], accuracy=p.get("accuracy", "default"),
         gap_tolerance=p.get("tolerance"), max_nodes=p.get("max_nodes"))
 
 
 def run_fdd(cfg: ExperimentConfig, rng) -> ExperimentReport:
     p = cfg.params
-    family = build_family(p["family"])
-    spec = cltlab.IidRows(family, tuple(p["schedule"]))
-    psi = functionals.get_pair(p["functional"])
-    return cltlab.run_fdd_experiment(spec, p["times"], psi,
+    return cltlab.run_fdd_experiment(cfg.inputs["rows"], p["times"], cfg.inputs["functional"],
                                      accuracy=p.get("accuracy", "default"),
                                      gap_tolerance=p.get("tolerance"))
 
 
 def run_iid_conditions(cfg: ExperimentConfig, rng) -> ExperimentReport:
     p = cfg.params
-    family = build_family(p["family"])
+    spec = cfg.inputs["rows"]
     tol = p.get("tolerance", 0.02)
-    block = cltlab.check_iid_necessary_conditions(family, p["c_schedule"],
+    block = cltlab.check_iid_necessary_conditions(spec.law, p["c_schedule"],
                                                   p["x_schedule"])
     report = ExperimentReport(
         "iid-conditions", ("condition", "probe", "level", "value"))
@@ -147,13 +131,9 @@ def run_iid_conditions(cfg: ExperimentConfig, rng) -> ExperimentReport:
         report.add_row(condition="truncated_quadratic", probe=pi, level=c, value=v)
     report.add_verdict("quadratic_stabilized", block.stabilized,
                        1.0 if block.stabilized else 0.0)
-    sm = [v for _, v in block.rows_second_moment]
-    report.add_verdict("second_moment_stabilized",
-                       abs(sm[-1] - sm[-2]) <= 1e-12 if len(sm) > 1 else True,
-                       abs(sm[-1] - sm[-2]) if len(sm) > 1 else 0.0)
-    n_est = p.get("estimate_n", 256)
-    spec = cltlab.IidRows(family, (n_est,))
-    from .gfunc import g_eval
+    report.add_verdict("second_moment_stabilized", block.second_moment_stabilized,
+                       block.second_moment_gap)
+    (n_est,) = spec.schedule
     c_big = p["c_schedule"][-1]
     for name, A in (("plus", np.array([[1.0]])), ("minus", np.array([[-1.0]]))):
         est = cltlab.estimate_limit_G(spec, A, c_big, n_est)
@@ -165,25 +145,14 @@ def run_iid_conditions(cfg: ExperimentConfig, rng) -> ExperimentReport:
     return report
 
 
-RUNNERS = {
-    "axioms": run_law_suite,
-    "tree-laws": run_law_suite,
-    "g-laws": run_law_suite,
-    "pde": run_pde,
-    "clt": run_clt,
-    "fdd": run_fdd,
-    "rosenthal": run_rosenthal,
-    "iid-conditions": run_iid_conditions,
-}
+RUNNERS = {**dict.fromkeys(LAW_SUITES, run_law_suite), "pde": run_pde, "clt": run_clt,
+           "fdd": run_fdd, "rosenthal": run_rosenthal, "iid-conditions": run_iid_conditions}
 
 
 def run_config(cfg: ExperimentConfig, out_dir: str, dump_fields: bool = False) -> ExperimentReport:
-    rng = np.random.default_rng(cfg.seed)
-    runner = RUNNERS[cfg.kind]
-    if cfg.kind == "pde":
-        report = runner(cfg, rng, dump_fields=dump_fields, out_dir=out_dir)
-    else:
-        report = runner(cfg, rng)
+    report = RUNNERS[cfg.kind](cfg, np.random.default_rng(cfg.seed))
+    if dump_fields:
+        write_fields(cfg, out_dir)
     report.provenance["seed"] = cfg.seed
     report.to_csv(os.path.join(out_dir, f"{cfg.output}.csv"))
     report.write_summary(os.path.join(out_dir, f"{cfg.output}_summary.txt"))
@@ -205,7 +174,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg = ExperimentConfig(cfg.kind, args.seed, cfg.output, cfg.params)
+            cfg = dataclasses.replace(cfg, seed=args.seed)
+        if args.dump_fields and cfg.kind != "pde":
+            raise ConfigError("--dump-fields", f"pde configs only, not {cfg.kind}")
     except ConfigError as exc:
         print(f"config rejected at {exc.path}: {exc.message}", file=sys.stderr)
         return 2

@@ -67,9 +67,24 @@ def _non_increasing(series) -> bool:
     return all(b <= a + 1e-12 for a, b in zip(series, series[1:]))
 
 
+def check_increasing(values, what: str):
+    """Reject an empty or not strictly increasing sequence named `what`."""
+    if len(values) == 0 or any(b <= a for a, b in zip(values, values[1:])):
+        raise DomainError(f"{what} must be strictly increasing")
+
+
+def fdd_times(times: Sequence[float]) -> tuple[float, float]:
+    """The two checkpoints (t1, t2) of an fdd experiment, 0 < t1 < t2 <= 1."""
+    if len(times) != 2:
+        raise DomainError("fdd arity cap")
+    t1, t2 = float(times[0]), float(times[1])
+    if not 0 < t1 < t2 <= 1.0:
+        raise DomainError("times must satisfy 0 < t1 < t2 <= 1")
+    return t1, t2
+
+
 def _check_schedule(schedule):
-    if len(schedule) == 0 or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise DomainError("schedule must be strictly increasing")
+    check_increasing(schedule, "schedule")
     if any(n < 1 for n in schedule):
         raise DomainError("row sizes must be positive")
 
@@ -475,11 +490,7 @@ def run_fdd_experiment(spec: Rows, times: Sequence[float], psi: TestFunction,
                        ) -> ExperimentReport:
     """Two-checkpoint marginals of the normalised partial-sum path against
     the nested-solver value for the limit motion."""
-    if len(times) != 2:
-        raise DomainError("fdd arity cap")
-    t1, t2 = float(times[0]), float(times[1])
-    if not 0 < t1 < t2 <= 1.0:
-        raise DomainError("times must satisfy 0 < t1 < t2 <= 1")
+    t1, t2 = fdd_times(times)
     if spec.dim != 1:
         raise DomainError("1-d only")
     G = spec.induced_gfunction()
@@ -522,6 +533,8 @@ class IidConditionReport:
     probes: list
     induced: GFunction
     stabilized: bool
+    second_moment_gap: float
+    second_moment_stabilized: bool
 
 
 def check_iid_necessary_conditions(X: AmbiguitySet, c_schedule: Sequence[float],
@@ -534,10 +547,8 @@ def check_iid_necessary_conditions(X: AmbiguitySet, c_schedule: Sequence[float],
     quadratic forms along probe matrices); the generator induced by the
     largest truncation level is returned as a support-function object.
     """
-    if any(b <= a for a, b in zip(c_schedule, c_schedule[1:])):
-        raise DomainError("c schedule must increase")
-    if any(b <= a for a, b in zip(x_schedule, x_schedule[1:])):
-        raise DomainError("x schedule must increase")
+    check_increasing(c_schedule, "c_schedule")
+    check_increasing(x_schedule, "x_schedule")
     d = X.dim
     sq = _sq_norm(d)
     probes = default_probes(d) if probes is None else [np.atleast_2d(p) for p in probes]
@@ -562,8 +573,9 @@ def check_iid_necessary_conditions(X: AmbiguitySet, c_schedule: Sequence[float],
     k = len(probes)
     last, prev = [v for *_, v in rows_iv[-k:]], [v for *_, v in rows_iv[-2 * k:-k]]
     stabilized = all(abs(a - b) <= 1e-12 * max(1.0, abs(a)) for a, b in zip(last, prev))
+    moment_gap = abs(rows_i[-1][1] - rows_i[-2][1]) if len(rows_i) > 1 else 0.0
     return IidConditionReport(rows_i, rows_ii, rows_iii, rows_iv, list(probes),
-                              induced, stabilized)
+                              induced, stabilized, moment_gap, moment_gap <= 1e-12)
 
 
 def estimate_limit_G(spec: Rows, A, c: float, n: int,

@@ -1,30 +1,30 @@
-"""Experiment configs: one YAML document per suite, schema-checked.
+"""Experiment configs: one YAML document per suite, checked and built at load.
 
 Every config carries the experiment kind, a seed, an output basename and a
-kind-specific parameter block.  Validation reports the offending field path
-so the CLI can exit with a precise diagnostic.
+kind-specific parameter block.  Loading checks it against the schema and
+builds the library objects the run needs, naming the field of any rejection.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import jsonschema
 import numpy as np
 import yaml
 
+from . import cltlab, functionals, pde
 from .ambiguity import (AmbiguitySet, DiscreteDistribution, LatticeSpec,
-                        symmetric_bernoulli_family)
-from .errors import ConfigError
-
-KINDS = ("axioms", "tree-laws", "g-laws", "pde", "clt", "fdd", "rosenthal",
-         "iid-conditions")
+                        symmetric_bernoulli_family, truncation_box)
+from .errors import ConfigError, DomainError
+from .gfunc import GFunction, SigmaInterval
 
 _FAMILY_SCHEMA = {
     "type": "object",
     "properties": {
-        "variances": {"type": "array", "items": {"type": "number", "minimum": 0},
-                      "minItems": 1},
+        "variances": {"type": "array", "minItems": 1,
+                      "items": {"type": "number", "minimum": 0, "maximum": 1}},
         "step": {"type": "number", "exclusiveMinimum": 0},
         "origin": {"type": "number"},
         "support": {"type": "array", "items": {"type": "number"}, "minItems": 1},
@@ -33,8 +33,12 @@ _FAMILY_SCHEMA = {
                               "items": {"type": "number", "minimum": 0},
                               "minItems": 1}},
     },
+    "dependentRequired": {"support": ["members"], "members": ["support"]},
     "additionalProperties": False,
 }
+_FUNCTIONAL = {"type": "string", "enum": list(functionals.REGISTRY)}
+_PAIR_FUNCTIONAL = {"type": "string", "enum": list(functionals.PAIR_REGISTRY)}
+_ACCURACY = {"type": "string", "enum": list(pde.NODES_1D)}
 
 _PARAMS_SCHEMA = {
     "axioms": {
@@ -69,10 +73,10 @@ _PARAMS_SCHEMA = {
                                 "items": {"type": "array", "minItems": 1, "maxItems": 1,
                                           "items": {"type": "number", "minimum": 0}}}},
             "horizon": {"type": "number", "exclusiveMinimum": 0},
-            "accuracy": {"type": "string", "enum": ["fast", "default", "fine"]},
+            "accuracy": _ACCURACY,
             "cases": {"type": "array", "minItems": 1, "items": {
                 "type": "object",
-                "properties": {"functional": {"type": "string"},
+                "properties": {"functional": _FUNCTIONAL,
                                "reference": {"type": "number"},
                                "tolerance": {"type": "number", "exclusiveMinimum": 0}},
                 "required": ["functional", "reference", "tolerance"],
@@ -85,10 +89,10 @@ _PARAMS_SCHEMA = {
         "type": "object",
         "properties": {
             "family": _FAMILY_SCHEMA,
-            "functionals": {"type": "array", "items": {"type": "string"}, "minItems": 1},
+            "functionals": {"type": "array", "items": _FUNCTIONAL, "minItems": 1},
             "schedule": {"type": "array", "items": {"type": "integer", "minimum": 1},
                          "minItems": 1},
-            "accuracy": {"type": "string", "enum": ["fast", "default", "fine"]},
+            "accuracy": _ACCURACY,
             "tolerance": {"type": "number", "exclusiveMinimum": 0},
             "max_nodes": {"type": "integer", "minimum": 1},
         },
@@ -99,12 +103,12 @@ _PARAMS_SCHEMA = {
         "type": "object",
         "properties": {
             "family": _FAMILY_SCHEMA,
-            "functional": {"type": "string"},
+            "functional": _PAIR_FUNCTIONAL,
             "times": {"type": "array", "items": {"type": "number"},
                       "minItems": 2, "maxItems": 2},
             "schedule": {"type": "array", "items": {"type": "integer", "minimum": 1},
                          "minItems": 1},
-            "accuracy": {"type": "string", "enum": ["fast", "default", "fine"]},
+            "accuracy": _ACCURACY,
             "tolerance": {"type": "number", "exclusiveMinimum": 0},
         },
         "required": ["family", "functional", "times", "schedule"],
@@ -138,7 +142,7 @@ _PARAMS_SCHEMA = {
 _TOP_SCHEMA = {
     "type": "object",
     "properties": {
-        "kind": {"type": "string", "enum": list(KINDS)},
+        "kind": {"type": "string", "enum": list(_PARAMS_SCHEMA)},
         "seed": {"type": "integer", "minimum": 0},
         "output": {"type": "string", "minLength": 1},
         "params": {"type": "object"},
@@ -150,10 +154,14 @@ _TOP_SCHEMA = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A checked config; `inputs` maps names ("rows", "generator", ...) to the
+    objects its run needs, built from `params` at load."""
+
     kind: str
     seed: int
     output: str
     params: dict
+    inputs: dict
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -171,10 +179,10 @@ def parse_config(raw) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a mapping")
     _validate(raw, _TOP_SCHEMA, prefix=())
-    kind = raw["kind"]
-    _validate(raw["params"], _PARAMS_SCHEMA[kind], prefix=("params",))
-    _semantic_checks(kind, raw["params"])
-    return ExperimentConfig(kind, int(raw["seed"]), raw["output"], raw["params"])
+    kind, params = raw["kind"], raw["params"]
+    _validate(params, _PARAMS_SCHEMA[kind], prefix=("params",))
+    return ExperimentConfig(kind, int(raw["seed"]), raw["output"], params,
+                            _build(kind, params))
 
 
 def _validate(instance, schema, prefix):
@@ -186,68 +194,67 @@ def _validate(instance, schema, prefix):
         raise ConfigError(path, err.message)
 
 
-def _semantic_checks(kind: str, params: dict):
-    fam = params.get("family")
-    if fam is not None:
-        _check_family(fam, ("params", "family"))
-    if kind == "pde":
-        has_interval = "sigma_interval" in params
-        if has_interval == ("theta" in params):
-            raise ConfigError("params", "give either sigma_interval or theta")
-        if has_interval:
-            lo, hi = params["sigma_interval"]
-            if lo > hi:
-                raise ConfigError("params/sigma_interval", "needs lower <= upper")
-            if hi == 0:
-                raise ConfigError("params/sigma_interval", "upper bound must be positive")
-        elif not any(m[0][0] for m in params["theta"]):
-            raise ConfigError("params/theta", "needs an entry with positive variance")
+@contextmanager
+def _at(path: str):
+    """Re-raise a DomainError from the block as a rejection of the field at `path`."""
+    try:
+        yield
+    except DomainError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+def _build(kind: str, p: dict) -> dict:
+    inputs = {}
+    if "family" in p:
+        family = build_family(p["family"])
     if kind in ("clt", "fdd"):
-        sched = params["schedule"]
-        if any(b <= a for a, b in zip(sched, sched[1:])):
-            raise ConfigError("params/schedule", "must be strictly increasing")
-    if kind == "fdd":
-        t1, t2 = params["times"]
-        if not 0 < t1 < t2 <= 1:
-            raise ConfigError("params/times", "need 0 < t1 < t2 <= 1")
-    for key in ("c_schedule", "x_schedule"):
-        if key in params:
-            vals = params[key]
-            if any(b <= a for a, b in zip(vals, vals[1:])):
-                raise ConfigError(f"params/{key}", "must be strictly increasing")
-
-
-def _check_family(fam: dict, prefix):
-    has_var = "variances" in fam
-    has_explicit = "support" in fam or "members" in fam
-    if has_var == has_explicit:
-        raise ConfigError("/".join(prefix),
-                          "give either variances or support+members")
-    if has_var:
-        for i, v in enumerate(fam["variances"]):
-            if v > 1:
-                raise ConfigError("/".join(prefix + ("variances", str(i))),
-                                  "variance above 1 has no member in this family")
-        return
-    if "support" not in fam or "members" not in fam:
-        raise ConfigError("/".join(prefix), "explicit family needs support and members")
-    m = len(fam["support"])
-    for i, probs in enumerate(fam["members"]):
-        if len(probs) != m:
-            raise ConfigError("/".join(prefix + ("members", str(i))),
-                              "member length must match support")
-        if abs(sum(probs) - 1.0) > 1e-12:
-            raise ConfigError("/".join(prefix + ("members", str(i))),
-                              "probabilities must sum to 1")
+        with _at("params/schedule"):
+            inputs["rows"] = cltlab.IidRows(family, tuple(p["schedule"]))
+        with _at("params/family"):
+            pde.as_gfunction(inputs["rows"].induced_gfunction())  # the limit's generator
+    if kind == "clt":
+        inputs["functionals"] = [functionals.get(name) for name in p["functionals"]]
+    elif kind == "fdd":
+        with _at("params/times"):
+            cltlab.fdd_times(p["times"])
+        inputs["functional"] = functionals.get_pair(p["functional"])
+    elif kind == "pde":
+        if ("sigma_interval" in p) == ("theta" in p):
+            raise ConfigError("params", "give either sigma_interval or theta")
+        if "theta" in p:
+            with _at("params/theta"):
+                inputs["generator"] = pde.as_gfunction(GFunction.from_matrices(p["theta"]))
+            inputs["generator_label"] = "theta[" + "/".join(
+                repr(float(m[0][0])) for m in p["theta"]) + "]"
+        else:
+            with _at("params/sigma_interval"):
+                inputs["generator"] = pde.as_gfunction(SigmaInterval(*p["sigma_interval"]))
+            inputs["generator_label"] = "{}/{}".format(*p["sigma_interval"])
+        inputs["functionals"] = [functionals.get(case["functional"]) for case in p["cases"]]
+    elif kind == "iid-conditions":
+        for key in ("c_schedule", "x_schedule"):
+            with _at(f"params/{key}"):
+                cltlab.check_increasing(p[key], key)
+        for i, c in enumerate(p["c_schedule"]):
+            with _at(f"params/c_schedule/{i}"):
+                truncation_box(family.lattice, c)
+        inputs["rows"] = cltlab.IidRows(family, (p.get("estimate_n", 256),))
+    return inputs
 
 
 def build_family(fam: dict) -> AmbiguitySet:
+    """The AmbiguitySet of a `family` block, each part built under its path."""
+    if ("variances" in fam) == ("support" in fam):
+        raise ConfigError("params/family", "give either variances or support+members")
     step = float(fam.get("step", 1.0))
-    if "variances" in fam:
-        return symmetric_bernoulli_family([float(v) for v in fam["variances"]], step)
-    origin = float(fam.get("origin", 0.0))
-    lattice = LatticeSpec(1, step, (origin,))
+    with _at("params/family"):
+        if "variances" in fam:
+            return symmetric_bernoulli_family([float(v) for v in fam["variances"]], step)
+        lattice = LatticeSpec(1, step, (float(fam.get("origin", 0.0)),))
     support = np.asarray(fam["support"], dtype=float).reshape(-1, 1)
-    members = [DiscreteDistribution(support, np.asarray(p, dtype=float))
-               for p in fam["members"]]
-    return AmbiguitySet(lattice, members)
+    members = []
+    for i, probs in enumerate(fam["members"]):
+        with _at(f"params/family/members/{i}"):
+            members.append(DiscreteDistribution(support, probs))
+    with _at("params/family/support"):
+        return AmbiguitySet(lattice, members)

@@ -277,7 +277,8 @@ def solve_gheat(G: GFunction, phi, grid: Grid, snapshot_count: int = 0):
     return GridFunction(grid, u), snaps
 
 
-def _as_gfunction(G) -> GFunction:
+def as_gfunction(G) -> GFunction:
+    """G as a GFunction with positive upper variance, as every march needs."""
     if isinstance(G, SigmaInterval):
         G = GFunction.from_interval(G)
     if G.sigma_sq_max == 0:
@@ -341,7 +342,7 @@ def gnormal_expect(G, phi, horizon: float = 1.0,
     with one PdeEstimate per functional, equal to what separate calls give.
     In 1-d their initial data share one march per grid.
     """
-    G = _as_gfunction(G)
+    G = as_gfunction(G)
     if not horizon > 0:
         raise DomainError("horizon must be positive")
     nodes = _preset_nodes(NODES_1D if G.dimension == 1 else NODES_2D, accuracy)
@@ -378,7 +379,7 @@ def gbm_fdd_expect(G, times, phi, accuracy: str = "default") -> PdeEstimate:
     recursion continues to t_1.  The stages march with different time
     steps, so the estimate's time_step is 0.0.
     """
-    G = _as_gfunction(G)
+    G = as_gfunction(G)
     if G.dimension != 1:
         raise DomainError("1-d only")
     times = [float(t) for t in times]
@@ -411,7 +412,7 @@ def gbm_fdd_expect(G, times, phi, accuracy: str = "default") -> PdeEstimate:
 
 def gbm_quadratic_identity(G, A, t: float, accuracy: str = "fast"):
     """Compare E[<W_t A, W_t>] computed by the solver with G(A) * t."""
-    G = _as_gfunction(G)
+    G = as_gfunction(G)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if not t > 0:
         raise DomainError("t must be positive")

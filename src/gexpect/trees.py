@@ -539,18 +539,21 @@ def tree_from_text(text: str) -> ScenarioTree:
         parts = ln.split()
         try:
             if parts[0] == "node" and parts[2:] == ["parent", "-"]:
-                parents[int(parts[1])] = None
+                table, nid, value = parents, int(parts[1]), None
             elif parts[0] == "node" and len(parts) == 6 and parts[2::2] == ["parent", "inc"]:
-                nid = int(parts[1])
-                parents[nid] = int(parts[3])
-                incs[nid] = np.array([float(v) for v in parts[5].split(",")])
+                table, nid, value = parents, int(parts[1]), int(parts[3])
+                incs[nid] = np.array([float(v) for v in parts[5].split(",")]).reshape(
+                    lattice.dimension)
             elif parts[0] == "members" and len(parts) > 2:
-                member_map[int(parts[1])] = [np.array([float(v) for v in blk.split(",")])
-                                             for blk in parts[2:]]
+                table, nid = member_map, int(parts[1])
+                value = [np.array([float(v) for v in blk.split(",")]) for blk in parts[2:]]
             else:
                 raise ValueError
         except ValueError:
             raise DomainError(f"unrecognised line: {ln}") from None
+        if nid in table:
+            raise DomainError(f"node {nid}: second {parts[0]} line: {ln}")
+        table[nid] = value
     level_of = {}
     for nid in sorted(parents):
         par = parents[nid]
@@ -559,6 +562,9 @@ def tree_from_text(text: str) -> ScenarioTree:
         level_of[nid] = 0 if par is None else level_of[par] + 1
         if level_of[nid] > depth:
             raise DomainError(f"node {nid}: level {level_of[nid]} is below depth {depth}")
+    strays = sorted(nid for nid in member_map if level_of.get(nid, depth) == depth)
+    if strays:
+        raise DomainError(f"node {strays[0]}: members line for a leaf or unlisted node")
     pos = {}
     parent_arrays = [None]
     inc_arrays = [None]

@@ -6,6 +6,7 @@ import runpy
 import pytest
 import yaml
 
+from gexpect import cli, config
 from gexpect.cli import main
 from gexpect.config import ConfigError, build_family, load_config, parse_config
 
@@ -195,3 +196,82 @@ def test_convergence_table_script(capsys):
         [name, n] for name in ("positive_part", "sin", "excess_square")
         for n in ("16", "64", "256")]
     assert sum(line.startswith("PASS final_gap[") for line in lines) == 3
+
+
+def with_params(kind, **params):
+    """A valid config of `kind` with some params replaced (None drops one)."""
+    family = {"variances": [0.5, 1.0], "step": 1.0}
+    base = {
+        "clt": {"family": family, "functionals": ["square"], "schedule": [4, 8]},
+        "fdd": {"family": family, "functional": "increment_square",
+                "times": [0.5, 1.0], "schedule": [8]},
+        "pde": {"sigma_interval": [0.5, 1.0],
+                "cases": [{"functional": "square", "reference": 1.0, "tolerance": 0.01}]},
+        "iid-conditions": {"family": family, "c_schedule": [1.0, 2.0],
+                           "x_schedule": [0.5, 1.0]},
+    }[kind]
+    params = {key: value for key, value in {**base, **params}.items() if value is not None}
+    return {"kind": kind, "seed": 0, "output": "x", "params": params}
+
+
+def explicit(support, *members):
+    return {"support": support, "members": list(members)}
+
+
+REJECTIONS = [
+    (with_params("clt", functionals=["square", "nope"]), "params/functionals/1"),
+    (with_params("fdd", functional="nope"), "params/functional"),
+    (with_params("pde", cases=[{"functional": "nope", "reference": 0.0, "tolerance": 1.0}]),
+     "params/cases/0/functional"),
+    (with_params("clt", family=explicit([-1.0, 0.5, 1.0], [0.25, 0.5, 0.25])),
+     "params/family/support"),
+    (with_params("clt", family=explicit([-1.0, 1.0, 1.0], [0.25, 0.5, 0.25])),
+     "params/family/support"),
+    (with_params("iid-conditions", c_schedule=[1.0, 2.5]), "params/c_schedule/1"),
+    (with_params("iid-conditions", c_schedule=[1.0, float("inf")]), "params/c_schedule/1"),
+    (with_params("clt", family={"variances": [0.5, 1.5]}), "params/family/variances/1"),
+    (with_params("fdd", family={"variances": [0.0]}), "params/family"),
+    (with_params("iid-conditions", family={**explicit([-1.0, 1.0], [0.5, 0.5]),
+                                           "origin": float("nan")}), "params/family"),
+    (with_params("clt", family=explicit([-1.0, 0.0, 1.0], [0.5, 0.5])),
+     "params/family/members/0"),
+    (with_params("clt", family=explicit([-1.0, 0.0, 1.0], [0.5, 0.5, 0.1])),
+     "params/family/members/0"),
+    (with_params("clt", schedule=[8, 4]), "params/schedule"),
+    (with_params("fdd", times=[0.9, 0.2]), "params/times"),
+    (with_params("iid-conditions", c_schedule=[2.0, 1.0]), "params/c_schedule"),
+    (with_params("iid-conditions", x_schedule=[1.0, 0.5]), "params/x_schedule"),
+    (with_params("pde", sigma_interval=[1.0, 0.5]), "params/sigma_interval"),
+    (with_params("pde", sigma_interval=[0.0, 0.0]), "params/sigma_interval"),
+    (with_params("pde", sigma_interval=None, theta=[[[0.0]]]), "params/theta"),
+]
+
+
+@pytest.mark.parametrize("doc, path", REJECTIONS, ids=[
+    "functional_name", "pair_functional_name", "case_functional_name",
+    "support_off_lattice", "support_repeated", "c_off_lattice", "c_infinite",
+    "variance_above_one", "zero_variance", "origin_nan", "member_length", "member_sum",
+    "schedule_order", "times_order", "c_order", "x_order", "interval_order",
+    "interval_zero", "theta_zero"])
+def test_config_rejected_at_load_with_field_path(doc, path):
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert info.value.path == path
+
+
+def test_off_lattice_support_exits_two_with_path(tmp_path, capsys):
+    doc = with_params("clt", family=explicit([-1.0, 0.5, 1.0], [0.25, 0.5, 0.25]))
+    code = main(["--config", write_config(tmp_path, doc), "--out", str(tmp_path)])
+    assert code == 2
+    assert "config rejected at params/family/support:" in capsys.readouterr().err
+
+
+def test_every_config_kind_has_a_runner():
+    assert set(cli.RUNNERS) == set(config._PARAMS_SCHEMA)
+
+
+def test_dump_fields_rejected_on_other_kinds(tmp_path, capsys):
+    cfg = str(CONFIG_DIR / "clt_bernoulli.yaml")
+    assert main(["--config", cfg, "--out", str(tmp_path), "--dump-fields"]) == 2
+    assert "config rejected at --dump-fields" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
