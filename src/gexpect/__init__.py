@@ -12,11 +12,9 @@ from .ambiguity import (AmbiguitySet, DiscreteDistribution, LatticeSpec,
                         iid_sum_expect, independent_sum_expect, nested_expect,
                         nested_product, point_mass, running_max_expect,
                         symmetric_bernoulli_family, truncate)
-from .cltlab import (CheckpointSchedule, HeterogeneousRows, IidRows, TreeRows,
-                     check_iid_necessary_conditions, check_lindeberg,
-                     check_moment_conditions, check_p_moments, estimate_limit_G,
-                     quadratic_series, run_clt_experiment, run_fdd_experiment,
-                     two_point_sum_expect, variance_time_change)
+from .cltlab import (HeterogeneousRows, IidRows, TreeRows, check_iid_necessary_conditions,
+                     estimate_limit_G, run_clt_experiment, run_fdd_experiment,
+                     two_point_sum_expect)
 from .errors import ConfigError, DomainError, ResourceCapError
 from .gfunc import (GFunction, SigmaInterval, g_1d, g_eval, g_eval_argmax,
                     regularize, verify_g_laws)

@@ -55,6 +55,8 @@ class LatticeSpec:
     def to_integer(self, points: np.ndarray) -> np.ndarray:
         """Map physical points to integer coordinates, verifying lattice membership."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if not np.all(np.isfinite(pts)):
+            raise DomainError("non-finite point")
         q = (pts - np.asarray(self.origin)) / self.step
         r = np.rint(q)
         tol = LATTICE_RTOL * np.maximum(1.0, np.abs(q))

@@ -20,12 +20,13 @@ from .ambiguity import (AmbiguitySet, TestFunction, _backward_sum, _shared_latti
                         independent_sum_expect, truncate)
 from .errors import DomainError, ResourceCapError
 from .gfunc import GFunction, g_eval
-from .pde import PdeEstimate, gbm_fdd_expect, gnormal_expect
+from .pde import gbm_fdd_expect, gnormal_expect
 from .reporting import ExperimentReport
 from .trees import MartingaleArray, drift_stat, lindeberg_stat, quadratic_characteristic
 
 DEFAULT_SCHEDULE = (16, 64, 256)
 GAP_CONSTANT = 0.01  # flat tolerance added to the solver error bar
+LINDEBERG_EPS = (0.1, 0.5)  # clip levels of the Lindeberg trends
 
 
 def member_second_moments(X: AmbiguitySet) -> list:
@@ -99,6 +100,8 @@ class Rows:
     variance-ratio interval; iid rows replace both.  TreeRows has no runs,
     so `runs` is where every law-only path rejects it; it replaces the three
     statistics that run through its conditional operators instead.
+    `condition_series` lists the hypothesis trends a report prints; a row
+    kind with a hypothesis of its own extends it.
     """
 
     label = ""  # the `mode` line of a report's provenance
@@ -140,23 +143,59 @@ class Rows:
         r the lower/upper variance ratio of the longest row."""
         return _interval_generator(self.variance_ratio(max(self.schedule)))
 
-    def lindeberg(self, n: int, eps_grid: Sequence[float]) -> list:
+    def lindeberg(self, n: int, eps_levels: Sequence[float]) -> list:
         """Row sum of E[(|scale X|^2 - eps)^+], one value per eps."""
         scale, sq = self.row_scale(n), _sq_norm(self.dim)
         return [self._run_sum(n, lambda law, e=eps: expect_upper(
                     law, lambda z: np.maximum(scale * scale * sq(z) - e, 0.0)))
-                for eps in eps_grid]
+                for eps in eps_levels]
+
+    def p_moment(self, n: int, p: float) -> float:
+        """Row sum of E[|scale X|^p], the p > 2 moment variant of Lindeberg."""
+        if p <= 2:
+            raise DomainError("p must exceed 2")
+        scale, sq = self.row_scale(n), _sq_norm(self.dim)
+        f = lambda z: (scale * scale * sq(z)) ** (p / 2.0)
+        return self._run_sum(n, lambda law: expect_upper(law, f))
 
     def drift(self, n: int) -> float:
         scale = self.row_scale(n)
         return self._run_sum(n, lambda law: _drift(law, scale))
 
+    def checkpoints(self, n: int, times: Sequence[float]) -> list:
+        """tau(t) for each t: the largest k whose accumulated upper variance is
+        at most t times the row total, pinned to 0 at t <= 0 and to n at t >= 1."""
+        sig = self.upper_variances(n)
+        total = float(sig.sum())
+        if total <= 0.0:
+            raise DomainError("zero total variance")
+        boundaries = np.concatenate([[0.0], np.cumsum(sig) / total])
+        boundaries[-1] = 1.0
+        return [n if t >= 1.0 else 0 if t <= 0.0
+                else int(np.searchsorted(boundaries, t, side="right") - 1) for t in times]
+
     def quadratic(self, n: int, A: np.ndarray, t_grid: Sequence[float]) -> list:
         """Scaled partial sums of E[<X A, X>] up to the checkpoint tau(t)."""
         scale = self.row_scale(n)
-        sched = variance_time_change(self, n)
         prefix = np.concatenate([[0.0], np.cumsum(self._per_step(n, _quad_form(A, self.dim)))])
-        return [scale * scale * float(prefix[sched.tau(float(t))]) for t in t_grid]
+        return [scale * scale * float(prefix[k]) for k in self.checkpoints(n, t_grid)]
+
+    def condition_series(self) -> list:
+        """The limit-theorem hypotheses as (name, values, target, detail), one
+        value per row size: Lindeberg at each eps and drift, both falling to 0,
+        then the quadratic characteristic at +-I against G(+-I)."""
+        lind = [self.lindeberg(n, LINDEBERG_EPS) for n in self.schedule]
+        out = [(f"lindeberg[eps={eps:g}]", [row[i] for row in lind], 0.0,
+                "non-increasing row sums") for i, eps in enumerate(LINDEBERG_EPS)]
+        out.append(("drift", [self.drift(n) for n in self.schedule], 0.0,
+                    "non-increasing row sums"))
+        G, I = self.induced_gfunction(), np.eye(self.dim)
+        for A, tag in ((I, "plus"), (-I, "minus")):
+            target = g_eval(G, A)
+            out.append((f"quadratic[{tag}]", [self.quadratic(n, A, [1.0])[0]
+                                              for n in self.schedule],
+                        target, f"target {target!r}"))
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,6 +252,16 @@ class HeterogeneousRows(Rows):
             return super().induced_gfunction()
         return _interval_generator(self.r_target)
 
+    def condition_series(self) -> list:
+        """The common series, with the running lower/upper variance ratio
+        against r_target before the two quadratic entries."""
+        out = super().condition_series()
+        target = self.r_target
+        detail = f"target {target!r}" if target is not None else "no target pinned"
+        out[-2:-2] = [("ratio_r", [self.variance_ratio(n) for n in self.schedule],
+                       target, detail)]
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class TreeRows(Rows):
@@ -240,9 +289,9 @@ class TreeRows(Rows):
         tree = self.trees[self.schedule.index(n)]
         return tree, MartingaleArray(tree)
 
-    def lindeberg(self, n: int, eps_grid: Sequence[float]) -> list:
+    def lindeberg(self, n: int, eps_levels: Sequence[float]) -> list:
         tree, Z = self._row(n)
-        return [lindeberg_stat(tree, Z, float(eps))[1] for eps in eps_grid]
+        return [lindeberg_stat(tree, Z, float(eps))[1] for eps in eps_levels]
 
     def drift(self, n: int) -> float:
         return drift_stat(*self._row(n))
@@ -253,131 +302,13 @@ class TreeRows(Rows):
                 for t in t_grid]
 
 
-@dataclass(frozen=True, eq=False)
-class CheckpointSchedule:
-    """Integer step function tau on [0,1] with the identity target change.
-
-    tau(t) is the largest k whose normalised prefix variance is <= t,
-    pinned to 0 at t=0 and to the row size at t=1.
-    """
-
-    boundaries: np.ndarray  # P_0 = 0 <= ... <= P_n = 1
-
-    def __post_init__(self):
-        b = np.asarray(self.boundaries, dtype=float)
-        if b[0] != 0.0 or abs(b[-1] - 1.0) > 1e-12 or np.any(np.diff(b) < -1e-15):
-            raise DomainError("boundaries must rise from 0 to 1")
-        object.__setattr__(self, "boundaries", b)
-
-    @property
-    def row_size(self) -> int:
-        return len(self.boundaries) - 1
-
-    def tau(self, t: float) -> int:
-        if t >= 1.0:
-            return self.row_size
-        if t <= 0.0:
-            return 0
-        return int(np.searchsorted(self.boundaries, t, side="right") - 1)
-
-
-def variance_time_change(spec: Rows, n: int) -> CheckpointSchedule:
-    """Checkpoints where the accumulated upper variance crosses fractions of
-    the row total; the target time change is the identity."""
-    sig = spec.upper_variances(n)
-    total = float(sig.sum())
-    if total <= 0.0:
-        raise DomainError("zero total variance")
-    boundaries = np.concatenate([[0.0], np.cumsum(sig) / total])
-    boundaries[-1] = 1.0
-    return CheckpointSchedule(boundaries)
-
-
-@dataclass
-class SeriesReport:
-    rows: list
-    trends: dict
-
-    @property
-    def all_trends_ok(self) -> bool:
-        return all(self.trends.values())
-
-
-def check_lindeberg(spec: Rows, eps_grid: Sequence[float]) -> SeriesReport:
-    """Row sums of clipped (conditional) second moments, per (n, eps)."""
-    if any(not eps > 0 for eps in eps_grid):
-        raise DomainError("eps must be positive")
-    rows = [{"n": n, "eps": float(eps), "value": value} for n in spec.schedule
-            for eps, value in zip(eps_grid, spec.lindeberg(n, eps_grid))]
-    trends = {float(eps): _non_increasing([r["value"] for r in rows if r["eps"] == float(eps)])
-              for eps in eps_grid}
-    return SeriesReport(rows, trends)
-
-
-def check_p_moments(spec: Rows, p: float) -> SeriesReport:
-    """Row sums of p-th absolute moments of the scaled variables (p > 2)."""
-    if p <= 2:
-        raise DomainError("p must exceed 2")
-    sq = _sq_norm(spec.dim)
-    rows = []
-    for n in spec.schedule:
-        scale = spec.row_scale(n)
-        f = lambda z: (scale * scale * sq(z)) ** (p / 2.0)
-        rows.append({"n": n, "p": float(p),
-                     "value": spec._run_sum(n, lambda law: expect_upper(law, f))})
-    return SeriesReport(rows, {float(p): _non_increasing([r["value"] for r in rows])})
-
-
-def check_moment_conditions(spec: Rows) -> SeriesReport:
-    """Row drift sums |E[X]| + |conjugate E[X]| and, for heterogeneous rows,
-    the running lower/upper variance ratio."""
-    rows = [{"n": n, "drift": spec.drift(n)} for n in spec.schedule]
-    trends = {"drift": _non_increasing([r["drift"] for r in rows])}
-    if isinstance(spec, HeterogeneousRows):
-        for row in rows:
-            row["ratio"] = spec.variance_ratio(row["n"])
-        if spec.r_target is not None:
-            trends["ratio"] = _non_increasing([abs(r["ratio"] - spec.r_target) for r in rows])
-    return SeriesReport(rows, trends)
-
-
-def quadratic_series(spec: Rows, A, t_grid: Sequence[float]) -> SeriesReport:
-    """Partial sums of (conditional) quadratic forms up to the checkpoint
-    floor(n*t), one value per (n, t); the target is G(A) * t."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    rows = [{"n": n, "t": float(t), "value": value} for n in spec.schedule
-            for t, value in zip(t_grid, spec.quadratic(n, A, t_grid))]
-    return SeriesReport(rows, {})
-
-
-def attach_condition_verdicts(report: ExperimentReport, spec: Rows,
-                              eps_grid: Sequence[float] = (0.1, 0.5)):
-    """Soft (trend) verdicts for the limit-theorem hypotheses: clipped second
-    moments falling, drift falling, quadratic characteristic approaching the
-    generator value, and the variance ratio approaching its target."""
-    lind = check_lindeberg(spec, eps_grid)
-    for eps in eps_grid:
-        series = [r["value"] for r in lind.rows if r["eps"] == float(eps)]
-        report.add_verdict(f"lindeberg[eps={eps:g}]", lind.trends[float(eps)],
-                           series[-1], "non-increasing row sums", hard=False)
-    mom = check_moment_conditions(spec)
-    report.add_verdict("drift", mom.trends["drift"], mom.rows[-1]["drift"],
-                       "non-increasing row sums", hard=False)
-    if isinstance(spec, HeterogeneousRows):
-        target = spec.r_target
-        ratio = mom.rows[-1]["ratio"]
-        ok = mom.trends.get("ratio", True)
-        detail = f"target {target!r}" if target is not None else "no target pinned"
-        report.add_verdict("ratio_r", ok, ratio, detail, hard=False)
-    G = spec.induced_gfunction()
-    d = spec.dim
-    probes = [np.eye(d), -np.eye(d)]
-    for A, tag in zip(probes, ("plus", "minus")):
-        target = g_eval(G, A)
-        series = quadratic_series(spec, A, [1.0])
-        ok = _non_increasing([abs(r["value"] - target) for r in series.rows])
-        report.add_verdict(f"quadratic[{tag}]", ok, series.rows[-1]["value"],
-                           f"target {target!r}", hard=False)
+def attach_condition_verdicts(report: ExperimentReport, spec: Rows):
+    """Soft (trend) verdicts for the limit-theorem hypotheses: a series is a
+    TREND while its distance to the target does not grow, and always when no
+    target is pinned; the statistic is its value at the longest row."""
+    for name, values, target, detail in spec.condition_series():
+        ok = target is None or _non_increasing([abs(v - target) for v in values])
+        report.add_verdict(name, ok, values[-1], detail, hard=False)
 
 
 def _gate_growth(phi: TestFunction, verified_moment: float):
@@ -394,11 +325,21 @@ def _gate_growth(phi: TestFunction, verified_moment: float):
     raise DomainError(f"unknown growth tag: {phi.growth}")
 
 
-def _add_final_gap(report: ExperimentReport, name: str, gaps: list,
-                   limit: PdeEstimate, gap_tolerance: float | None):
-    tol = gap_tolerance if gap_tolerance is not None else limit.error_bar + GAP_CONSTANT
-    report.add_verdict(f"final_gap[{name}]", gaps[-1] <= tol, gaps[-1],
-                       f"tolerance {tol:.3g}")
+def _run_schedule(report: ExperimentReport, spec: Rows, cases,
+                  gap_tolerance: float | None, **cells) -> ExperimentReport:
+    """For each (name, limit, prelimit) case, one row per row size n with the
+    gap between prelimit(n) and the limit, then the case's final-gap verdict;
+    then the condition verdicts of spec.  `cells` fill the remaining columns."""
+    for name, limit, prelimit in cases:
+        for n in spec.schedule:
+            value = prelimit(n)
+            gap = abs(value - limit.value)
+            report.add_row(n=n, functional=name, prelimit=value, limit=limit.value,
+                           gap=gap, error_bar=limit.error_bar, **cells)
+        tol = gap_tolerance if gap_tolerance is not None else limit.error_bar + GAP_CONSTANT
+        report.add_verdict(f"final_gap[{name}]", gap <= tol, gap, f"tolerance {tol:.3g}")
+    attach_condition_verdicts(report, spec)
+    return report
 
 
 def run_clt_experiment(spec: Rows, functionals: Sequence[TestFunction],
@@ -407,31 +348,23 @@ def run_clt_experiment(spec: Rows, functionals: Sequence[TestFunction],
                        ) -> ExperimentReport:
     """Exact DP value of each row functional against its G-normal limit."""
     G = spec.induced_gfunction()
-    report = ExperimentReport(
-        kind="clt",
-        columns=("n", "functional", "prelimit", "limit", "gap", "error_bar"),
-        provenance={"schedule": "/".join(str(n) for n in spec.schedule),
-                    "accuracy": accuracy, "mode": spec.label},
-    )
+    provenance = {"schedule": "/".join(str(n) for n in spec.schedule),
+                  "accuracy": accuracy, "mode": spec.label}
     dp_kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
     for phi in functionals:
         _gate_growth(phi, verified_moment)
     limits = gnormal_expect(G, functionals, horizon=1.0, accuracy=accuracy)
+    if limits:
+        provenance.update(solver_h=limits[0].spacing, solver_margin=limits[0].margin)
     scales = {n: spec.row_scale(n) for n in spec.schedule}
-    for phi, limit in zip(functionals, limits):
-        report.provenance.setdefault("solver_h", limit.spacing)
-        report.provenance.setdefault("solver_margin", limit.margin)
-        gaps = []
-        for n in spec.schedule:
-            prelimit = independent_sum_expect(spec.row_laws(n), phi, scale=scales[n],
-                                              **dp_kwargs)
-            gap = abs(prelimit - limit.value)
-            gaps.append(gap)
-            report.add_row(n=n, functional=phi.name or "phi", prelimit=prelimit,
-                           limit=limit.value, gap=gap, error_bar=limit.error_bar)
-        _add_final_gap(report, phi.name, gaps, limit, gap_tolerance)
-    attach_condition_verdicts(report, spec)
-    return report
+    cases = [(phi.name or "phi", limit,
+              lambda n, phi=phi: independent_sum_expect(spec.row_laws(n), phi,
+                                                        scale=scales[n], **dp_kwargs))
+             for phi, limit in zip(functionals, limits)]
+    report = ExperimentReport(
+        kind="clt", columns=("n", "functional", "prelimit", "limit", "gap", "error_bar"),
+        provenance=provenance)
+    return _run_schedule(report, spec, cases, gap_tolerance)
 
 
 def two_point_sum_expect(laws: Sequence[AmbiguitySet], k1: int, psi, scale: float,
@@ -501,20 +434,13 @@ def run_fdd_experiment(spec: Rows, times: Sequence[float], psi: TestFunction,
         provenance={"accuracy": accuracy, "mode": spec.label,
                     "solver_h": limit.spacing, "solver_margin": limit.margin},
     )
-    gaps = []
-    for n in spec.schedule:
-        sched = variance_time_change(spec, n)
-        k1, k2 = sched.tau(t1), sched.tau(t2)
-        prelimit = two_point_sum_expect(spec.row_laws(n)[:k2], k1, psi,
-                                        spec.row_scale(n))
-        gap = abs(prelimit - limit.value)
-        gaps.append(gap)
-        report.add_row(n=n, functional=psi.name or "psi", t1=t1, t2=t2,
-                       prelimit=prelimit, limit=limit.value, gap=gap,
-                       error_bar=limit.error_bar)
-    _add_final_gap(report, psi.name, gaps, limit, gap_tolerance)
-    attach_condition_verdicts(report, spec)
-    return report
+
+    def prelimit(n: int) -> float:
+        k1, k2 = spec.checkpoints(n, (t1, t2))
+        return two_point_sum_expect(spec.row_laws(n)[:k2], k1, psi, spec.row_scale(n))
+
+    return _run_schedule(report, spec, [(psi.name or "psi", limit, prelimit)],
+                         gap_tolerance, t1=t1, t2=t2)
 
 
 def default_probes(d: int) -> list:
@@ -537,21 +463,27 @@ class IidConditionReport:
     second_moment_stabilized: bool
 
 
+def check_tail_level(x: float):
+    """Reject a tail level at which x^2 * capacity(|X| >= x) is not a number."""
+    if not np.isfinite(x):
+        raise DomainError("tail level must be finite")
+
+
 def check_iid_necessary_conditions(X: AmbiguitySet, c_schedule: Sequence[float],
-                                   x_schedule: Sequence[float],
-                                   probes: Sequence[np.ndarray] | None = None,
-                                   ) -> IidConditionReport:
+                                   x_schedule: Sequence[float]) -> IidConditionReport:
     """The four one-law conditions behind the iid limit, evaluated exactly.
 
     (capped second moment, scaled tail capacity, truncated means, truncated
-    quadratic forms along probe matrices); the generator induced by the
-    largest truncation level is returned as a support-function object.
+    quadratic forms along the default probe matrices); the generator induced
+    by the largest truncation level is returned as a support-function object.
     """
     check_increasing(c_schedule, "c_schedule")
     check_increasing(x_schedule, "x_schedule")
+    for x in x_schedule:
+        check_tail_level(x)
     d = X.dim
     sq = _sq_norm(d)
-    probes = default_probes(d) if probes is None else [np.atleast_2d(p) for p in probes]
+    probes = default_probes(d)
 
     rows_i = [(float(c), expect_upper(X, lambda z, cc=c: np.minimum(sq(z), cc)))
               for c in c_schedule]
@@ -574,7 +506,7 @@ def check_iid_necessary_conditions(X: AmbiguitySet, c_schedule: Sequence[float],
     last, prev = [v for *_, v in rows_iv[-k:]], [v for *_, v in rows_iv[-2 * k:-k]]
     stabilized = all(abs(a - b) <= 1e-12 * max(1.0, abs(a)) for a, b in zip(last, prev))
     moment_gap = abs(rows_i[-1][1] - rows_i[-2][1]) if len(rows_i) > 1 else 0.0
-    return IidConditionReport(rows_i, rows_ii, rows_iii, rows_iv, list(probes),
+    return IidConditionReport(rows_i, rows_ii, rows_iii, rows_iv, probes,
                               induced, stabilized, moment_gap, moment_gap <= 1e-12)
 
 

@@ -221,6 +221,8 @@ def _build(kind: str, p: dict) -> dict:
     elif kind == "pde":
         if ("sigma_interval" in p) == ("theta" in p):
             raise ConfigError("params", "give either sigma_interval or theta")
+        with _at("params/horizon"):
+            pde.check_horizon(p.get("horizon", 1.0))
         if "theta" in p:
             with _at("params/theta"):
                 inputs["generator"] = pde.as_gfunction(GFunction.from_matrices(p["theta"]))
@@ -238,6 +240,9 @@ def _build(kind: str, p: dict) -> dict:
         for i, c in enumerate(p["c_schedule"]):
             with _at(f"params/c_schedule/{i}"):
                 truncation_box(family.lattice, c)
+        for i, x in enumerate(p["x_schedule"]):
+            with _at(f"params/x_schedule/{i}"):
+                cltlab.check_tail_level(x)
         inputs["rows"] = cltlab.IidRows(family, (p.get("estimate_n", 256),))
     return inputs
 
@@ -252,6 +257,8 @@ def build_family(fam: dict) -> AmbiguitySet:
             return symmetric_bernoulli_family([float(v) for v in fam["variances"]], step)
         lattice = LatticeSpec(1, step, (float(fam.get("origin", 0.0)),))
     support = np.asarray(fam["support"], dtype=float).reshape(-1, 1)
+    with _at("params/family/support"):
+        lattice.to_integer(support)
     members = []
     for i, probs in enumerate(fam["members"]):
         with _at(f"params/family/members/{i}"):

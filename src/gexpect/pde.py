@@ -329,6 +329,12 @@ def _two_grid(G: GFunction, horizon: float, half_width: float, nodes: int,
     return estimates
 
 
+def check_horizon(horizon: float):
+    """Reject a horizon the G-heat march cannot cover in finitely many steps."""
+    if not 0 < horizon < np.inf:
+        raise DomainError("horizon must be positive and finite")
+
+
 def gnormal_expect(G, phi, horizon: float = 1.0,
                    accuracy: str = "default") -> PdeEstimate | list[PdeEstimate]:
     """Upper expectation of phi under the G-normal law, as the origin value
@@ -343,8 +349,7 @@ def gnormal_expect(G, phi, horizon: float = 1.0,
     In 1-d their initial data share one march per grid.
     """
     G = as_gfunction(G)
-    if not horizon > 0:
-        raise DomainError("horizon must be positive")
+    check_horizon(horizon)
     nodes = _preset_nodes(NODES_1D if G.dimension == 1 else NODES_2D, accuracy)
     phis = [phi] if callable(phi) else list(phi)
     if not phis:

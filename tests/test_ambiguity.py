@@ -592,6 +592,13 @@ def test_off_lattice_support_rejected():
         AmbiguitySet(lat, [dist])
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_point_rejected_by_lattice(value):
+    lat = LatticeSpec(1, 1.0, (0.0,))
+    with pytest.raises(DomainError, match="non-finite point"):
+        lat.to_integer(np.array([[0.0], [value]]))
+
+
 def test_empty_members_rejected():
     with pytest.raises(DomainError, match="at least one member"):
         AmbiguitySet(LatticeSpec(1, 1.0, (0.0,)), [])

@@ -244,6 +244,10 @@ REJECTIONS = [
     (with_params("pde", sigma_interval=[1.0, 0.5]), "params/sigma_interval"),
     (with_params("pde", sigma_interval=[0.0, 0.0]), "params/sigma_interval"),
     (with_params("pde", sigma_interval=None, theta=[[[0.0]]]), "params/theta"),
+    (with_params("clt", family=explicit([float("nan"), 0.0, 1.0], [0.25, 0.5, 0.25])),
+     "params/family/support"),
+    (with_params("pde", horizon=float("inf")), "params/horizon"),
+    (with_params("iid-conditions", x_schedule=[1.0, float("inf")]), "params/x_schedule/1"),
 ]
 
 
@@ -252,7 +256,7 @@ REJECTIONS = [
     "support_off_lattice", "support_repeated", "c_off_lattice", "c_infinite",
     "variance_above_one", "zero_variance", "origin_nan", "member_length", "member_sum",
     "schedule_order", "times_order", "c_order", "x_order", "interval_order",
-    "interval_zero", "theta_zero"])
+    "interval_zero", "theta_zero", "support_nan", "horizon_infinite", "x_infinite"])
 def test_config_rejected_at_load_with_field_path(doc, path):
     with pytest.raises(ConfigError) as info:
         parse_config(doc)
@@ -264,6 +268,13 @@ def test_off_lattice_support_exits_two_with_path(tmp_path, capsys):
     code = main(["--config", write_config(tmp_path, doc), "--out", str(tmp_path)])
     assert code == 2
     assert "config rejected at params/family/support:" in capsys.readouterr().err
+
+
+def test_infinite_horizon_exits_two_with_path(tmp_path, capsys):
+    doc = with_params("pde", horizon=float("inf"))
+    code = main(["--config", write_config(tmp_path, doc), "--out", str(tmp_path)])
+    assert code == 2
+    assert "config rejected at params/horizon:" in capsys.readouterr().err
 
 
 def test_every_config_kind_has_a_runner():

@@ -11,14 +11,13 @@ from scipy import integrate
 
 from gexpect import (AmbiguitySet, DiscreteDistribution, DomainError, HeterogeneousRows,
                      IidRows, LatticeSpec, TreeRows, check_iid_necessary_conditions,
-                     check_lindeberg, check_moment_conditions, check_p_moments,
                      estimate_limit_G, g_eval, iid_level_tree, iid_sum_expect,
-                     nested_expect, nested_product, quadratic_series, run_clt_experiment,
-                     run_fdd_experiment, symmetric_bernoulli_family, two_point_sum_expect,
-                     variance_time_change)
+                     nested_expect, nested_product, run_clt_experiment,
+                     run_fdd_experiment, symmetric_bernoulli_family, two_point_sum_expect)
 from gexpect import ambiguity
-from gexpect.cltlab import CheckpointSchedule, check_p_moments as _cpm
+from gexpect.cltlab import _non_increasing, attach_condition_verdicts
 from gexpect.functionals import get, get_pair
+from gexpect.reporting import ExperimentReport
 
 B = symmetric_bernoulli_family((0.5, 1.0))
 IID = IidRows(B, (16, 64, 256))
@@ -112,6 +111,18 @@ def random_lattice_laws(rng, n):
     return [pool[i] for i in rng.integers(3, size=n)]
 
 
+def series(spec):
+    """Values of each condition series of spec, by verdict name."""
+    return {name: values for name, values, _, _ in spec.condition_series()}
+
+
+def trends(spec):
+    """Pass flag of each condition trend of spec, by verdict name."""
+    report = ExperimentReport("clt", ("n",))
+    attach_condition_verdicts(report, spec)
+    return {v.name: v.passed for v in report.verdicts}
+
+
 def scan_time_change(variances, t):
     """Direct scan of the defining inequality for the checkpoint function."""
     prefix = np.concatenate([[0.0], np.cumsum(variances)])
@@ -128,11 +139,9 @@ def scan_time_change(variances, t):
 # ----------------------------------------------------------- condition checks
 
 def test_lindeberg_iid_rows_vanish_beyond_eps():
-    rep = check_lindeberg(IidRows(B, (16, 64, 256)), [0.1])
-    for row in rep.rows:
-        if row["n"] >= 16:
-            assert row["value"] == 0.0
-    assert rep.all_trends_ok
+    spec = IidRows(B, (16, 64, 256))
+    assert series(spec)["lindeberg[eps=0.1]"] == [0.0, 0.0, 0.0]
+    assert all(trends(spec).values())
 
 
 def test_lindeberg_persistent_macroscopic_jump():
@@ -143,32 +152,34 @@ def test_lindeberg_persistent_macroscopic_jump():
                                                    np.array([0.5, 0.5]))])
     laws = tuple([jump] + [B] * 63)
     spec = HeterogeneousRows(laws, (16, 64))
-    rep = check_lindeberg(spec, [0.25])
-    for row in rep.rows:
-        scaled_jump_sq = 256.0 / (256.0 + row["n"] - 1)
-        assert row["value"] >= scaled_jump_sq - 0.25 - 1e-12
-        assert row["value"] >= 0.5
+    for n in spec.schedule:
+        value, = spec.lindeberg(n, [0.25])
+        scaled_jump_sq = 256.0 / (256.0 + n - 1)
+        assert value >= scaled_jump_sq - 0.25 - 1e-12
+        assert value >= 0.5
 
 
 def test_p_moment_variant_rate():
-    rep = check_p_moments(IID, p=3.0)
-    for row in rep.rows:
-        n = row["n"]
-        assert row["value"] == pytest.approx(n ** -0.5, abs=1e-12)
-    assert rep.all_trends_ok
+    values = [IID.p_moment(n, 3.0) for n in IID.schedule]
+    for n, value in zip(IID.schedule, values):
+        assert value == pytest.approx(n ** -0.5, abs=1e-12)
+    assert _non_increasing(values)
+
+
+def test_p_moment_rejects_p_up_to_two():
+    with pytest.raises(DomainError, match="p must exceed 2"):
+        IID.p_moment(16, 2.0)
 
 
 def test_drift_zero_for_symmetric_family():
-    rep = check_moment_conditions(IID)
-    assert all(row["drift"] == pytest.approx(0.0, abs=1e-12) for row in rep.rows)
+    assert all(v == pytest.approx(0.0, abs=1e-12) for v in series(IID)["drift"])
 
 
 def test_ratio_alternating_variances():
     laws = tuple(symmetric_bernoulli_family((0.5, 1.0)) for _ in range(64))
     spec = HeterogeneousRows(laws, (16, 64), r_target=0.5)
-    rep = check_moment_conditions(spec)
-    for row in rep.rows:
-        assert row["ratio"] == pytest.approx(0.5, abs=1e-12)
+    for ratio in series(spec)["ratio_r"]:
+        assert ratio == pytest.approx(0.5, abs=1e-12)
 
 
 def test_ratio_even_odd_blocks_tend_to_half():
@@ -179,13 +190,12 @@ def test_ratio_even_odd_blocks_tend_to_half():
         else:
             laws.append(symmetric_bernoulli_family((0.0, 1.0)))  # lower = 0
     spec = HeterogeneousRows(tuple(laws), (7, 31, 127), r_target=0.5)
-    rep = check_moment_conditions(spec)
-    for row in rep.rows:
-        n = row["n"]
-        assert row["ratio"] == pytest.approx(np.ceil(n / 2) / n, abs=1e-12)
-    gaps = [abs(row["ratio"] - 0.5) for row in rep.rows]
+    ratios = series(spec)["ratio_r"]
+    for n, ratio in zip(spec.schedule, ratios):
+        assert ratio == pytest.approx(np.ceil(n / 2) / n, abs=1e-12)
+    gaps = [abs(ratio - 0.5) for ratio in ratios]
     assert gaps == sorted(gaps, reverse=True)
-    assert rep.trends["ratio"]
+    assert trends(spec)["ratio_r"]
 
 
 def test_tree_martingale_mode_series(bernoulli):
@@ -193,21 +203,19 @@ def test_tree_martingale_mode_series(bernoulli):
                   for n in (2, 3, 4))
     spec = TreeRows(trees)
     assert spec.schedule == (2, 3, 4)
-    lind = check_lindeberg(spec, [0.6])
-    assert all(row["value"] == 0.0 for row in lind.rows)  # |Z|^2 <= 1/2 < eps
-    drift = check_moment_conditions(spec)
-    assert all(row["drift"] == pytest.approx(0.0, abs=1e-12) for row in drift.rows)
-    quad = quadratic_series(spec, [[1.0]], [0.5, 1.0])
-    for row in quad.rows:
-        expected = np.floor(row["n"] * row["t"]) / row["n"]  # G(1) = 1, rho(t) = t
-        assert row["value"] == pytest.approx(expected, abs=1e-12)
+    assert all(spec.lindeberg(n, [0.6]) == [0.0] for n in spec.schedule)  # |Z|^2 <= 1/2 < eps
+    assert all(spec.drift(n) == pytest.approx(0.0, abs=1e-12) for n in spec.schedule)
+    for n in spec.schedule:
+        for t, value in zip((0.5, 1.0), spec.quadratic(n, np.array([[1.0]]), [0.5, 1.0])):
+            expected = np.floor(n * t) / n  # G(1) = 1, rho(t) = t
+            assert value == pytest.approx(expected, abs=1e-12)
 
 
 def test_quadratic_series_iid_matches_closed_form():
-    quad = quadratic_series(IID, [[-1.0]], [0.25, 1.0])
-    for row in quad.rows:
-        expected = -0.5 * np.floor(row["n"] * row["t"]) / row["n"]
-        assert row["value"] == pytest.approx(expected, abs=1e-12)
+    for n in IID.schedule:
+        for t, value in zip((0.25, 1.0), IID.quadratic(n, np.array([[-1.0]]), [0.25, 1.0])):
+            expected = -0.5 * np.floor(n * t) / n
+            assert value == pytest.approx(expected, abs=1e-12)
 
 
 def test_tree_mode_rejected_by_sum_experiments(bernoulli):
@@ -226,8 +234,7 @@ def test_heterogeneous_ratio_pipeline_end_to_end():
         top = 1.0 if k % 2 == 0 else 0.5
         laws.append(symmetric_bernoulli_family((0.5 * top, top)))
     spec = HeterogeneousRows(tuple(laws), (16, 64, 256), r_target=0.5)
-    mom = check_moment_conditions(spec)
-    assert all(row["ratio"] == pytest.approx(0.5, abs=1e-12) for row in mom.rows)
+    assert all(r == pytest.approx(0.5, abs=1e-12) for r in series(spec)["ratio_r"])
     report = run_clt_experiment(spec, [get("positive_part")], accuracy="default")
     assert report.rows[-1]["gap"] <= 0.02
     assert report.rows[-1]["limit"] == pytest.approx(HALF_NORMAL, abs=0.005)
@@ -240,19 +247,18 @@ def test_iid_and_heterogeneous_rows_agree_at_unit_upper_variance():
     """B's upper variance is exactly 1, so both kinds scale row n by 1/sqrt(n)."""
     het = HeterogeneousRows((B,) * 64, (4, 16, 64))
     iid = IidRows(B, (4, 16, 64))
-    for stat, key in ((lambda s: check_lindeberg(s, [0.1, 0.5]), "value"),
-                      (lambda s: check_p_moments(s, 3.0), "value"),
-                      (check_moment_conditions, "drift"),
-                      (lambda s: quadratic_series(s, [[1.0]], [0.25, 0.5, 1.0]), "value"),
-                      (lambda s: quadratic_series(s, [[-1.0]], [0.3, 1.0]), "value")):
-        het_rows, iid_rows = stat(het).rows, stat(iid).rows
-        assert [r["n"] for r in het_rows] == [r["n"] for r in iid_rows]
-        for a, b in zip(het_rows, iid_rows):
-            assert a[key] == pytest.approx(b[key], abs=1e-12)
-    assert check_lindeberg(iid, [0.1]).rows[0]["value"] > 0.0  # 4 * (1/4 - 0.1)
+    assert het.schedule == iid.schedule
+    for stat in (lambda s, n: s.lindeberg(n, [0.1, 0.5]),
+                 lambda s, n: [s.p_moment(n, 3.0)],
+                 lambda s, n: [s.drift(n)],
+                 lambda s, n: s.quadratic(n, np.array([[1.0]]), [0.25, 0.5, 1.0]),
+                 lambda s, n: s.quadratic(n, np.array([[-1.0]]), [0.3, 1.0])):
+        for n in iid.schedule:
+            np.testing.assert_allclose(stat(het, n), stat(iid, n), rtol=0, atol=1e-12)
+    assert iid.lindeberg(4, [0.1])[0] > 0.0  # 4 * (1/4 - 0.1)
+    t_grid = np.linspace(0.0, 1.0, 129)
     for n in (4, 16, 64):
-        np.testing.assert_allclose(variance_time_change(het, n).boundaries,
-                                   variance_time_change(iid, n).boundaries, rtol=0, atol=1e-12)
+        assert het.checkpoints(n, t_grid) == iid.checkpoints(n, t_grid)
 
 
 @pytest.mark.parametrize("make, message", [
@@ -279,8 +285,8 @@ TREE_ROWS = TreeRows((iid_level_tree(B, 2), iid_level_tree(B, 3)))
     lambda: run_clt_experiment(TREE_ROWS, [get("square")], accuracy="fast"),
     lambda: run_fdd_experiment(TREE_ROWS, (0.5, 1.0), get_pair("increment"), accuracy="fast"),
     lambda: estimate_limit_G(TREE_ROWS, [[1.0]], 1.0, 2),
-    lambda: check_p_moments(TREE_ROWS, 3.0),
-    lambda: variance_time_change(TREE_ROWS, 2),
+    lambda: TREE_ROWS.p_moment(2, 3.0),
+    lambda: TREE_ROWS.checkpoints(2, [0.5]),
     lambda: TREE_ROWS.row_laws(2),
     lambda: TREE_ROWS.upper_variances(2),
     lambda: TREE_ROWS.lower_variances(2),
@@ -295,15 +301,13 @@ def test_tree_rows_rejected_by_law_only_paths(call):
 
 def test_time_change_uniform_boundary():
     spec = IidRows(B, (4,))
-    sched = variance_time_change(spec, 4)
-    assert sched.tau(0.5) == 2
-    assert sched.tau(0.0) == 0 and sched.tau(1.0) == 4
+    assert spec.checkpoints(4, [0.5]) == [2]
+    assert spec.checkpoints(4, [0.0, 1.0]) == [0, 4]
 
 
 def test_time_change_endpoints_always_pinned():
     for n in (1, 5, 17):
-        sched = variance_time_change(IidRows(B, (n,)), n)
-        assert sched.tau(0.0) == 0 and sched.tau(1.0) == n
+        assert IidRows(B, (n,)).checkpoints(n, [0.0, 1.0]) == [0, n]
 
 
 def test_time_change_geometric_matches_scan():
@@ -312,9 +316,8 @@ def test_time_change_geometric_matches_scan():
     variances = [0.5 ** k for k in range(8)]
     # family variance = upper variance = 2^-k exactly
     spec = HeterogeneousRows(laws, (8,))
-    sched = variance_time_change(spec, 8)
-    for t in np.linspace(0, 1, 97):
-        assert sched.tau(float(t)) == scan_time_change(variances, float(t))
+    t_grid = [float(t) for t in np.linspace(0, 1, 97)]
+    assert spec.checkpoints(8, t_grid) == [scan_time_change(variances, t) for t in t_grid]
 
 
 def test_time_change_zero_total_variance():
@@ -322,12 +325,7 @@ def test_time_change_zero_total_variance():
 
     spec = IidRows(point_mass(0.0), (4,))
     with pytest.raises(DomainError, match="zero total variance"):
-        variance_time_change(spec, 4)
-
-
-def test_checkpoint_schedule_validates_monotonicity():
-    with pytest.raises(DomainError):
-        CheckpointSchedule(np.array([0.0, 0.7, 0.4, 1.0]))
+        spec.checkpoints(4, [0.5])
 
 
 # ------------------------------------------------------------ clt experiment
@@ -383,8 +381,7 @@ def test_clt_growth_gate_rejects_unverified_power():
     cubic = TestFunction(lambda s: s ** 3, growth="power", exponent=3.0, name="cubic")
     with pytest.raises(DomainError, match="verified moment"):
         run_clt_experiment(IID, [cubic], accuracy="fast")
-    rep = check_p_moments(IID, p=3.0)
-    assert rep.all_trends_ok
+    assert _non_increasing([IID.p_moment(n, 3.0) for n in IID.schedule])
     report = run_clt_experiment(IidRows(B, (4, 16)), [cubic],
                                 accuracy="fast", verified_moment=3.0)
     assert len(report.rows) == 2
@@ -472,8 +469,7 @@ def test_fdd_increment_stationarity():
     psi = get_pair("increment_square")
     a = two_point_sum_expect([B] * 256, 64, psi, 1 / 16)
     b = two_point_sum_expect([B] * 256, 0, psi, 1 / 16)
-    sched = variance_time_change(IidRows(B, (256,)), 256)
-    k1 = sched.tau(0.25)
+    k1, = IidRows(B, (256,)).checkpoints(256, [0.25])
     short = two_point_sum_expect([B] * (k1 + 192), k1, psi, 1 / 16)
     assert a == pytest.approx(short, abs=1e-12)  # both spans cover 192 steps
     assert b == pytest.approx(1.0, abs=1e-12)
@@ -531,6 +527,11 @@ def test_iid_conditions_call_each_functional_once(bernoulli):
     assert calls == [(3,)] * 5
 
 
+def test_iid_conditions_reject_non_finite_tail_level(bernoulli):
+    with pytest.raises(DomainError, match="tail level must be finite"):
+        check_iid_necessary_conditions(bernoulli, [1.0, 2.0], [1.0, math.inf])
+
+
 def test_iid_conditions_point_mass():
     from gexpect import point_mass
 
@@ -583,6 +584,18 @@ def test_clt_report_carries_condition_verdicts():
     assert quad["quadratic[minus]"].statistic == pytest.approx(-0.5, abs=1e-12)
 
 
+def test_unnamed_functional_verdict_named_like_its_rows():
+    from gexpect import TestFunction
+
+    square = TestFunction(lambda s: s * s, growth="quadratic")
+    pair = TestFunction(lambda a, b: (b - a) ** 2, growth="quadratic", arity=2)
+    spec = IidRows(B, (4, 8))
+    for report, name in ((run_clt_experiment(spec, [square], accuracy="fast"), "phi"),
+                         (run_fdd_experiment(spec, (0.5, 1.0), pair, accuracy="fast"), "psi")):
+        assert {row["functional"] for row in report.rows} == {name}
+        assert report.verdicts[0].name == f"final_gap[{name}]"
+
+
 def test_soft_verdicts_never_fail_a_report():
     from gexpect.reporting import ExperimentReport
 
@@ -592,6 +605,43 @@ def test_soft_verdicts_never_fail_a_report():
     assert "TREND?" in rep.summary_text()
     rep.add_verdict("bound", False, 1.0)
     assert not rep.hard_pass
+
+
+def pinned_condition_rows():
+    """Row kinds whose condition verdicts are not all 0.0 or exact, by id."""
+    # lower/upper variance ratio 0.5 over the first 16 steps, 0.3 over 64
+    alternating = tuple(symmetric_bernoulli_family((0.5 * top, top))
+                        for top in (1.0, 0.5) * 8)
+    alternating += (symmetric_bernoulli_family((0.25, 1.0)),) * 48
+    lat = LatticeSpec(1, 1.0, (0.0,))
+    jump = AmbiguitySet(lat, [DiscreteDistribution(np.array([[-4.0], [4.0]]), [0.5, 0.5])])
+    skew_support = np.array([[-1.0], [0.0], [2.0]])
+    skewed = AmbiguitySet(lat, [DiscreteDistribution(skew_support, [0.5, 0.25, 0.25]),
+                                DiscreteDistribution(skew_support, [0.4, 0.3, 0.3])])
+    return {
+        "heterogeneous_target": HeterogeneousRows(alternating, (16, 64), r_target=0.5),
+        "heterogeneous_no_target": HeterogeneousRows(alternating, (16, 64)),
+        "heterogeneous_jump": HeterogeneousRows((jump,) + (B,) * 63, (16, 64)),
+        "iid_skewed": IidRows(skewed, (4, 16)),
+    }
+
+
+def test_condition_summaries_pinned():
+    """Full clt and fdd summaries of heterogeneous rows (with and without a
+    ratio target, and with a macroscopic first jump) and of a skewed iid
+    family whose drift trend fails, equal the recorded text byte for byte."""
+    import json
+    import pathlib
+
+    path = pathlib.Path(__file__).parent / "fixtures" / "condition_summaries.json"
+    pinned = json.loads(path.read_text())
+    got = {}
+    for name, spec in pinned_condition_rows().items():
+        got[f"clt/{name}"] = run_clt_experiment(
+            spec, [get("positive_part"), get("sin")], accuracy="fast").summary_text()
+        got[f"fdd/{name}"] = run_fdd_experiment(
+            spec, (0.5, 1.0), get_pair("increment_square"), accuracy="fast").summary_text()
+    assert got == pinned
 
 
 def test_report_gap_trend_marked_in_rows(flagship_limits):

@@ -390,6 +390,12 @@ def test_2d_gnormal_and_fdd_estimates_pinned():
             PINNED[name], name
 
 
+@pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0])
+def test_horizon_not_positive_and_finite_rejected(horizon):
+    with pytest.raises(DomainError, match="horizon must be positive and finite"):
+        gnormal_expect(SI, np.sin, horizon=horizon, accuracy="fast")
+
+
 def test_unknown_accuracy_preset_rejected():
     with pytest.raises(DomainError, match="unknown accuracy 'ultra'; presets are fast"):
         gnormal_expect(SI, np.sin, accuracy="ultra")

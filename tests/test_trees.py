@@ -496,8 +496,9 @@ TREE_DOC = ("tree v1 depth=1 dim=1 step=1.0 origin=0.0\n"
     (TREE_DOC + "members 7 0.5,0.5\n", "node 7: members line for a leaf or unlisted node"),
     (TREE_DOC + "members 1 1.0\n", "node 1: members line for a leaf or unlisted node"),
     (TREE_DOC.replace("inc -1.0", "inc -1.0,0.0"), "unrecognised line: node 2 parent 0 inc -1.0,0.0$"),
+    (TREE_DOC.replace("inc -1.0", "inc nan"), "non-finite point"),
 ], ids=["too_deep", "parent_after_child", "no_members", "no_inc", "empty", "header",
-        "repeated_node", "stray_members", "leaf_members", "increment_length"])
+        "repeated_node", "stray_members", "leaf_members", "increment_length", "increment_nan"])
 def test_tree_document_rejects(text, match):
     assert tree_to_text(tree_from_text(TREE_DOC)) == TREE_DOC
     with pytest.raises(DomainError, match=match):
