@@ -261,11 +261,10 @@ def truncation_box(lattice: LatticeSpec, c: float) -> np.ndarray:
     """Integer corners (lower, upper) of the clamp box [-c, c]^d, c > 0, on the lattice."""
     if not 0 < c < np.inf:
         raise DomainError("truncation level must be positive and finite")
-    q = (np.array([[-c], [c]], dtype=float) - np.asarray(lattice.origin)) / lattice.step
-    r = np.rint(q)
-    if np.any(np.abs(q - r) > LATTICE_RTOL * np.maximum(1.0, np.abs(q))):
-        raise DomainError("truncation off-lattice")
-    return r.astype(np.int64)
+    try:
+        return lattice.to_integer(np.outer([-c, c], np.ones(lattice.dimension)))
+    except DomainError:
+        raise DomainError("truncation off-lattice") from None
 
 
 def truncate(X: AmbiguitySet, c: float) -> AmbiguitySet:
@@ -319,15 +318,6 @@ def _shared_lattice(laws: Sequence[AmbiguitySet]) -> LatticeSpec:
     return lat
 
 
-def _positive_rows(law: AmbiguitySet):
-    """(coords, probs) per member, restricted to positive-probability points."""
-    rows = []
-    for i, dist in enumerate(law.members):
-        keep = dist.probs > 0.0
-        rows.append((law.member_coords(i)[keep], dist.probs[keep]))
-    return rows
-
-
 @dataclass(frozen=True)
 class _SumStep:
     """One law as a step of the backward sum DP, in Python ints and floats.
@@ -351,7 +341,10 @@ def _sum_steps(laws: Sequence[AmbiguitySet]) -> list:
     for law in laws:
         step = resolved.get(id(law))
         if step is None:
-            rows = _positive_rows(law)
+            rows = []
+            for i, dist in enumerate(law.members):
+                keep = dist.probs > 0.0
+                rows.append((law.member_coords(i)[keep], dist.probs[keep]))
             zmin = np.min([coords.min(axis=0) for coords, _ in rows], axis=0)
             zmax = np.max([coords.max(axis=0) for coords, _ in rows], axis=0)
             index = {}
@@ -364,6 +357,26 @@ def _sum_steps(laws: Sequence[AmbiguitySet]) -> list:
                                                tuple(int(c) for c in zmax))
         steps.append(step)
     return steps
+
+
+def _level_boxes(steps: Sequence[_SumStep]) -> tuple[list, list]:
+    """Corner lo_k and shape of the partial-sum box at each level k = 0..n:
+    S_k lies in [lo_k, lo_k + shape_k - 1] on every axis."""
+    lo = [(0,) * len(steps[0].zmin)]
+    shapes = [(1,) * len(steps[0].zmin)]
+    for step in steps:
+        lo.append(tuple(a + b for a, b in zip(lo[-1], step.zmin)))
+        shapes.append(tuple(w + b - a for w, a, b in zip(shapes[-1], step.zmin, step.zmax)))
+    return lo, shapes
+
+
+def _positions(lat: LatticeSpec, level: int, lo: tuple, shape: tuple,
+               scale: float) -> np.ndarray:
+    """Points scale * (level * origin + step * s) of the level box with corner
+    lo and `shape`: the box's shape, then the coordinates on the last axis."""
+    axes = [np.arange(l, l + w, dtype=float) for l, w in zip(lo, shape)]
+    coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return scale * (level * np.asarray(lat.origin) + lat.step * coords)
 
 
 def _backward_sum(v: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
@@ -428,27 +441,15 @@ def independent_sum_expect(laws: Sequence[AmbiguitySet], g, scale: float = 1.0,
     if not scale > 0:
         raise DomainError("scale must be positive")
     lat = _shared_lattice(laws)
-    d = lat.dimension
     n = len(laws)
 
     steps = _sum_steps(laws)
-    lo = [(0,) * d]
-    hi = [(0,) * d]
-    for step in steps:
-        lo.append(tuple(a + b for a, b in zip(lo[-1], step.zmin)))
-        hi.append(tuple(a + b for a, b in zip(hi[-1], step.zmax)))
-    shapes = [tuple(h - l + 1 for l, h in zip(lk, hk)) for lk, hk in zip(lo, hi)]
+    lo, shapes = _level_boxes(steps)
     size = math.prod(shapes[n])
     if size > max_nodes:
         raise ResourceCapError(f"lattice blowup: {size} sum nodes at level {n}")
 
-    axes = [np.arange(l, h + 1, dtype=float) for l, h in zip(lo[n], hi[n])]
-    if d == 1:
-        pts = scale * (n * lat.origin[0] + lat.step * axes[0])[:, None]
-    else:
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        pts = scale * (mesh * lat.step + n * np.asarray(lat.origin))
-    v = evaluate(g, pts)
+    v = evaluate(g, _positions(lat, n, lo[n], shapes[n], scale))
     v = _backward_sum(v, [(steps[k - 1], shapes[k - 1]) for k in range(n, 0, -1)])
     return float(v.reshape(-1)[0])
 
@@ -463,47 +464,38 @@ def iid_sum_expect(X: AmbiguitySet, n: int, g, scale: float = 1.0,
 
 def running_max_expect(X: AmbiguitySet, n: int, scale: float = 1.0,
                        max_states: int = DEFAULT_MAX_STATES) -> float:
-    """Exact E[max_{i<=n} |scale * S_i|] by DP on (sum, running max) states."""
+    """Exact E[max_{i<=n} |scale * S_i|] by the backward sum DP on (peak, sum) arrays.
+
+    The batch axis runs over `peaks`, the distinct values of |scale * S_i| in
+    any level box, in ascending order.  Entry (b, s) of the level-k array is
+    the value of the state with sum s and running maximum max(peaks[b],
+    |scale * S_k|).  One _backward_sum step gives each entry the value for
+    running maximum peaks[b]; row max(b, rank of |scale * S_{k-1}|) then
+    takes the level-(k-1) position in.  Rounding is monotone, so scaling each
+    position before the maxima gives the values of scaling the maximum.
+    `max_states` caps the cells of one level array, peaks x level-n sums.
+    """
     if X.dim != 1:
         raise DomainError("1-d only")
     if n < 1:
         raise DomainError("n must be >= 1")
     if not scale > 0:
         raise DomainError("scale must be positive")
-    lat = X.lattice
-    rows = _positive_rows(X)
-
-    def phys(level: int, s: int) -> float:
-        return level * lat.origin[0] + s * lat.step
-
-    levels: list[set] = [{(0, 0.0)}]
-    total = 1
-    for k in range(1, n + 1):
-        nxt = set()
-        for s, m in levels[-1]:
-            for coords, _ in rows:
-                for z in coords[:, 0]:
-                    s2 = s + int(z)
-                    nxt.add((s2, max(m, abs(phys(k, s2)))))
-        total += len(nxt)
-        if total > max_states:
-            raise ResourceCapError(f"state blowup: {total} states at level {k}")
-        levels.append(nxt)
-
-    values = {st: scale * st[1] for st in levels[n]}
-    for k in range(n - 1, -1, -1):
-        prev = {}
-        for s, m in levels[k]:
-            best = None
-            for coords, probs in rows:
-                acc = 0.0
-                for z, p in zip(coords[:, 0], probs):
-                    s2 = s + int(z)
-                    acc += p * values[(s2, max(m, abs(phys(k + 1, s2))))]
-                best = acc if best is None else max(best, acc)
-            prev[(s, m)] = best
-        values = prev
-    return values[(0, 0.0)]
+    steps = _sum_steps([X] * n)
+    lo, shapes = _level_boxes(steps)
+    heights = [np.abs(_positions(X.lattice, k, lo[k], shapes[k], scale)[:, 0])
+               for k in range(n + 1)]
+    peaks = np.unique(np.concatenate(heights))
+    cells = len(peaks) * shapes[n][0]
+    if cells > max_states:
+        raise ResourceCapError(f"state blowup: {cells} (peak, sum) states at level {n}")
+    rows = np.arange(len(peaks))[:, None]
+    v = np.maximum(peaks[:, None], heights[n])
+    for k in range(n, 0, -1):
+        v = _backward_sum(v, [(steps[k - 1], shapes[k - 1])])
+        v = np.take_along_axis(v, np.maximum(rows, np.searchsorted(peaks, heights[k - 1])),
+                               axis=0)
+    return float(v[0, 0])
 
 
 def symmetric_bernoulli_family(variances: Sequence[float], step: float = 1.0) -> AmbiguitySet:

@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .ambiguity import (AmbiguitySet, TestFunction, _backward_sum, _shared_lattice,
-                        _sum_steps, capacity_upper, evaluate, expect_lower, expect_upper,
-                        independent_sum_expect, truncate)
+from .ambiguity import (AmbiguitySet, TestFunction, _backward_sum, _level_boxes, _positions,
+                        _shared_lattice, _sum_steps, capacity_upper, evaluate, expect_lower,
+                        expect_upper, independent_sum_expect, truncate)
 from .errors import DomainError, ResourceCapError
 from .gfunc import GFunction, g_eval
 from .pde import gbm_fdd_expect, gnormal_expect
@@ -63,6 +63,10 @@ def _interval_generator(r: float) -> GFunction:
     return GFunction.from_matrices([np.array([[r]]), np.array([[1.0]])])
 
 
+def _target_detail(target) -> str:
+    return "no target pinned" if target is None else f"target {target!r}"
+
+
 def _non_increasing(series) -> bool:
     """The soft trend test: no value above the one before it by more than 1e-12."""
     return all(b <= a + 1e-12 for a, b in zip(series, series[1:]))
@@ -99,7 +103,8 @@ class Rows:
     its accumulated upper variance and its limit generator is the matching
     variance-ratio interval; iid rows replace both.  TreeRows has no runs,
     so `runs` is where every law-only path rejects it; it replaces the three
-    statistics that run through its conditional operators instead.
+    statistics that run through its conditional operators instead, and pins
+    no target for the quadratic characteristic.
     `condition_series` lists the hypothesis trends a report prints; a row
     kind with a hypothesis of its own extends it.
     """
@@ -183,19 +188,24 @@ class Rows:
     def condition_series(self) -> list:
         """The limit-theorem hypotheses as (name, values, target, detail), one
         value per row size: Lindeberg at each eps and drift, both falling to 0,
-        then the quadratic characteristic at +-I against G(+-I)."""
+        then the quadratic characteristic at +-I against G(+-I) (no target
+        where the rows induce no G)."""
         lind = [self.lindeberg(n, LINDEBERG_EPS) for n in self.schedule]
         out = [(f"lindeberg[eps={eps:g}]", [row[i] for row in lind], 0.0,
                 "non-increasing row sums") for i, eps in enumerate(LINDEBERG_EPS)]
         out.append(("drift", [self.drift(n) for n in self.schedule], 0.0,
                     "non-increasing row sums"))
-        G, I = self.induced_gfunction(), np.eye(self.dim)
-        for A, tag in ((I, "plus"), (-I, "minus")):
-            target = g_eval(G, A)
+        I = np.eye(self.dim)
+        for A, tag, target in zip((I, -I), ("plus", "minus"), self._quadratic_targets()):
             out.append((f"quadratic[{tag}]", [self.quadratic(n, A, [1.0])[0]
                                               for n in self.schedule],
-                        target, f"target {target!r}"))
+                        target, _target_detail(target)))
         return out
+
+    def _quadratic_targets(self) -> list:
+        """G(I) and G(-I) for the induced generator G."""
+        G, I = self.induced_gfunction(), np.eye(self.dim)
+        return [g_eval(G, I), g_eval(G, -I)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,10 +266,8 @@ class HeterogeneousRows(Rows):
         """The common series, with the running lower/upper variance ratio
         against r_target before the two quadratic entries."""
         out = super().condition_series()
-        target = self.r_target
-        detail = f"target {target!r}" if target is not None else "no target pinned"
         out[-2:-2] = [("ratio_r", [self.variance_ratio(n) for n in self.schedule],
-                       target, detail)]
+                       self.r_target, _target_detail(self.r_target))]
         return out
 
 
@@ -300,6 +308,10 @@ class TreeRows(Rows):
         tree, Z = self._row(n)
         return [quadratic_characteristic(tree, Z, A, min(n, int(np.floor(n * float(t)))))
                 for t in t_grid]
+
+    def _quadratic_targets(self) -> list:
+        """None and None: the rows carry no law to induce a generator from."""
+        return [None, None]
 
 
 def attach_condition_verdicts(report: ExperimentReport, spec: Rows):
@@ -389,32 +401,21 @@ def two_point_sum_expect(laws: Sequence[AmbiguitySet], k1: int, psi, scale: floa
         raise DomainError("1-d only")
 
     steps = _sum_steps(laws)
-    lo = [0]
-    hi = [0]
-    for step in steps:
-        lo.append(lo[-1] + step.zmin[0])
-        hi.append(hi[-1] + step.zmax[0])
-
-    size1 = hi[k1] - lo[k1] + 1
-    size2 = hi[k2] - lo[k2] + 1
+    lo, shapes = _level_boxes(steps)
+    size1, size2 = shapes[k1][0], shapes[k2][0]
     if size1 * size2 > max_nodes:
         raise ResourceCapError(
             f"augmentation blowup: {size1}x{size2} checkpoint states")
     # band[k]: number of reachable increments S_k - S_k1, for k1 <= k <= k2
-    band = [h - l - size1 + 2 for l, h in zip(lo, hi)]
-
-    def phys(level, coords):
-        return scale * (level * lat.origin[0] + lat.step * coords)
-
-    x1 = phys(k1, np.arange(lo[k1], hi[k1] + 1, dtype=float))
-    x2 = phys(k2, np.arange(lo[k2], hi[k2] + 1, dtype=float))
+    band = [w - size1 + 1 for w, in shapes]
+    x1 = _positions(lat, k1, lo[k1], shapes[k1], scale)[:, 0]
+    x2 = _positions(lat, k2, lo[k2], shapes[k2], scale)[:, 0]
     # row a, column j holds S_k1 = lo_k1 + a and S_k2 = lo_k2 + a + j
     X1 = np.repeat(x1[:, None], band[k2], axis=1)
     X2 = x2[np.arange(size1)[:, None] + np.arange(band[k2])]
     v = evaluate(psi, X1[..., None], X2[..., None])
     v = _backward_sum(v, [(steps[k - 1], (band[k - 1],)) for k in range(k2, k1, -1)])
-    v = _backward_sum(v[:, 0], [(steps[k - 1], (hi[k - 1] - lo[k - 1] + 1,))
-                                for k in range(k1, 0, -1)])
+    v = _backward_sum(v[:, 0], [(steps[k - 1], shapes[k - 1]) for k in range(k1, 0, -1)])
     return float(v[0])
 
 
@@ -519,13 +520,7 @@ def estimate_limit_G(spec: Rows, A, c: float, n: int,
     d = spec.dim
     if d > 2:
         raise DomainError("dimension cap: d <= 2")
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    scale = spec.row_scale(n)
-    if d == 1:
-        a = float(A[0, 0])
-        g = lambda x: a * np.clip(x, -c, c) ** 2
-    else:
-        g = lambda pts: np.einsum("...i,ij,...j->...",
-                                  np.clip(pts, -c, c), A, np.clip(pts, -c, c))
+    q = _quad_form(np.atleast_2d(np.asarray(A, dtype=float)), d)
     kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
-    return independent_sum_expect(spec.row_laws(n), g, scale=scale, **kwargs)
+    return independent_sum_expect(spec.row_laws(n), lambda z: q(np.clip(z, -c, c)),
+                                  scale=spec.row_scale(n), **kwargs)

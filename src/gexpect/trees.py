@@ -16,6 +16,7 @@ import numpy as np
 
 from .ambiguity import LatticeSpec, PROB_TOL
 from .errors import DomainError
+from .gfunc import _check_symmetric
 from .reporting import LawReport
 
 
@@ -247,9 +248,7 @@ def drift_stat(tree: ScenarioTree, Z: MartingaleArray) -> float:
 def quadratic_characteristic(tree: ScenarioTree, Z: MartingaleArray, A: np.ndarray,
                              checkpoint: int) -> float:
     """Upper expectation of sum_{k<=checkpoint} E[<Z_k A, Z_k> | level k-1]."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.shape != (tree.dim, tree.dim) or not np.allclose(A, A.T, atol=1e-12):
-        raise DomainError("A must be symmetric and match the tree dimension")
+    A = _check_symmetric(A, tree.dim, "A")
     if not 0 <= checkpoint <= tree.depth:
         raise DomainError("checkpoint outside tree depth")
     total = _predictable_sum(tree, checkpoint, lambda k: _given_parent(

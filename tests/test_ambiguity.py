@@ -56,6 +56,40 @@ def naive_running_max(X, n, scale=1.0):
     return rec(0.0, 0.0, 0)
 
 
+def set_running_max(X, n, scale=1.0):
+    """Running-maximum DP over Python sets: a forward sweep collects the
+    reachable (sum, running max) states of each level, a backward sweep takes
+    the member maximum of member means summed in support order.  The
+    bit-for-bit reference for running_max_expect."""
+    lat = X.lattice
+    rows = []
+    for i, dist in enumerate(X.members):
+        keep = dist.probs > 0.0
+        rows.append((X.member_coords(i)[keep], dist.probs[keep]))
+
+    def phys(level, s):
+        return level * lat.origin[0] + s * lat.step
+
+    levels = [{(0, 0.0)}]
+    for k in range(1, n + 1):
+        levels.append({(s + int(z), max(m, abs(phys(k, s + int(z)))))
+                       for s, m in levels[-1] for coords, _ in rows for z in coords[:, 0]})
+    values = {st: scale * st[1] for st in levels[n]}
+    for k in range(n - 1, -1, -1):
+        prev = {}
+        for s, m in levels[k]:
+            best = None
+            for coords, probs in rows:
+                acc = 0.0
+                for z, p in zip(coords[:, 0], probs):
+                    s2 = s + int(z)
+                    acc += p * values[(s2, max(m, abs(phys(k + 1, s2))))]
+                best = acc if best is None else max(best, acc)
+            prev[(s, m)] = best
+        values = prev
+    return values[(0, 0.0)]
+
+
 def loop_sum_expect(laws, g, scale=1.0):
     """The backward sum DP with one zero-started accumulator per member and
     level and a fresh array for every product and maximum: the bit-for-bit
@@ -444,6 +478,45 @@ def test_running_max_requires_1d():
 def test_running_max_state_cap():
     with pytest.raises(ResourceCapError, match="state blowup"):
         running_max_expect(B, 40, max_states=20)
+
+
+def test_running_max_cap_counts_one_level_array():
+    # n = 4 on B: peaks 0..4 times the 9 sums of level 4
+    assert running_max_expect(B, 4, max_states=45) == set_running_max(B, 4)
+    with pytest.raises(ResourceCapError, match="state blowup"):
+        running_max_expect(B, 4, max_states=44)
+
+
+SHIFTED = AmbiguitySet(LatticeSpec(1, 0.5, (-0.5,)), [
+    DiscreteDistribution(np.array([[0.5], [-1.0], [-0.5]]), np.array([0.4, 0.3, 0.3])),
+    DiscreteDistribution(np.array([[-1.0], [0.5], [-0.5]]), np.array([0.1, 0.7, 0.2]))])
+SKEWED = AmbiguitySet(LatticeSpec(1, 1.0, (0.0,)), [
+    DiscreteDistribution(np.array([[2.0], [-1.0], [0.0]]), np.array([0.25, 0.5, 0.25])),
+    DiscreteDistribution(np.array([[-1.0], [2.0], [0.0]]), np.array([0.6, 0.0, 0.4]))])
+
+
+@pytest.mark.parametrize("X, n", [(B, 20), (B, 24), (SHIFTED, 16), (SKEWED, 20),
+                                  (symmetric_bernoulli_family((1.0,), step=0.25), 20)],
+                         ids=["bernoulli_20", "bernoulli_24", "shifted_16", "skewed_20",
+                              "quarter_step_20"])
+def test_running_max_bit_identical_to_set_dp_fixed(X, n):
+    for scale in (1.0, 1 / np.sqrt(n), 3.0):
+        assert running_max_expect(X, n, scale=scale).hex() == set_running_max(X, n, scale).hex()
+
+
+@given(st.integers(0, 10_000), st.sampled_from([1, 3, 6, 10]),
+       st.sampled_from([1, 5, ambiguity.BLOCK_CELLS]))
+@settings(max_examples=60, deadline=None)
+def test_running_max_bit_identical_to_set_dp(seed, n, block):
+    """Members on their own unsorted supports with zero probabilities, on
+    lattices whose origin is or is not a multiple of the step, and levels
+    split into blocks of peak rows."""
+    rng = np.random.default_rng(seed)
+    X = random_union_set(rng, 1)
+    scale = float(rng.uniform(0.2, 1.5))
+    with mock.patch.object(ambiguity, "BLOCK_CELLS", block):
+        got = running_max_expect(X, n, scale=scale)
+    assert got.hex() == set_running_max(X, n, scale).hex()
 
 
 # ---------------------------------------------------------------- invariants

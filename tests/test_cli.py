@@ -1,7 +1,10 @@
 """CLI contract: exit codes, determinism, report files."""
 
+import os
 import pathlib
 import runpy
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -10,7 +13,8 @@ from gexpect import cli, config
 from gexpect.cli import main
 from gexpect.config import ConfigError, build_family, load_config, parse_config
 
-CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def write_config(tmp_path, doc, name="cfg.yaml"):
@@ -286,3 +290,13 @@ def test_dump_fields_rejected_on_other_kinds(tmp_path, capsys):
     assert main(["--config", cfg, "--out", str(tmp_path), "--dump-fields"]) == 2
     assert "config rejected at --dump-fields" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_run_all_check_reproduces_committed_reports():
+    """Every shipped config, rerun in a fresh interpreter, writes the
+    committed reports/ byte for byte."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_all.py"), "--check"],
+                          capture_output=True, text=True, timeout=600,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stdout + proc.stderr

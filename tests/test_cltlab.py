@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from gexpect import (AmbiguitySet, DiscreteDistribution, DomainError, HeterogeneousRows,
-                     IidRows, LatticeSpec, TreeRows, check_iid_necessary_conditions,
-                     estimate_limit_G, g_eval, iid_level_tree, iid_sum_expect,
-                     nested_expect, nested_product, run_clt_experiment,
-                     run_fdd_experiment, symmetric_bernoulli_family, two_point_sum_expect)
+                     IidRows, LatticeSpec, MartingaleArray, TreeRows,
+                     check_iid_necessary_conditions, estimate_limit_G, g_eval, iid_level_tree,
+                     iid_sum_expect, nested_expect, nested_product, quadratic_characteristic,
+                     run_clt_experiment, run_fdd_experiment, symmetric_bernoulli_family,
+                     two_point_sum_expect)
 from gexpect import ambiguity
 from gexpect.cltlab import _non_increasing, attach_condition_verdicts
 from gexpect.functionals import get, get_pair
@@ -216,6 +217,22 @@ def test_quadratic_series_iid_matches_closed_form():
         for t, value in zip((0.25, 1.0), IID.quadratic(n, np.array([[-1.0]]), [0.25, 1.0])):
             expected = -0.5 * np.floor(n * t) / n
             assert value == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("depths", [(2, 3), (2,)])
+def test_tree_rows_condition_trends(depths):
+    """Tree rows print the Lindeberg, drift and quadratic trends; they induce
+    no generator, so the quadratic entries pin no target."""
+    trees = tuple(iid_level_tree(B, n, scale=1 / np.sqrt(n)) for n in depths)
+    report = ExperimentReport("clt", ("n",))
+    attach_condition_verdicts(report, TreeRows(trees))
+    assert [v.line().split(":")[0] for v in report.verdicts] == [
+        "TREND lindeberg[eps=0.1]", "TREND lindeberg[eps=0.5]", "TREND drift",
+        "TREND quadratic[plus]", "TREND quadratic[minus]"]
+    assert [v.detail for v in report.verdicts[-2:]] == ["no target pinned"] * 2
+    tree = trees[-1]
+    assert report.verdicts[3].statistic == quadratic_characteristic(
+        tree, MartingaleArray(tree), np.eye(1), tree.depth)
 
 
 def test_tree_mode_rejected_by_sum_experiments(bernoulli):

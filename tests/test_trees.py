@@ -235,9 +235,10 @@ def test_quadratic_characteristic_rejects_asymmetric():
                DiscreteDistribution(support, np.array([0.4, 0.1, 0.1, 0.4]))]
     pair = AmbiguitySet(lat, members)
     tree = iid_level_tree(pair, 2)
-    with pytest.raises(DomainError, match="symmetric"):
-        quadratic_characteristic(tree, MartingaleArray(tree),
-                                 np.array([[1.0, 1.0], [0.0, 1.0]]), 2)
+    for A in ([[1.0, 1.0], [0.0, 1.0]], [[1.0, 1.0 + 1e-6], [1.0, 1.0]]):
+        # an asymmetry of 1e-6 is rejected as g_eval rejects it
+        with pytest.raises(DomainError, match="symmetric"):
+            quadratic_characteristic(tree, MartingaleArray(tree), np.array(A), 2)
 
 
 def drift_statistic_by_hand(tree):
