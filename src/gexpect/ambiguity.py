@@ -15,6 +15,7 @@ independence order and is never symmetrised.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -175,31 +176,40 @@ def evaluate(f, *points: np.ndarray, what: str = "test value") -> np.ndarray:
     """Values of f on a grid of points, one array of points per argument.
 
     Each array holds points with their coordinates on the last axis; the
-    leading axes, the same for all, are the grid shape the result takes.
-    f is called once on the whole grid, with the arrays (1-d points as
-    arrays of their one coordinate), and point by point, with floats or
-    (d,) vectors, only when that call raises TypeError, ValueError or
-    IndexError or returns another shape; any other exception propagates.
-    A grid whose first axis has length d > 1 gets one extra point, a copy
-    of its last, whose value is dropped: an f that reads its argument as
-    one point, as in z[0] * z[1], then returns a wrong shape instead of a
-    plausible one.
+    leading axes broadcast against each other, as in the open grid
+    (x[:, None, None], y[:, None]), and their broadcast is the grid shape
+    the result takes.  f is called once on the whole grid, with the arrays
+    (1-d points as arrays of their one coordinate), and point by point,
+    with floats or (d,) vectors, only when that call raises TypeError,
+    ValueError or IndexError or returns another shape; any other exception
+    propagates.  For 1-d points a result with the grid's axes that
+    broadcasts to it, as from an f that ignores an argument of an open
+    grid, is broadcast.  A grid whose first axis has length d > 1 gets one
+    extra point, a copy of its last, whose value is dropped: an f that
+    reads its argument as one point, as in z[0] * z[1], then returns a
+    wrong shape instead of a plausible one.
     """
     fn = _as_callable(f, len(points))
-    shape, d = points[0].shape[:-1], points[0].shape[-1]
-    args = [p[..., 0] for p in points] if d == 1 else list(points)
-    extra = d > 1 and shape[:1] == (d,)
-    if extra:
-        args = [np.concatenate([a, a[-1:]]) for a in args]
+    shape = np.broadcast_shapes(*(p.shape[:-1] for p in points))
+    d = points[0].shape[-1]
+    grid = (d + 1,) + shape[1:] if d > 1 and shape[:1] == (d,) else shape
+    if d == 1:
+        args = [p[..., 0] for p in points]
+    else:
+        args = [np.concatenate([p, p[-1:]]) if grid != shape and p.ndim > len(shape)
+                and len(p) == d else p for p in points]
     try:
         vals = np.asarray(fn(*args), dtype=float)
     except (TypeError, ValueError, IndexError):
         vals = None
-    if vals is None or vals.shape != args[0].shape[:len(shape)]:
-        rows = [p.reshape(-1, d) for p in points]
+    if d == 1 and vals is not None and vals.ndim == len(shape) and vals.shape != shape:
+        with contextlib.suppress(ValueError):
+            vals = np.array(np.broadcast_to(vals, shape))
+    if vals is None or vals.shape != grid:
+        rows = [np.broadcast_to(p, shape + (d,)).reshape(-1, d) for p in points]
         vals = np.array([float(fn(*(float(r[i, 0]) if d == 1 else r[i] for r in rows)))
                          for i in range(len(rows[0]))]).reshape(shape)
-    elif extra:
+    elif grid != shape:
         vals = vals[:d]
     if not np.all(np.isfinite(vals)):
         raise DomainError(f"non-finite {what}")
@@ -373,10 +383,17 @@ def _level_boxes(steps: Sequence[_SumStep]) -> tuple[list, list]:
 def _positions(lat: LatticeSpec, level: int, lo: tuple, shape: tuple,
                scale: float) -> np.ndarray:
     """Points scale * (level * origin + step * s) of the level box with corner
-    lo and `shape`: the box's shape, then the coordinates on the last axis."""
-    axes = [np.arange(l, l + w, dtype=float) for l, w in zip(lo, shape)]
-    coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return scale * (level * np.asarray(lat.origin) + lat.step * coords)
+    lo and `shape`: the box's shape, then the coordinates on the last axis.
+
+    Each coordinate is computed once per axis value and broadcast into the
+    one output array, so no box-sized temporary is made; every entry sees
+    the same float operations as the whole-box formula.
+    """
+    out = np.empty(tuple(shape) + (len(shape),))
+    for i, (l, w, o) in enumerate(zip(lo, shape, lat.origin)):
+        axis = scale * (level * o + lat.step * np.arange(l, l + w, dtype=float))
+        out[..., i] = axis.reshape((w,) + (1,) * (len(shape) - 1 - i))
+    return out
 
 
 def _backward_sum(v: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
@@ -387,9 +404,11 @@ def _backward_sum(v: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
     lattice shape `shape`: entry x becomes the member maximum (lowest index
     first) of the member mean sum_z p_z v[x + offset_z], summed in support
     order.  Each level slices v once per distinct offset, from Python ints,
-    and works in four flat buffers sized for the first step with in-place
-    ufuncs, one block of rows along the first axis at a time, so that a
-    block's operands stay in cache.
+    and works with in-place ufuncs, one block of rows along the first axis
+    at a time, so that a block's operands stay in cache.  Two flat buffers
+    sized for the first step take the levels in turn; the member sums and
+    products use two more of one block, at most BLOCK_CELLS cells or one
+    row: the first step has the widest rows, as boxes shrink backward.
 
     Each member sum starts from its first product rather than from zeros:
     that changes at most the sign of a zero, and comparisons and later sums
@@ -400,18 +419,22 @@ def _backward_sum(v: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
     if not steps:
         return v
     batch = v.shape[:v.ndim - len(steps[0][1])]
-    size = math.prod(batch) * math.prod(steps[0][1])
-    out, spare, acc, tmp = (np.empty(size) for _ in range(4))
+    dims = batch + steps[0][1]
+    size = math.prod(dims)
+    out, spare = np.empty(size), np.empty(size)
+    block_cells = min(size, max(BLOCK_CELLS, size // dims[0]))
+    acc, tmp = np.empty(block_cells), np.empty(block_cells)
     for step, shape in steps:
         dims = batch + shape
         cells = math.prod(dims)
-        views = [buf[:cells].reshape(dims) for buf in (out, acc, tmp)]
+        level = out[:cells].reshape(dims)
         srcs = [v[(Ellipsis,) + tuple(slice(o, o + w) for o, w in zip(offset, shape))]
                 for offset in step.offsets]
         rows = max(1, BLOCK_CELLS * dims[0] // cells)
         for r0 in range(0, dims[0], rows):
             block = slice(r0, r0 + rows)
-            best, other, term = (view[block] for view in views)
+            best = level[block]
+            other, term = (buf[:best.size].reshape(best.shape) for buf in (acc, tmp))
             parts = [src[block] for src in srcs]
             for m, points in enumerate(step.members):
                 dst = other if m else best
@@ -422,7 +445,7 @@ def _backward_sum(v: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
                     np.add(dst, term, out=dst)
                 if m:
                     np.maximum(best, dst, out=best)
-        v = views[0]
+        v = level
         out, spare = spare, out
     return np.add(v, 0.0, out=v)
 

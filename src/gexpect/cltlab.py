@@ -394,6 +394,8 @@ def two_point_sum_expect(laws: Sequence[AmbiguitySet], k1: int, psi, scale: floa
     value is bit for bit the box DP's.
     """
     k2 = len(laws)
+    if k2 == 0:
+        raise DomainError("need at least one law")
     if not 0 <= k1 <= k2:
         raise DomainError("checkpoint order violated")
     lat = _shared_lattice(laws)

@@ -311,7 +311,8 @@ def _two_grid(G: GFunction, horizon: float, half_width: float, nodes: int,
     march(grid) runs on the grid [-half_width, half_width]^d to the horizon
     with `nodes` nodes per axis, then on the one with 2 * nodes - 1; it
     returns the time step it marched with (0.0 when its stages differ) and,
-    per functional, the centre value and a bound on |data|.  Each estimate
+    per functional, the centre value and max |initial data| on the grid,
+    the bound on |data| that the tail bound scales.  Each estimate
     is the fine value with its bar: twice the coarse/fine difference, the
     frozen-boundary Gaussian tail bound and a floating-point floor.
     """
@@ -357,22 +358,53 @@ def gnormal_expect(G, phi, horizon: float = 1.0,
 
     def march(grid: Grid):
         pts = grid.points()
+        data = [evaluate(f, pts, what="initial data") for f in phis]
+        data_max = [float(np.max(np.abs(u))) for u in data]
         if grid.dim == 1:
             lo, hi = _theta_1d_range(G)
-            u0 = np.stack([evaluate(f, pts, what="initial data") for f in phis])
-            fields = _march_1d(u0, lo, hi, grid.spacing, grid.time_step, grid.steps)
+            fields = _march_1d(np.stack(data), lo, hi, grid.spacing, grid.time_step, grid.steps)
         else:
-            fields = (_march_2d(evaluate(f, pts, what="initial data"), G, grid.spacing,
-                                grid.time_step, grid.steps) for f in phis)
+            fields = [_march_2d(u, G, grid.spacing, grid.time_step, grid.steps) for u in data]
         out = []
-        for u in fields:
+        for u, bound in zip(fields, data_max):
             if not np.all(np.isfinite(u)):
                 raise DomainError("grid function has non-finite values")
-            out.append((float(u[(len(u) // 2,) * grid.dim]), float(np.max(np.abs(u)))))
+            out.append((float(u[(len(u) // 2,) * grid.dim]), bound))
         return grid.time_step, out
 
     estimates = _two_grid(G, horizon, _auto_half_width(G, horizon), nodes, march)
     return estimates[0] if callable(phi) else estimates
+
+
+def _fdd_last_stage(phi, axis: np.ndarray, p: int, march) -> tuple[np.ndarray, float]:
+    """The last-increment stage of gbm_fdd_expect, streamed over row blocks.
+
+    Row (i_1, ..., i_{p-1}) holds phi(x_i1, ..., x_i{p-1}, x) for x on the
+    axis; march(rows) integrates x out along it, and of each marched row
+    only the diagonal entry x = x_i{p-1} is kept (for p = 1, the one row).
+    Each block of about BLOCK_CELLS cells is evaluated on an open grid, its
+    rows' p - 1 coordinates against the axis, so the p-cube of data never
+    exists.  Evaluation, march and diagonal act on each row alone, so the
+    kept values are those of the whole-cube form bit for bit.  Returns them,
+    shape (n,) * (p - 1), or (n,) for p = 1, with max |phi| on the grid.
+    """
+    n = len(axis)
+    lead = (n,) * (p - 1)
+    rows = math.prod(lead)
+    per_block = max(1, BLOCK_CELLS // n)
+    kept = np.empty(lead)
+    data_max = 0.0
+    for r0 in range(0, rows, per_block):
+        block = np.arange(r0, min(r0 + per_block, rows))
+        idx = np.unravel_index(block, lead) if lead else ()
+        data = evaluate(phi, *(axis[i][:, None, None] for i in idx), axis[:, None],
+                        what="initial data")
+        data_max = max(data_max, float(np.max(np.abs(data))))
+        u = march(data)
+        if not lead:
+            return u, data_max
+        kept.flat[block] = u[block - r0, idx[-1]]
+    return kept, data_max
 
 
 def gbm_fdd_expect(G, times, phi, accuracy: str = "default") -> PdeEstimate:
@@ -383,6 +415,10 @@ def gbm_fdd_expect(G, times, phi, accuracy: str = "default") -> PdeEstimate:
     diagonal (the increment starts at the previous marginal), and the
     recursion continues to t_1.  The stages march with different time
     steps, so the estimate's time_step is 0.0.
+
+    The last stage streams over blocks of rows (_fdd_last_stage), so with
+    n nodes per axis the working set is O(n^(p-1) + BLOCK_CELLS) floats,
+    not the n^p of the data cube.
     """
     G = as_gfunction(G)
     if G.dimension != 1:
@@ -399,19 +435,23 @@ def gbm_fdd_expect(G, times, phi, accuracy: str = "default") -> PdeEstimate:
     L = MARGIN_STDS * (math.sqrt(G.sigma_sq_max) * sum(math.sqrt(d) for d in deltas))
 
     def march(grid: Grid):
-        mesh = np.meshgrid(*([grid.axis()] * p), indexing="ij")
-        u = evaluate(phi, *(g[..., None] for g in mesh), what="initial data")
-        data_max = float(np.max(np.abs(u)))
-        for j in range(p - 1, -1, -1):
-            stage = Grid.build(1, L, grid.spacing, deltas[j], G.sigma_sq_max)
-            u = _march_1d(u, lo, hi, grid.spacing, stage.time_step, stage.steps)
+        stages = [Grid.build(1, L, grid.spacing, delta, G.sigma_sq_max) for delta in deltas]
+
+        def stage(j, u):
+            return _march_1d(u, lo, hi, grid.spacing, stages[j].time_step, stages[j].steps)
+
+        u, data_max = _fdd_last_stage(phi, grid.axis(), p, lambda u: stage(p - 1, u))
+        for j in range(p - 2, -1, -1):
+            u = stage(j, u)
             if j:
                 u = np.einsum("...ii->...i", u)
         return 0.0, [(float(u[len(u) // 2]), data_max)]
 
     nodes = _preset_nodes(NODES_FDD, accuracy)
     if p == 3:
-        nodes = (nodes // 2) | 1  # cubic state arrays; halve the resolution
+        # the march takes n^3 * steps node updates; halving the resolution
+        # bounds that time and keeps the presets' values unchanged
+        nodes = (nodes // 2) | 1
     return _two_grid(G, times[-1], L, nodes, march)[0]
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -33,3 +35,18 @@ def flagship_limits(sigma_half_one):
 @pytest.fixture(scope="session")
 def rng_factory():
     return lambda seed: np.random.default_rng(seed)
+
+
+def _traced_peak_mib(fn):
+    """Peak traced allocation of fn(), in MiB, counted from zero at the call."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def traced_peak_mib():
+    return _traced_peak_mib

@@ -259,6 +259,34 @@ def test_error_inside_functional_propagates(site):
     assert (f.array_calls, f.scalar_calls) == (1, 0)
 
 
+def test_evaluate_open_grid_matches_dense_grid():
+    """An open grid gives the dense grid's values bit for bit, for a
+    vectorised f, an f that ignores arguments (its result is broadcast) and
+    a float-only f (point by point)."""
+    x, y, z = (np.linspace(-1.0, 1.0, n) for n in (4, 3, 5))
+    open_grid = (x[:, None, None, None], y[:, None, None], z[:, None])
+    dense = [g[..., None] for g in np.meshgrid(x, y, z, indexing="ij")]
+    for f in (lambda a, b, c: np.sin(a) * b - c, lambda a, b, c: a * a,
+              lambda a, b, c: math.cos(a) + b * c):
+        got = evaluate(f, *open_grid)
+        assert got.shape == (4, 3, 5)
+        assert got.tobytes() == evaluate(f, *dense).tobytes()
+
+
+def test_evaluate_open_grid_keeps_the_extra_point_guard():
+    """2-d points on an open (2, 2) grid: the first argument, whose first
+    axis has length d = 2, gets the extra point, so z[0] * z[1] returns a
+    wrong shape and is evaluated point by point; the second argument,
+    broadcast along that axis, is left as it is."""
+    z = np.array([[[1.0, 2.0]], [[3.0, 5.0]]])  # (2, 1) grid of points
+    w = np.array([[[0.5, 1.0], [2.0, 4.0]]])  # (1, 2) grid of points
+    f = lambda p, q: p[0] * p[1] + q[..., 0]
+    want = [[1.0 * 2.0 + 0.5, 1.0 * 2.0 + 2.0], [3.0 * 5.0 + 0.5, 3.0 * 5.0 + 2.0]]
+    assert evaluate(f, z, w).tolist() == want
+    assert evaluate(f, np.broadcast_to(z, (2, 2, 2)), np.broadcast_to(w, (2, 2, 2))).tolist() \
+        == want
+
+
 def test_member_means_do_not_depend_on_the_layout_f_returns():
     """A strided view of the input and a fresh copy give the same bits: each
     member mean is one np.dot over a contiguous gather of the values (a
@@ -429,6 +457,21 @@ def test_iid_sum_matches_naive_recursion():
 def test_sum_lattice_cap():
     with pytest.raises(ResourceCapError, match="lattice blowup"):
         iid_sum_expect(B, 64, lambda s: s, max_nodes=16)
+
+
+def test_sum_dp_2d_working_set(traced_peak_mib):
+    """The five-point 2-d family at n = 256: a level holds 513^2 cells, 2 MiB.
+    The positions, 4 MiB, are built with no box-sized temporary, and the DP
+    keeps two levels and block-sized scratch; this peaked at 12.2 MiB when
+    the positions came from meshgrid and the DP kept four level buffers."""
+    support = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]], dtype=float)
+    members = [DiscreteDistribution(support, [1 - a - b, a / 2, a / 2, b / 2, b / 2])
+               for a, b in ((0.2, 0.3), (0.4, 0.1), (0.15, 0.35))]
+    Y = AmbiguitySet(LatticeSpec(2, 1.0, (0.0, 0.0)), members)
+    A = np.array([[1.0, 0.3], [0.3, 1.5]])
+    quad = lambda z: np.einsum("...i,ij,...j->...", z, A, z)
+    peak = traced_peak_mib(lambda: iid_sum_expect(Y, 256, quad, scale=1 / 16))
+    assert peak < 8.5
 
 
 def test_heterogeneous_sum_matches_nested():

@@ -421,6 +421,11 @@ def test_two_point_dp_rejects_wrong_arity():
         two_point_sum_expect([B] * 4, 2, get("square"), 0.5)
 
 
+def test_two_point_dp_rejects_no_laws():
+    with pytest.raises(DomainError, match="need at least one law"):
+        two_point_sum_expect([], 0, get_pair("increment"), 1.0)
+
+
 def test_two_point_cap():
     with pytest.raises(Exception, match="augmentation blowup"):
         two_point_sum_expect([B] * 64, 32, get_pair("increment"), 1 / 8, max_nodes=10)

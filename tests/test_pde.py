@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gexpect import (DomainError, GFunction, Grid, SigmaInterval, gbm_fdd_expect,
                      gbm_quadratic_identity, gnormal_expect, solve_gheat)
 from gexpect import pde
+from gexpect.ambiguity import evaluate
 from gexpect.functionals import get, get_pair
 from gexpect.pde import _check_stencil_2d, _march_1d, _march_2d
 
@@ -38,6 +39,33 @@ def where_march_1d(u, lo, hi, h, tau, steps):
         g = np.where(d2 >= 0.0, hi * d2, lo * d2)
         u[..., 1:-1] += 0.5 * tau * g
     return u
+
+
+def dense_fdd_expect(G, times, phi, accuracy):
+    """gbm_fdd_expect on the whole p-cube: data evaluated on p meshgrids,
+    every stage marched by where_march_1d and read on its diagonal by
+    einsum: the bit-for-bit reference for the streamed last stage."""
+    G = pde.as_gfunction(G)
+    lo, hi = pde._theta_1d_range(G)
+    p = len(times)
+    deltas = [times[0]] + [t2 - t1 for t1, t2 in zip(times, times[1:])]
+    L = pde.MARGIN_STDS * (math.sqrt(G.sigma_sq_max) * sum(math.sqrt(d) for d in deltas))
+
+    def march(grid):
+        mesh = np.meshgrid(*([grid.axis()] * p), indexing="ij")
+        u = evaluate(phi, *(g[..., None] for g in mesh), what="initial data")
+        data_max = float(np.max(np.abs(u)))
+        for j in range(p - 1, -1, -1):
+            stage = Grid.build(1, L, grid.spacing, deltas[j], G.sigma_sq_max)
+            u = where_march_1d(u, lo, hi, grid.spacing, stage.time_step, stage.steps)
+            if j:
+                u = np.einsum("...ii->...i", u)
+        return 0.0, [(float(u[len(u) // 2]), data_max)]
+
+    nodes = pde._preset_nodes(pde.NODES_FDD, accuracy)
+    if p == 3:
+        nodes = (nodes // 2) | 1
+    return pde._two_grid(G, times[-1], L, nodes, march)[0]
 
 
 def alloc_march_2d(u, G, h, tau, steps):
@@ -388,6 +416,75 @@ def test_2d_gnormal_and_fdd_estimates_pinned():
     for name, est in got.items():
         assert tuple(float.hex(float(getattr(est, f.name))) for f in fields(est)) == \
             PINNED[name], name
+
+
+def estimate_hexes(est):
+    return [float.hex(float(getattr(est, f.name))) for f in fields(est)]
+
+
+def kinked_product(*x):
+    """prod_i (x_i - x_{i-1})+ with x_0 = 0, as (c - b)+ (b - a)+ a+ at p = 3."""
+    out, prev = 1.0, 0.0
+    for xi in x:
+        out = out * np.maximum(xi - prev, 0.0)
+        prev = xi
+    return out
+
+
+FDD_DATA = {
+    "sin": lambda *x: np.sin(sum(k * xi for k, xi in enumerate(x, 1))),
+    "kinked_product": kinked_product,
+    # ignores every argument but the first: a broadcast result on open grids
+    "first_square": lambda *x: x[0] * x[0],
+    # raises TypeError on arrays: evaluated point by point
+    "float_only": lambda *x: math.cos(sum(x)) * abs(x[-1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FDD_DATA))
+@pytest.mark.parametrize("block_cells", [1, 5, 100, pde.BLOCK_CELLS])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_streamed_fdd_bit_identical_to_dense_cube(p, block_cells, name):
+    """Blocks of one row (1 and 5 cells), of several rows with a partial
+    last block (100), or of every row; every PdeEstimate field by
+    float.hex.  The node table is cut to 15 so that the cube stays small."""
+    times = (0.25, 0.5, 1.0)[3 - p:]
+    with mock.patch.dict(pde.NODES_FDD, {"fast": 15}), \
+            mock.patch.object(pde, "BLOCK_CELLS", block_cells):
+        got = gbm_fdd_expect(SI, times, FDD_DATA[name], accuracy="fast")
+        ref = dense_fdd_expect(SI, times, FDD_DATA[name], "fast")
+    assert estimate_hexes(got) == estimate_hexes(ref)
+
+
+@pytest.mark.parametrize("name", ["sin", "kinked_product"])
+def test_streamed_fdd_bit_identical_at_fast_preset(name):
+    """p = 3 at the fast preset: the 101^3 fine cube streams in 32 blocks."""
+    times = (0.25, 0.5, 1.0)
+    got = gbm_fdd_expect(SI, times, FDD_DATA[name], accuracy="fast")
+    assert estimate_hexes(got) == estimate_hexes(dense_fdd_expect(SI, times, FDD_DATA[name],
+                                                                  "fast"))
+
+
+def test_fdd_p3_working_set_is_one_state_plus_blocks(traced_peak_mib):
+    """At the default preset the fine grid has 201 nodes per axis: the data
+    cube alone would take 62 MiB, and the dense form peaked at 372 MiB."""
+    psi = lambda a, b, c: np.maximum(c - b, 0.0) * np.maximum(b - a, 0.0)
+    peak = traced_peak_mib(lambda: gbm_fdd_expect(SI, (0.25, 0.5, 1.0), psi))
+    assert peak < 8.0
+
+
+@pytest.mark.parametrize("G, phi", [
+    (SI, lambda x: 3.0 * np.exp(-x * x)),
+    (GFunction.from_matrices([np.diag([1.0, 0.5])]),
+     lambda p: 3.0 * np.exp(-np.einsum("...i,...i->...", p, p))),
+], ids=["1d", "2d"])
+def test_gnormal_tail_bound_scales_initial_data(G, phi):
+    """The bump peaks at 3 on the centre node, above its rim, and the march
+    lowers it: the tail bound scales max |initial data| = 3, not the
+    marched field's maximum."""
+    G = pde.as_gfunction(G)
+    est = gnormal_expect(G, phi, horizon=1.0, accuracy="fast")
+    assert est.boundary_bound == pde._boundary_bound(G, 1.0, est.half_width, 3.0, G.dimension)
 
 
 @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0])
