@@ -11,10 +11,9 @@ from .ambiguity import (AmbiguitySet, DiscreteDistribution, LatticeSpec,
                         expect_lower, expect_upper, expect_upper_member,
                         iid_sum_expect, independent_sum_expect, nested_expect,
                         nested_product, point_mass, running_max_expect,
-                        symmetric_bernoulli_family, truncate)
+                        symmetric_bernoulli_family, truncate, two_point_sum_expect)
 from .cltlab import (HeterogeneousRows, IidRows, TreeRows, check_iid_necessary_conditions,
-                     estimate_limit_G, run_clt_experiment, run_fdd_experiment,
-                     two_point_sum_expect)
+                     estimate_limit_G, run_clt_experiment, run_fdd_experiment)
 from .errors import ConfigError, DomainError, ResourceCapError
 from .gfunc import (GFunction, SigmaInterval, g_1d, g_eval, g_eval_argmax,
                     regularize, verify_g_laws)

@@ -10,14 +10,14 @@ tripped.  Reruns with the same seed produce byte-identical CSV.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
 import numpy as np
 
 from . import cltlab, pde, suites
-from .config import ExperimentConfig, load_config
+from .ambiguity import DEFAULT_MAX_SUM_NODES
+from .config import ExperimentConfig, load_config, with_seed
 from .errors import ConfigError, DomainError, ResourceCapError
 from .gfunc import g_eval
 from .reporting import LAW_TOLERANCE, ExperimentReport, write_rows_csv
@@ -103,7 +103,8 @@ def run_clt(cfg: ExperimentConfig, rng) -> ExperimentReport:
     p = cfg.params
     return cltlab.run_clt_experiment(
         cfg.inputs["rows"], cfg.inputs["functionals"], accuracy=p.get("accuracy", "default"),
-        gap_tolerance=p.get("tolerance"), max_nodes=p.get("max_nodes"))
+        gap_tolerance=p.get("tolerance"),
+        max_nodes=p.get("max_nodes", DEFAULT_MAX_SUM_NODES))
 
 
 def run_fdd(cfg: ExperimentConfig, rng) -> ExperimentReport:
@@ -174,7 +175,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
+            cfg = with_seed(cfg, args.seed)
         if args.dump_fields and cfg.kind != "pde":
             raise ConfigError("--dump-fields", f"pde configs only, not {cfg.kind}")
     except ConfigError as exc:

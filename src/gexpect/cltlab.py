@@ -15,10 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .ambiguity import (AmbiguitySet, TestFunction, _backward_sum, _level_boxes, _positions,
-                        _shared_lattice, _sum_steps, capacity_upper, evaluate, expect_lower,
-                        expect_upper, independent_sum_expect, truncate)
-from .errors import DomainError, ResourceCapError
+from .ambiguity import (DEFAULT_MAX_SUM_NODES, AmbiguitySet, TestFunction, capacity_upper,
+                        expect_lower, expect_upper, independent_sum_expect, truncate,
+                        two_point_sum_expect)
+from .errors import DomainError
 from .gfunc import GFunction, g_eval
 from .pde import gbm_fdd_expect, gnormal_expect
 from .reporting import ExperimentReport
@@ -356,13 +356,12 @@ def _run_schedule(report: ExperimentReport, spec: Rows, cases,
 
 def run_clt_experiment(spec: Rows, functionals: Sequence[TestFunction],
                        accuracy: str = "default", gap_tolerance: float | None = None,
-                       verified_moment: float = 2.0, max_nodes: int | None = None,
-                       ) -> ExperimentReport:
+                       verified_moment: float = 2.0,
+                       max_nodes: int = DEFAULT_MAX_SUM_NODES) -> ExperimentReport:
     """Exact DP value of each row functional against its G-normal limit."""
     G = spec.induced_gfunction()
     provenance = {"schedule": "/".join(str(n) for n in spec.schedule),
                   "accuracy": accuracy, "mode": spec.label}
-    dp_kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
     for phi in functionals:
         _gate_growth(phi, verified_moment)
     limits = gnormal_expect(G, functionals, horizon=1.0, accuracy=accuracy)
@@ -371,54 +370,12 @@ def run_clt_experiment(spec: Rows, functionals: Sequence[TestFunction],
     scales = {n: spec.row_scale(n) for n in spec.schedule}
     cases = [(phi.name or "phi", limit,
               lambda n, phi=phi: independent_sum_expect(spec.row_laws(n), phi,
-                                                        scale=scales[n], **dp_kwargs))
+                                                        scale=scales[n], max_nodes=max_nodes))
              for phi, limit in zip(functionals, limits)]
     report = ExperimentReport(
         kind="clt", columns=("n", "functional", "prelimit", "limit", "gap", "error_bar"),
         provenance=provenance)
     return _run_schedule(report, spec, cases, gap_tolerance)
-
-
-def two_point_sum_expect(laws: Sequence[AmbiguitySet], k1: int, psi, scale: float,
-                         max_nodes: int = 4_000_000) -> float:
-    """Exact E[psi(scale * S_k1, scale * S_k2)] with k2 = len(laws).
-
-    Between the checkpoints the state is (S_k1, S_k - S_k1).  The increment
-    axis holds only the reachable band [lo_k - lo_k1, hi_k - hi_k1]; its width
-    does not depend on S_k1, and at k1 it is the one column S_k = S_k1.  The
-    step from k to k - 1 does size1 * width_{k-1} shift-adds per support
-    point: about n^3/4 in all for iid rows on {-1, 0, 1} with k1 = n/2, where
-    the whole box [lo_k, hi_k] took about 3n^3/4.  psi sees the same k2
-    coordinates as on the box, and each band entry is the box entry for the
-    same S_k, built by the same float operations in the same order, so the
-    value is bit for bit the box DP's.
-    """
-    k2 = len(laws)
-    if k2 == 0:
-        raise DomainError("need at least one law")
-    if not 0 <= k1 <= k2:
-        raise DomainError("checkpoint order violated")
-    lat = _shared_lattice(laws)
-    if lat.dimension != 1:
-        raise DomainError("1-d only")
-
-    steps = _sum_steps(laws)
-    lo, shapes = _level_boxes(steps)
-    size1, size2 = shapes[k1][0], shapes[k2][0]
-    if size1 * size2 > max_nodes:
-        raise ResourceCapError(
-            f"augmentation blowup: {size1}x{size2} checkpoint states")
-    # band[k]: number of reachable increments S_k - S_k1, for k1 <= k <= k2
-    band = [w - size1 + 1 for w, in shapes]
-    x1 = _positions(lat, k1, lo[k1], shapes[k1], scale)[:, 0]
-    x2 = _positions(lat, k2, lo[k2], shapes[k2], scale)[:, 0]
-    # row a, column j holds S_k1 = lo_k1 + a and S_k2 = lo_k2 + a + j
-    X1 = np.repeat(x1[:, None], band[k2], axis=1)
-    X2 = x2[np.arange(size1)[:, None] + np.arange(band[k2])]
-    v = evaluate(psi, X1[..., None], X2[..., None])
-    v = _backward_sum(v, [(steps[k - 1], (band[k - 1],)) for k in range(k2, k1, -1)])
-    v = _backward_sum(v[:, 0], [(steps[k - 1], shapes[k - 1]) for k in range(k1, 0, -1)])
-    return float(v[0])
 
 
 def run_fdd_experiment(spec: Rows, times: Sequence[float], psi: TestFunction,
@@ -513,8 +470,7 @@ def check_iid_necessary_conditions(X: AmbiguitySet, c_schedule: Sequence[float],
                               induced, stabilized, moment_gap, moment_gap <= 1e-12)
 
 
-def estimate_limit_G(spec: Rows, A, c: float, n: int,
-                     max_nodes: int | None = None) -> float:
+def estimate_limit_G(spec: Rows, A, c: float, n: int) -> float:
     """Truncated quadratic form of the normalised row sum: the DP estimator
     of the limit generator evaluated at the probe matrix A."""
     if not c > 0:
@@ -523,6 +479,5 @@ def estimate_limit_G(spec: Rows, A, c: float, n: int,
     if d > 2:
         raise DomainError("dimension cap: d <= 2")
     q = _quad_form(np.atleast_2d(np.asarray(A, dtype=float)), d)
-    kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
     return independent_sum_expect(spec.row_laws(n), lambda z: q(np.clip(z, -c, c)),
-                                  scale=spec.row_scale(n), **kwargs)
+                                  scale=spec.row_scale(n))

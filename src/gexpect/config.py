@@ -8,7 +8,7 @@ builds the library objects the run needs, naming the field of any rejection.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import jsonschema
 import numpy as np
@@ -183,6 +183,13 @@ def parse_config(raw) -> ExperimentConfig:
     _validate(params, _PARAMS_SCHEMA[kind], prefix=("params",))
     return ExperimentConfig(kind, int(raw["seed"]), raw["output"], params,
                             _build(kind, params))
+
+
+def with_seed(cfg: ExperimentConfig, seed) -> ExperimentConfig:
+    """cfg with the command line's `--seed` in place of its seed, checked by
+    the schema's seed rule and rejected at `--seed`."""
+    _validate(seed, _TOP_SCHEMA["properties"]["seed"], prefix=("--seed",))
+    return replace(cfg, seed=seed)
 
 
 def _validate(instance, schema, prefix):

@@ -518,6 +518,16 @@ def test_running_max_requires_1d():
         running_max_expect(X2, 2)
 
 
+@pytest.mark.parametrize("scale, message", [
+    (np.inf, "scale must be positive and finite"),
+    (np.nan, "scale must be positive and finite"),
+    (1e308, "non-finite position"),  # 2e308 overflows at level 2
+])
+def test_running_max_rejects_non_finite_scale_and_positions(scale, message):
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match=message):
+        running_max_expect(B, 2, scale=scale)
+
+
 def test_running_max_state_cap():
     with pytest.raises(ResourceCapError, match="state blowup"):
         running_max_expect(B, 40, max_states=20)

@@ -66,6 +66,13 @@ def test_cap_violation_exits_three(tmp_path, capsys):
     assert "lattice blowup" in capsys.readouterr().err
 
 
+def test_negative_seed_override_exits_two_at_flag(tmp_path, capsys):
+    cfg = write_config(tmp_path, small_clt_doc())
+    assert main(["--config", cfg, "--out", str(tmp_path), "--seed", "-1"]) == 2
+    assert "config rejected at --seed" in capsys.readouterr().err
+    assert not (tmp_path / "small_clt.csv").exists()
+
+
 def test_failed_hard_check_exits_one(tmp_path):
     doc = small_clt_doc()
     doc["params"]["tolerance"] = 1e-18

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from gexpect import (AmbiguitySet, DiscreteDistribution, DomainError, HeterogeneousRows,
-                     IidRows, LatticeSpec, MartingaleArray, TreeRows,
+                     IidRows, LatticeSpec, MartingaleArray, ResourceCapError, TreeRows,
                      check_iid_necessary_conditions, estimate_limit_G, g_eval, iid_level_tree,
                      iid_sum_expect, nested_expect, nested_product, quadratic_characteristic,
                      run_clt_experiment, run_fdd_experiment, symmetric_bernoulli_family,
@@ -429,6 +429,40 @@ def test_two_point_dp_rejects_no_laws():
 def test_two_point_cap():
     with pytest.raises(Exception, match="augmentation blowup"):
         two_point_sum_expect([B] * 64, 32, get_pair("increment"), 1 / 8, max_nodes=10)
+
+
+def test_two_point_cap_counts_checkpoint_boxes():
+    # [B] * 4 with k1 = 2: level boxes of 5 and 9 sums
+    psi = get_pair("increment_square")
+    assert two_point_sum_expect([B] * 4, 2, psi, 0.5, max_nodes=45) == pytest.approx(0.5)
+    with pytest.raises(ResourceCapError, match="augmentation blowup: 5x9 checkpoint states"):
+        two_point_sum_expect([B] * 4, 2, psi, 0.5, max_nodes=44)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+def test_two_point_dp_rejects_scale(scale):
+    with pytest.raises(DomainError, match="scale must be positive and finite"):
+        two_point_sum_expect([B] * 4, 2, get_pair("increment_square"), scale)
+
+
+@pytest.mark.parametrize("laws, k1, message", [
+    ([B] * 4, -1, "checkpoint order violated"),
+    ([B] * 4, 5, "checkpoint order violated"),
+    ([nested_product(B, B)] * 2, 1, "1-d only"),
+])
+def test_two_point_dp_rejects_checkpoints_and_dimension(laws, k1, message):
+    with pytest.raises(DomainError, match=message):
+        two_point_sum_expect(laws, k1, get_pair("increment_square"), 0.5)
+
+
+def test_two_point_dp_working_set(traced_peak_mib):
+    """The `limits` fdd shape, n = 512 and k1 = 256: the last state is 513 x
+    513 cells, 2 MiB.  psi sees views of the checkpoint positions, and the DP
+    keeps two levels and block-sized scratch; this peaked at 10.7 MiB when
+    the initial data were dense grids from np.repeat and an int64 gather."""
+    psi = get_pair("increment_square")
+    peak = traced_peak_mib(lambda: two_point_sum_expect([B] * 512, 256, psi, 1 / 16))
+    assert peak < 8.0
 
 
 @given(st.integers(0, 5_000), st.integers(1, 40), st.data(), st.sampled_from(sorted(PAIR_PSIS)))
