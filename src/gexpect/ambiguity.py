@@ -410,8 +410,10 @@ def _backward_sum(v: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
     order.  Each level slices v once per distinct offset, from Python ints,
     and works with in-place ufuncs, one block of rows along the first axis
     at a time, so that a block's operands stay in cache.  Two flat buffers
-    sized for the first step take the levels in turn; the member sums and
-    products use two more of one block, at most BLOCK_CELLS cells or one
+    sized for the first step take the levels in turn, the second allocated
+    only after the first step, once nothing in the kernel refers to v: an
+    input that the caller does not hold is freed by then.  The member sums
+    and products use two more of one block, at most BLOCK_CELLS cells or one
     row: the first step has the widest rows, as boxes shrink backward.
 
     Each member sum starts from its first product rather than from zeros:
@@ -425,33 +427,40 @@ def _backward_sum(v: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
     batch = v.shape[:v.ndim - len(steps[0][1])]
     dims = batch + steps[0][1]
     size = math.prod(dims)
-    out, spare = np.empty(size), np.empty(size)
     block_cells = min(size, max(BLOCK_CELLS, size // dims[0]))
     acc, tmp = np.empty(block_cells), np.empty(block_cells)
-    for step, shape in steps:
+    buffers = []
+    for k, (step, shape) in enumerate(steps):
+        if len(buffers) < 2:
+            buffers.append(np.empty(size))
         dims = batch + shape
-        cells = math.prod(dims)
-        level = out[:cells].reshape(dims)
-        srcs = [v[(Ellipsis,) + tuple(slice(o, o + w) for o, w in zip(offset, shape))]
-                for offset in step.offsets]
-        rows = max(1, BLOCK_CELLS * dims[0] // cells)
-        for r0 in range(0, dims[0], rows):
-            block = slice(r0, r0 + rows)
-            best = level[block]
-            other, term = (buf[:best.size].reshape(best.shape) for buf in (acc, tmp))
-            parts = [src[block] for src in srcs]
-            for m, points in enumerate(step.members):
-                dst = other if m else best
-                (i, p), *rest = points
-                np.multiply(parts[i], p, out=dst)
-                for i, p in rest:
-                    np.multiply(parts[i], p, out=term)
-                    np.add(dst, term, out=dst)
-                if m:
-                    np.maximum(best, dst, out=best)
+        level = buffers[k % 2][:math.prod(dims)].reshape(dims)
+        _sum_step(v, step, shape, level, acc, tmp)
         v = level
-        out, spare = spare, out
     return np.add(v, 0.0, out=v)
+
+
+def _sum_step(v: np.ndarray, step: _SumStep, shape: tuple, level: np.ndarray,
+              acc: np.ndarray, tmp: np.ndarray):
+    """One _backward_sum step from v into level, with block scratch acc and
+    tmp; its slices of v are gone when it returns."""
+    srcs = [v[(Ellipsis,) + tuple(slice(o, o + w) for o, w in zip(offset, shape))]
+            for offset in step.offsets]
+    rows = max(1, BLOCK_CELLS * level.shape[0] // level.size)
+    for r0 in range(0, level.shape[0], rows):
+        block = slice(r0, r0 + rows)
+        best = level[block]
+        other, term = (buf[:best.size].reshape(best.shape) for buf in (acc, tmp))
+        parts = [src[block] for src in srcs]
+        for m, points in enumerate(step.members):
+            dst = other if m else best
+            (i, p), *rest = points
+            np.multiply(parts[i], p, out=dst)
+            for i, p in rest:
+                np.multiply(parts[i], p, out=term)
+                np.add(dst, term, out=dst)
+            if m:
+                np.maximum(best, dst, out=best)
 
 
 def _check_scale(scale: float):
@@ -507,10 +516,15 @@ def _checkpoint_expect(laws: Sequence[AmbiguitySet], checkpoints: Sequence[int],
             x = np.moveaxis(sliding_window_view(x, band(end, start)[0], axis=0), -1, -2)
         return x[(Ellipsis,) + (None,) * (len(checkpoints) - 1 - j) + (slice(None),)]
 
-    v = evaluate(f, *[view(j, k) for j, k in enumerate(checkpoints)])
-    for start, end in reversed(list(zip(ks, ks[1:]))):
-        v = _backward_sum(v, [(steps[k - 1], band(k - 1, start)) for k in range(end, start, -1)])
-        v = v[(Ellipsis,) + (0,) * lat.dimension]
+    phases = [[(steps[k - 1], band(k - 1, start)) for k in range(end, start, -1)]
+              for start, end in reversed(list(zip(ks, ks[1:])))]
+    column = (Ellipsis,) + (0,) * lat.dimension
+    # the data is made in the call, so that the kernel holds its only
+    # reference; each copied column lets its phase's buffers go
+    v = _backward_sum(evaluate(f, *[view(j, k) for j, k in enumerate(checkpoints)]),
+                      phases[0])[column].copy()
+    for phase in phases[1:]:
+        v = _backward_sum(v, phase)[column].copy()
     return float(v)
 
 

@@ -178,6 +178,10 @@ def main(argv=None) -> int:
             cfg = with_seed(cfg, args.seed)
         if args.dump_fields and cfg.kind != "pde":
             raise ConfigError("--dump-fields", f"pde configs only, not {cfg.kind}")
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("--out", str(exc)) from None
     except ConfigError as exc:
         print(f"config rejected at {exc.path}: {exc.message}", file=sys.stderr)
         return 2

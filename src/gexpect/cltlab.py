@@ -423,12 +423,6 @@ class IidConditionReport:
     second_moment_stabilized: bool
 
 
-def check_tail_level(x: float):
-    """Reject a tail level at which x^2 * capacity(|X| >= x) is not a number."""
-    if not np.isfinite(x):
-        raise DomainError("tail level must be finite")
-
-
 def check_iid_necessary_conditions(X: AmbiguitySet, c_schedule: Sequence[float],
                                    x_schedule: Sequence[float]) -> IidConditionReport:
     """The four one-law conditions behind the iid limit, evaluated exactly.
@@ -439,8 +433,8 @@ def check_iid_necessary_conditions(X: AmbiguitySet, c_schedule: Sequence[float],
     """
     check_increasing(c_schedule, "c_schedule")
     check_increasing(x_schedule, "x_schedule")
-    for x in x_schedule:
-        check_tail_level(x)
+    if not np.all(np.isfinite(x_schedule)):  # x^2 * capacity(|X| >= x) must be a number
+        raise DomainError("tail level must be finite")
     d = X.dim
     sq = _sq_norm(d)
     probes = default_probes(d)

@@ -7,6 +7,7 @@ builds the library objects the run needs, naming the field of any rejection.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -181,8 +182,11 @@ def parse_config(raw) -> ExperimentConfig:
     _validate(raw, _TOP_SCHEMA, prefix=())
     kind, params = raw["kind"], raw["params"]
     _validate(params, _PARAMS_SCHEMA[kind], prefix=("params",))
-    return ExperimentConfig(kind, int(raw["seed"]), raw["output"], params,
-                            _build(kind, params))
+    inputs = _build(kind, params)
+    path = _non_finite(params, "params")
+    if path is not None:
+        raise ConfigError(path, "not a finite number")
+    return ExperimentConfig(kind, int(raw["seed"]), raw["output"], params, inputs)
 
 
 def with_seed(cfg: ExperimentConfig, seed) -> ExperimentConfig:
@@ -199,6 +203,23 @@ def _validate(instance, schema, prefix):
         err = errors[0]
         path = "/".join(str(p) for p in prefix + tuple(err.absolute_path)) or "<root>"
         raise ConfigError(path, err.message)
+
+
+def _non_finite(node, path: str) -> str | None:
+    """The path of the first NaN or infinite number in node, or None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return None
+    for key, child in children:
+        found = _non_finite(child, f"{path}/{key}")
+        if found is not None:
+            return found
+    return None
 
 
 @contextmanager
@@ -228,8 +249,6 @@ def _build(kind: str, p: dict) -> dict:
     elif kind == "pde":
         if ("sigma_interval" in p) == ("theta" in p):
             raise ConfigError("params", "give either sigma_interval or theta")
-        with _at("params/horizon"):
-            pde.check_horizon(p.get("horizon", 1.0))
         if "theta" in p:
             with _at("params/theta"):
                 inputs["generator"] = pde.as_gfunction(GFunction.from_matrices(p["theta"]))
@@ -247,9 +266,6 @@ def _build(kind: str, p: dict) -> dict:
         for i, c in enumerate(p["c_schedule"]):
             with _at(f"params/c_schedule/{i}"):
                 truncation_box(family.lattice, c)
-        for i, x in enumerate(p["x_schedule"]):
-            with _at(f"params/x_schedule/{i}"):
-                cltlab.check_tail_level(x)
         inputs["rows"] = cltlab.IidRows(family, (p.get("estimate_n", 256),))
     return inputs
 

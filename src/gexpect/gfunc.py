@@ -41,6 +41,8 @@ class GFunction:
             raise DomainError("theta must be nonempty")
         mats = []
         for S in self.theta:
+            if not np.all(np.isfinite(S)):
+                raise DomainError("theta entry has non-finite values")
             S = _check_symmetric(S, self.dimension, "theta entry")
             if float(np.linalg.eigvalsh(S)[0]) < -PSD_TOL:
                 raise DomainError("theta entry is not positive semidefinite")
@@ -72,6 +74,8 @@ class SigmaInterval:
     def __post_init__(self):
         if not (0.0 <= self.lower <= self.upper):
             raise DomainError("need 0 <= lower <= upper")
+        if not self.upper < np.inf:
+            raise DomainError("upper must be finite")
 
 
 def g_eval_argmax(G: GFunction, A: np.ndarray) -> tuple[float, int]:

@@ -248,6 +248,28 @@ def _march_2d(u: np.ndarray, G: GFunction, h: float, tau: float,
     return u
 
 
+def _march(G: GFunction, grid: Grid, u: np.ndarray, steps: int) -> np.ndarray:
+    """March the last grid.dim axes of u `steps` time steps of the grid.
+
+    Any leading axes are a batch of independent fields.  In 1-d they are
+    marched together by _march_1d; in 2-d each field is marched by
+    _march_2d, a batch field by field back into its slot of u, so that no
+    second batch exists.  Otherwise the result is a new array.  The one
+    check of a marched field: it must be finite.
+    """
+    h, tau = grid.spacing, grid.time_step
+    if grid.dim == 1:
+        u = _march_1d(u, *_theta_1d_range(G), h, tau, steps)
+    elif u.ndim == 2:
+        u = _march_2d(u, G, h, tau, steps)
+    else:
+        for field in u.reshape(-1, *u.shape[-2:]):
+            field[...] = _march_2d(field, G, h, tau, steps)
+    if not np.all(np.isfinite(u)):
+        raise DomainError("grid function has non-finite values")
+    return u
+
+
 def solve_gheat(G: GFunction, phi, grid: Grid, snapshot_count: int = 0):
     """March the initial data to the grid horizon.
 
@@ -262,18 +284,12 @@ def solve_gheat(G: GFunction, phi, grid: Grid, snapshot_count: int = 0):
     if snapshot_count < 0:
         raise DomainError("snapshot_count must be >= 0")
     u = evaluate(phi, grid.points(), what="initial data")
-    h, tau = grid.spacing, grid.time_step
-    if grid.dim == 1:
-        lo, hi = _theta_1d_range(G)
-        march = lambda u, steps: _march_1d(u, lo, hi, h, tau, steps)
-    else:
-        march = lambda u, steps: _march_2d(u, G, h, tau, steps)
     every = max(1, grid.steps // (snapshot_count + 1))
     snaps = []
     for k in range(1, min(snapshot_count, grid.steps - 1) + 1):
-        u = march(u, every)
-        snaps.append((k * every * tau, u))
-    u = march(u, grid.steps - len(snaps) * every)
+        u = _march(G, grid, u, every)
+        snaps.append((k * every * grid.time_step, u))
+    u = _march(G, grid, u, grid.steps - len(snaps) * every)
     return GridFunction(grid, u), snaps
 
 
@@ -330,12 +346,6 @@ def _two_grid(G: GFunction, horizon: float, half_width: float, nodes: int,
     return estimates
 
 
-def check_horizon(horizon: float):
-    """Reject a horizon the G-heat march cannot cover in finitely many steps."""
-    if not 0 < horizon < np.inf:
-        raise DomainError("horizon must be positive and finite")
-
-
 def gnormal_expect(G, phi, horizon: float = 1.0,
                    accuracy: str = "default") -> PdeEstimate | list[PdeEstimate]:
     """Upper expectation of phi under the G-normal law, as the origin value
@@ -347,10 +357,11 @@ def gnormal_expect(G, phi, horizon: float = 1.0,
 
     phi may also be a sequence of functionals; the result is then a list
     with one PdeEstimate per functional, equal to what separate calls give.
-    In 1-d their initial data share one march per grid.
+    Their initial data are marched as one batch per grid.
     """
     G = as_gfunction(G)
-    check_horizon(horizon)
+    if not 0 < horizon < np.inf:  # the march must cover it in finitely many steps
+        raise DomainError("horizon must be positive and finite")
     nodes = _preset_nodes(NODES_1D if G.dimension == 1 else NODES_2D, accuracy)
     phis = [phi] if callable(phi) else list(phi)
     if not phis:
@@ -358,19 +369,14 @@ def gnormal_expect(G, phi, horizon: float = 1.0,
 
     def march(grid: Grid):
         pts = grid.points()
-        data = [evaluate(f, pts, what="initial data") for f in phis]
+        data = np.empty((len(phis),) + pts.shape[:-1])
+        for u, f in zip(data, phis):
+            u[...] = evaluate(f, pts, what="initial data")
+        del pts  # the march does not need the (N, N, 2) points
         data_max = [float(np.max(np.abs(u))) for u in data]
-        if grid.dim == 1:
-            lo, hi = _theta_1d_range(G)
-            fields = _march_1d(np.stack(data), lo, hi, grid.spacing, grid.time_step, grid.steps)
-        else:
-            fields = [_march_2d(u, G, grid.spacing, grid.time_step, grid.steps) for u in data]
-        out = []
-        for u, bound in zip(fields, data_max):
-            if not np.all(np.isfinite(u)):
-                raise DomainError("grid function has non-finite values")
-            out.append((float(u[(len(u) // 2,) * grid.dim]), bound))
-        return grid.time_step, out
+        fields = _march(G, grid, data, grid.steps)
+        return grid.time_step, [(float(u[(len(u) // 2,) * grid.dim]), bound)
+                                for u, bound in zip(fields, data_max)]
 
     estimates = _two_grid(G, horizon, _auto_half_width(G, horizon), nodes, march)
     return estimates[0] if callable(phi) else estimates
@@ -430,7 +436,6 @@ def gbm_fdd_expect(G, times, phi, accuracy: str = "default") -> PdeEstimate:
     if times[0] <= 0 or any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise DomainError("times must be strictly increasing and positive")
 
-    lo, hi = _theta_1d_range(G)
     deltas = [times[0]] + [t2 - t1 for t1, t2 in zip(times, times[1:])]
     L = MARGIN_STDS * (math.sqrt(G.sigma_sq_max) * sum(math.sqrt(d) for d in deltas))
 
@@ -438,7 +443,7 @@ def gbm_fdd_expect(G, times, phi, accuracy: str = "default") -> PdeEstimate:
         stages = [Grid.build(1, L, grid.spacing, delta, G.sigma_sq_max) for delta in deltas]
 
         def stage(j, u):
-            return _march_1d(u, lo, hi, grid.spacing, stages[j].time_step, stages[j].steps)
+            return _march(G, stages[j], u, stages[j].steps)
 
         u, data_max = _fdd_last_stage(phi, grid.axis(), p, lambda u: stage(p - 1, u))
         for j in range(p - 2, -1, -1):

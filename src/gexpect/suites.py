@@ -100,7 +100,7 @@ def rosenthal_suite(rng, trees: int, p: float = 2.0, max_depth: int = 5):
             failures += 1
         if not np.isfinite(rep.second_ratio):
             failures += 1
-        worst_ratio = max(worst_ratio, rep.second_ratio)
+        worst_ratio = float(np.maximum(worst_ratio, rep.second_ratio))  # NaN propagates
     return rows, failures, worst_ratio
 
 

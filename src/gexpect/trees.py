@@ -278,8 +278,8 @@ def rosenthal_check(tree: ScenarioTree, p: float = 2.0) -> RosenthalReport:
     """
     if tree.dim != 1:
         raise DomainError("1-d only")
-    if p < 2:
-        raise DomainError("p must be >= 2")
+    if not 2 <= p < np.inf:
+        raise DomainError("p must be >= 2 and finite")
     Z = MartingaleArray(tree)
     ranges = [None] + [_mean_range(tree, Z, k) for k in range(1, tree.depth + 1)]
     if any(np.any(up > 1e-9) for up, _ in ranges[1:]):

@@ -1,11 +1,15 @@
 """CLI contract: exit codes, determinism, report files."""
 
+import copy
+import math
 import os
 import pathlib
 import runpy
 import subprocess
 import sys
+from unittest import mock
 
+import numpy as np
 import pytest
 import yaml
 
@@ -220,6 +224,7 @@ def with_params(kind, **params):
                 "cases": [{"functional": "square", "reference": 1.0, "tolerance": 0.01}]},
         "iid-conditions": {"family": family, "c_schedule": [1.0, 2.0],
                            "x_schedule": [0.5, 1.0]},
+        "rosenthal": {"trees": 3, "max_depth": 3},
     }[kind]
     params = {key: value for key, value in {**base, **params}.items() if value is not None}
     return {"kind": kind, "seed": 0, "output": "x", "params": params}
@@ -259,6 +264,13 @@ REJECTIONS = [
      "params/family/support"),
     (with_params("pde", horizon=float("inf")), "params/horizon"),
     (with_params("iid-conditions", x_schedule=[1.0, float("inf")]), "params/x_schedule/1"),
+    (with_params("pde", sigma_interval=[0.5, float("inf")]), "params/sigma_interval"),
+    (with_params("pde", sigma_interval=None, theta=[[[float("inf")]]]), "params/theta"),
+    (with_params("pde", sigma_interval=None, theta=[[[float("nan")]]]), "params/theta"),
+    (with_params("clt", tolerance=float("nan")), "params/tolerance"),
+    (with_params("pde", cases=[{"functional": "square", "reference": float("nan"),
+                                "tolerance": 0.01}]), "params/cases/0/reference"),
+    (with_params("rosenthal", p=float("inf")), "params/p"),
 ]
 
 
@@ -267,7 +279,9 @@ REJECTIONS = [
     "support_off_lattice", "support_repeated", "c_off_lattice", "c_infinite",
     "variance_above_one", "zero_variance", "origin_nan", "member_length", "member_sum",
     "schedule_order", "times_order", "c_order", "x_order", "interval_order",
-    "interval_zero", "theta_zero", "support_nan", "horizon_infinite", "x_infinite"])
+    "interval_zero", "theta_zero", "support_nan", "horizon_infinite", "x_infinite",
+    "interval_infinite", "theta_infinite", "theta_nan", "tolerance_nan", "reference_nan",
+    "p_infinite"])
 def test_config_rejected_at_load_with_field_path(doc, path):
     with pytest.raises(ConfigError) as info:
         parse_config(doc)
@@ -286,6 +300,58 @@ def test_infinite_horizon_exits_two_with_path(tmp_path, capsys):
     code = main(["--config", write_config(tmp_path, doc), "--out", str(tmp_path)])
     assert code == 2
     assert "config rejected at params/horizon:" in capsys.readouterr().err
+
+
+def _number_paths(node, path=()):
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+    elif isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _number_paths(child, path + (key,))
+
+
+@pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.yaml")),
+                         ids=lambda p: p.stem)
+def test_every_non_finite_number_rejected_at_its_field(config):
+    """Every number of a shipped config, set to NaN or +-inf in turn, is
+    rejected at load, at its own field or at one that contains it."""
+    raw = yaml.safe_load(config.read_text())
+    for path in _number_paths(raw["params"], ("params",)):
+        for value in (math.nan, math.inf, -math.inf):
+            doc = copy.deepcopy(raw)
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            with pytest.raises(ConfigError) as info:
+                parse_config(doc)
+            field = "/".join(map(str, path))
+            assert field == info.value.path or field.startswith(info.value.path + "/"), \
+                (field, value, info.value.path)
+
+
+def test_rosenthal_nan_ratio_fails_ratio_finite(tmp_path):
+    """At p = 1000 every second-display ratio is NaN (the p-th powers
+    overflow); the worst ratio was folded with max, which dropped NaN and
+    passed with statistic 0.0."""
+    cfg = parse_config(with_params("rosenthal", p=1000.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = cli.run_config(cfg, str(tmp_path))
+    assert all(math.isnan(row["second_ratio"]) for row in report.rows)
+    (verdict,) = [v for v in report.verdicts if v.name == "ratio_finite"]
+    assert not verdict.passed and math.isnan(verdict.statistic)
+
+
+@pytest.mark.parametrize("below", [(), ("reports",)], ids=["file", "below_file"])
+def test_unusable_out_exits_two_before_the_run(tmp_path, capsys, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker.joinpath(*below)
+    with mock.patch.object(cli, "run_config") as run:
+        code = main(["--config", str(CONFIG_DIR / "clt_bernoulli.yaml"), "--out", str(out)])
+    assert code == 2
+    assert "config rejected at --out:" in capsys.readouterr().err
+    run.assert_not_called()
 
 
 def test_every_config_kind_has_a_runner():

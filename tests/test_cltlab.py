@@ -459,10 +459,13 @@ def test_two_point_dp_working_set(traced_peak_mib):
     """The `limits` fdd shape, n = 512 and k1 = 256: the last state is 513 x
     513 cells, 2 MiB.  psi sees views of the checkpoint positions, and the DP
     keeps two levels and block-sized scratch; this peaked at 10.7 MiB when
-    the initial data were dense grids from np.repeat and an int64 gather."""
+    the initial data were dense grids from np.repeat and an int64 gather,
+    and at 6.7 MiB while the caller held the level-n data through the first
+    phase, the kernel allocated its second level before the first step and
+    a one-column view kept the phase buffer alive."""
     psi = get_pair("increment_square")
     peak = traced_peak_mib(lambda: two_point_sum_expect([B] * 512, 256, psi, 1 / 16))
-    assert peak < 8.0
+    assert peak < 5.5
 
 
 @given(st.integers(0, 5_000), st.integers(1, 40), st.data(), st.sampled_from(sorted(PAIR_PSIS)))

@@ -1,6 +1,8 @@
 """Monotone G-heat marches: closed forms, scheme guarantees, nesting."""
 
+import ast
 import math
+import pathlib
 from dataclasses import fields
 from unittest import mock
 
@@ -509,3 +511,61 @@ def test_unknown_accuracy_preset_rejected():
 def test_zero_upper_variance_rejected(solve, G):
     with pytest.raises(DomainError, match="upper variance is zero"):
         solve(G)
+
+
+@pytest.mark.parametrize("G", [
+    lambda: SigmaInterval(0.5, math.inf),
+    lambda: GFunction.from_matrices([[[math.inf]]]),
+    lambda: GFunction.from_matrices([[[math.nan]]]),
+    lambda: GFunction.from_matrices([np.diag([1.0, math.nan])]),
+], ids=["interval_infinite", "theta_infinite", "theta_nan", "theta_2d_nan"])
+def test_non_finite_generator_rejected(G):
+    """These were accepted: eigvalsh of [[nan]] is nan, and nan < -PSD_TOL
+    is false; the march then ended in a plain ValueError."""
+    with pytest.raises(DomainError, match="finite"):
+        gnormal_expect(G(), np.sin, accuracy="fast")
+
+
+OVERFLOWING = lambda x: 1e308 * np.cos(3.0 * x)  # finite data, overflowing differences
+G1 = pde.as_gfunction(SI)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: gnormal_expect(SI, OVERFLOWING, accuracy="fast"),
+    lambda: gbm_fdd_expect(SI, (1.0,), OVERFLOWING, accuracy="fast"),
+    lambda: gbm_fdd_expect(SI, (0.5, 1.0), lambda a, b: OVERFLOWING(b), accuracy="fast"),
+    lambda: solve_gheat(G1, OVERFLOWING, small_grid(G1), snapshot_count=2),
+    lambda: gnormal_expect(GFunction.from_matrices([np.eye(2)]),
+                           lambda p: OVERFLOWING(p[..., 0]), accuracy="fast"),
+], ids=["gnormal_1d", "fdd_p1", "fdd_p2", "solve_gheat", "gnormal_2d"])
+def test_march_overflow_rejected_by_every_solver(solve):
+    """Every solver marches through pde._march, which checks the field;
+    gbm_fdd_expect returned value=nan, error_bar=nan here."""
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DomainError, match="grid function has non-finite values"):
+        solve()
+
+
+def test_2d_gnormal_working_set(traced_peak_mib):
+    """The `large` gnormal_2d shape at default: the fine grid has 241^2
+    nodes, 0.44 MiB a field.  The data are evaluated into one stack, and
+    the (N, N, 2) points are dropped before the march; with the points
+    alive through the march this peaked at 4.42 MiB."""
+    top = np.array([[1.0, 0.3], [0.3, 1.0]])
+    G = GFunction.from_matrices([top, 0.5 * top])
+    ridge = lambda p: np.maximum(p[..., 0] + p[..., 1], 0.0)
+    peak = traced_peak_mib(lambda: gnormal_expect(G, ridge, horizon=1.0, accuracy="default"))
+    assert peak < 4.0
+
+
+def test_march_kernels_called_only_from_march():
+    """pde._march is the one path to the march kernels in the package."""
+    kernels = {"_march_1d", "_march_2d", "_theta_1d_range"}
+    callers = {name: set() for name in kernels}
+    for path in pathlib.Path(pde.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in kernels:
+                        callers[node.func.id].add(fn.name)
+    assert callers == {name: {"_march"} for name in kernels}
