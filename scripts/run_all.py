@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Run every shipped experiment config and collect reports under reports/.
 
+Each config's verdict line is printed with the config's wall time, in
+process, next to it; the time goes to stdout only, never into a report.
 Exits nonzero if any suite fails a hard check.  With --check the reports go
 to a temporary directory instead and are compared byte for byte with the
 committed ones in reports/; every file that differs, or exists on one side
@@ -8,9 +10,12 @@ only, is listed and the exit status is 1.
 """
 
 import argparse
+import contextlib
+import io
 import pathlib
 import sys
 import tempfile
+import time
 
 from gexpect.cli import main as cli_main
 
@@ -20,7 +25,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 def run_configs(out: pathlib.Path) -> int:
     worst = 0
     for cfg in sorted((ROOT / "configs").glob("*.yaml")):
-        code = cli_main(["--config", str(cfg), "--out", str(out)])
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()) as verdict:
+            code = cli_main(["--config", str(cfg), "--out", str(out)])
+        line = verdict.getvalue().rstrip() or f"[{cfg.stem}] exit status {code}"
+        print(f"{line}  ({time.perf_counter() - start:.2f} s)")
         worst = max(worst, code)
     return worst
 

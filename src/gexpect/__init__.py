@@ -17,8 +17,8 @@ from .cltlab import (HeterogeneousRows, IidRows, TreeRows, check_iid_necessary_c
 from .errors import ConfigError, DomainError, ResourceCapError
 from .gfunc import (GFunction, SigmaInterval, g_1d, g_eval, g_eval_argmax,
                     regularize, verify_g_laws)
-from .pde import (Grid, GridFunction, PdeEstimate, gbm_fdd_expect,
-                  gbm_quadratic_identity, gnormal_expect, solve_gheat)
+from .pde import (Grid, PdeEstimate, gbm_fdd_expect, gbm_quadratic_identity,
+                  gnormal_expect, solve_gheat)
 from .trees import (MartingaleArray, ScenarioTree, TreeRandomVariable, cond_expect,
                     cond_expect_lower, drift_stat, expectation, iid_level_tree,
                     lift, lindeberg_stat, quadratic_characteristic, random_tree,

@@ -218,36 +218,47 @@ def evaluate(f, *points: np.ndarray, what: str = "test value") -> np.ndarray:
 
 
 def _support_values(X: AmbiguitySet, f) -> np.ndarray:
-    """f on X.support: a functional is evaluated, a value vector checked."""
+    """f on X.support: a functional is evaluated, a value array checked."""
     if callable(f):
         return evaluate(f, X.support)
     values = np.asarray(f, dtype=float)
-    if values.shape != (len(X.support),):
+    if values.shape[-1:] != (len(X.support),):
         raise DomainError(f"value vector of shape {values.shape}; "
                           f"X.support has {len(X.support)} points")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise DomainError("non-finite test value")
     return values
 
 
-def expect_upper_member(X: AmbiguitySet, f) -> tuple[float, int]:
+def expect_upper_member(X: AmbiguitySet, f):
     """Upper expectation plus the attaining member index (lowest on ties).
 
-    f is a functional, or its vector of values on X.support.
+    f is a functional, or its values on X.support: a vector, or a stack of
+    vectors with the support on the last axis, which gives an array of
+    values and one of indices over the leading axes.  Every member mean has
+    the bits of np.dot(probs, vector[positions]): a (1, m) @ (m,) matmul
+    of a contiguous gather sums in np.dot's order, and a one-point member
+    takes np.dot's product, which keeps a -0.0 that the matmul would not.
     """
-    values = _support_values(X, f)
-    means = np.array([np.dot(dist.probs, values[pos])
-                      for dist, pos in zip(X.members, X.positions)])
-    idx = int(means.argmax())
-    return float(means[idx]), idx
+    rows = _support_values(X, f)[..., None, :]
+    means = np.empty((len(X.members),) + rows.shape[:-1])
+    for i, (dist, pos) in enumerate(zip(X.members, X.positions)):
+        part = rows.take(pos, axis=-1)
+        means[i] = part[..., 0] * dist.probs[0] if len(pos) == 1 else part @ dist.probs
+    means = means[..., 0]
+    idx = means.argmax(axis=0)
+    if means.ndim == 1:
+        return float(means[idx]), int(idx)
+    return np.take_along_axis(means, idx[None], axis=0)[0], idx
 
 
-def expect_upper(X: AmbiguitySet, f) -> float:
-    """max over members P of sum_z P(z) f(z); f may be a value vector on X.support."""
+def expect_upper(X: AmbiguitySet, f):
+    """max over members P of sum_z P(z) f(z); f may be a value vector on
+    X.support, or a stack of them (one value per vector)."""
     return expect_upper_member(X, f)[0]
 
 
-def expect_lower(X: AmbiguitySet, f) -> float:
+def expect_lower(X: AmbiguitySet, f):
     """Conjugate expectation -E[-f]; always <= expect_upper(X, f)."""
     return -expect_upper(X, -_support_values(X, f))
 

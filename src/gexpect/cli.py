@@ -44,7 +44,7 @@ def run_law_suite(cfg: ExperimentConfig, rng) -> ExperimentReport:
     rows, worst = getattr(suites, suite)(rng, *args.values())
     report = ExperimentReport(cfg.kind, (first, "law", "violation"),
                               provenance={name: args[name] for name in shown})
-    report.rows = rows
+    report.rows = [dict(zip(report.columns, row)) for row in rows]
     report.add_verdict("max_violation", worst <= tol, worst, f"tolerance {tol:g}")
     return report
 
@@ -96,7 +96,7 @@ def write_fields(cfg: ExperimentConfig, out_dir: str):
     grid = pde.Grid.build(1, half, half / 60, horizon, G.sigma_sq_max)
     field, snaps = pde.solve_gheat(G, phi, grid, snapshot_count=4)
     write_rows_csv(os.path.join(out_dir, f"{cfg.output}_fields.csv"), "pde-fields",
-                   ("time", "x", "y", "value"), pde.fields_rows(field, snaps, horizon))
+                   ("time", "x", "y", "value"), pde.fields_rows(grid, field, snaps))
 
 
 def run_clt(cfg: ExperimentConfig, rng) -> ExperimentReport:

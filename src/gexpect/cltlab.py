@@ -53,10 +53,9 @@ def _quad_form(A: np.ndarray, d: int):
 
 def _drift(law: AmbiguitySet, scale: float) -> float:
     """|E[scale X]| + |conjugate E[scale X]|, each a vector of coordinate means."""
-    pts = scale * law.support
-    up = [expect_upper(law, pts[:, j]) for j in range(law.dim)]
-    lo = [expect_lower(law, pts[:, j]) for j in range(law.dim)]
-    return float(np.linalg.norm(up) + np.linalg.norm(lo))
+    coords = scale * law.support.T
+    return float(np.linalg.norm(expect_upper(law, coords))
+                 + np.linalg.norm(expect_lower(law, coords)))
 
 
 def _interval_generator(r: float) -> GFunction:

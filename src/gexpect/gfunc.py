@@ -125,8 +125,8 @@ def g_law_violations(G: GFunction, Gn: GFunction | None, rng) -> dict:
     B = _random_symmetric(rng, d)
     lam = float(rng.uniform(0.0, 3.0))
     L = rng.normal(size=(d, d))
-    out = {"subadditive": g_eval(G, A + B) - g_eval(G, A) - g_eval(G, B),
-           "homogeneous": abs(g_eval(G, lam * A) - lam * g_eval(G, A)),
+    out = {"subadditivity": g_eval(G, A + B) - g_eval(G, A) - g_eval(G, B),
+           "homogeneity": abs(g_eval(G, lam * A) - lam * g_eval(G, A)),
            "monotone": g_eval(G, A) - g_eval(G, A + L @ L.T),
            "lipschitz": 0.0}
     if Gn is not None:
@@ -141,7 +141,7 @@ def verify_g_laws(G: GFunction, trials: int = 1000, seed: int = 0) -> LawReport:
         raise DomainError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     Gn = normalised(G)
-    worst = dict.fromkeys(("subadditive", "homogeneous", "monotone", "lipschitz"), 0.0)
+    worst = dict.fromkeys(("subadditivity", "homogeneity", "monotone", "lipschitz"), 0.0)
     for _ in range(trials):
         for law, v in g_law_violations(G, Gn, rng).items():
             worst[law] = max(worst[law], v)

@@ -85,17 +85,6 @@ class Grid:
         return self.half_width / math.sqrt(self.sigma_sq_max * self.horizon)
 
 
-@dataclass(eq=False)
-class GridFunction:
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("grid function has non-finite values")
-
-
 @dataclass
 class PdeEstimate:
     """Scalar PDE result with its internal error decomposition."""
@@ -273,7 +262,7 @@ def _march(G: GFunction, grid: Grid, u: np.ndarray, steps: int) -> np.ndarray:
 def solve_gheat(G: GFunction, phi, grid: Grid, snapshot_count: int = 0):
     """March the initial data to the grid horizon.
 
-    Returns (GridFunction at time T, snapshots): min(snapshot_count,
+    Returns (the field at the horizon, snapshots): min(snapshot_count,
     steps - 1) (time, values) pairs, one every max(1, steps //
     (snapshot_count + 1)) steps, all before the horizon.  The march resumes
     from each snapshot; a step reads only the values of the step before, so
@@ -290,7 +279,7 @@ def solve_gheat(G: GFunction, phi, grid: Grid, snapshot_count: int = 0):
         u = _march(G, grid, u, every)
         snaps.append((k * every * grid.time_step, u))
     u = _march(G, grid, u, grid.steps - len(snaps) * every)
-    return GridFunction(grid, u), snaps
+    return u, snaps
 
 
 def as_gfunction(G) -> GFunction:
@@ -475,13 +464,14 @@ def gbm_quadratic_identity(G, A, t: float, accuracy: str = "fast"):
     return est, g_eval(G, A) * t
 
 
-def fields_rows(field: GridFunction, snapshots, final_time: float):
-    """Flatten solver output to (time, coordinates, value) rows for CSV dumps."""
-    axis = field.grid.axis()
+def fields_rows(grid: Grid, field: np.ndarray, snapshots):
+    """Flatten solve_gheat's output on `grid` to (time, coordinates, value)
+    rows for CSV dumps; the field is the one at the grid horizon."""
+    axis = grid.axis()
     rows = []
 
     def emit(t, values):
-        if field.grid.dim == 1:
+        if grid.dim == 1:
             for x, v in zip(axis, values):
                 rows.append({"time": t, "x": float(x), "y": "", "value": float(v)})
         else:
@@ -492,5 +482,5 @@ def fields_rows(field: GridFunction, snapshots, final_time: float):
 
     for t, vals in snapshots:
         emit(t, vals)
-    emit(final_time, field.values)
+    emit(grid.horizon, field)
     return rows

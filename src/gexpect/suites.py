@@ -11,12 +11,11 @@ import numpy as np
 
 from .ambiguity import (AmbiguitySet, DiscreteDistribution, LatticeSpec,
                         expect_lower, expect_upper)
+from .errors import DomainError
 from .gfunc import GFunction, g_law_violations, normalised
 from .trees import random_tree, rosenthal_check, verify_operator_laws
 
 AXIOM_LAWS = ("monotonicity", "constants", "subadditivity", "homogeneity", "conjugate")
-# g_law_violations keys -> g-laws CSV law names
-G_LAW_NAMES = {"subadditive": "subadditivity", "homogeneous": "homogeneity"}
 
 
 def random_ambiguity_set(rng, max_dim: int = 2, max_members: int = 4,
@@ -37,55 +36,46 @@ def random_ambiguity_set(rng, max_dim: int = 2, max_members: int = 4,
     return AmbiguitySet(lattice, members)
 
 
+def _law_rows(violations, laws=None):
+    """(case, law, violation) rows, one per law of each case's dict of
+    violations, in the order of `laws` or else sorted, and the worst."""
+    rows = [(case, law, v[law]) for case, v in enumerate(violations)
+            for law in laws or sorted(v)]
+    return rows, max([0.0] + [row[2] for row in rows])
+
+
 def axiom_suite(rng, trials: int, pairs: int):
     """Monotonicity, constant preservation, sub-additivity, positive
     homogeneity and conjugate ordering on random ambiguity sets."""
-    rows = []
-    worst_overall = 0.0
-    for case in range(trials):
+    if pairs < 1:
+        raise DomainError("pairs must be >= 1")
+    cases = []
+    for _ in range(trials):
         X = random_ambiguity_set(rng)
         n_pts = len(X.support)
-        worst = dict.fromkeys(AXIOM_LAWS, 0.0)
-        for _ in range(pairs):
-            # functionals as value vectors on X.support
-            f = rng.uniform(-5.0, 5.0, size=n_pts)
-            bump = rng.uniform(0.0, 3.0, size=n_pts)
-            c = float(rng.uniform(-4.0, 4.0))
-            lam = float(rng.uniform(0.0, 3.0))
-            g = f + bump
-            f_plus_g = 2.0 * f + bump
-            f_scaled = lam * f
-            f_const = np.full(n_pts, c)
-            ef, eg = expect_upper(X, f), expect_upper(X, g)
-            worst["monotonicity"] = max(worst["monotonicity"], ef - eg)
-            worst["constants"] = max(worst["constants"],
-                                     abs(expect_upper(X, f_const) - c))
-            worst["subadditivity"] = max(worst["subadditivity"],
-                                         expect_upper(X, f_plus_g) - ef - eg)
-            worst["homogeneity"] = max(worst["homogeneity"],
-                                       abs(expect_upper(X, f_scaled) - lam * ef))
-            worst["conjugate"] = max(worst["conjugate"], expect_lower(X, f) - ef)
-        for law in AXIOM_LAWS:
-            rows.append({"case": case, "law": law, "violation": worst[law]})
-            worst_overall = max(worst_overall, worst[law])
-    return rows, worst_overall
+        # functionals as value vectors on X.support, drawn pair by pair
+        draws = [(rng.uniform(-5.0, 5.0, size=n_pts), rng.uniform(0.0, 3.0, size=n_pts),
+                  rng.uniform(-4.0, 4.0), rng.uniform(0.0, 3.0)) for _ in range(pairs)]
+        f, bump, c, lam = (np.array(a) for a in zip(*draws))
+        ef, eg, e_const, e_sum, e_scaled = expect_upper(X, np.stack(
+            [f, f + bump, np.broadcast_to(c[:, None], f.shape), 2.0 * f + bump,
+             lam[:, None] * f]))
+        laws = zip(AXIOM_LAWS, (ef - eg, abs(e_const - c), e_sum - ef - eg,
+                                abs(e_scaled - lam * ef), expect_lower(X, f) - ef))
+        cases.append({law: max(0.0, *v.tolist()) for law, v in laws})
+    return _law_rows(cases, AXIOM_LAWS)
 
 
-def tree_law_suite(rng, trees: int, max_depth: int = 6, max_children: int = 4,
-                   max_members: int = 3):
-    rows = []
-    worst_overall = 0.0
-    for case in range(trees):
+def tree_law_suite(rng, trees: int, max_depth: int, max_children: int, max_members: int):
+    cases = []
+    for _ in range(trees):
         tree = random_tree(rng, max_depth=max_depth, max_children=max_children,
                            max_members=max_members)
-        report = verify_operator_laws(tree, rng, samples=3)
-        for law, violation in sorted(report.violations.items()):
-            rows.append({"tree": case, "law": law, "violation": violation})
-            worst_overall = max(worst_overall, violation)
-    return rows, worst_overall
+        cases.append(verify_operator_laws(tree, rng, samples=3).violations)
+    return _law_rows(cases)
 
 
-def rosenthal_suite(rng, trees: int, p: float = 2.0, max_depth: int = 5):
+def rosenthal_suite(rng, trees: int, p: float, max_depth: int):
     rows = []
     failures = 0
     worst_ratio = 0.0
@@ -115,14 +105,9 @@ def random_gfunction(rng, d: int, max_members: int = 3) -> GFunction:
 def g_law_suite(rng, trials: int):
     """Per sampled pair of symmetric matrices: sub-additivity, homogeneity,
     PSD-order monotonicity, and the normalised entrywise Lipschitz bound."""
-    rows = []
-    worst_overall = 0.0
-    for case in range(trials):
-        d = int(rng.integers(1, 3))
-        G = random_gfunction(rng, d)
-        violations = {G_LAW_NAMES.get(law, law): max(v, 0.0)
-                      for law, v in g_law_violations(G, normalised(G), rng).items()}
-        for law in sorted(violations):
-            rows.append({"case": case, "law": law, "violation": violations[law]})
-            worst_overall = max(worst_overall, violations[law])
-    return rows, worst_overall
+    cases = []
+    for _ in range(trials):
+        G = random_gfunction(rng, int(rng.integers(1, 3)))
+        cases.append({law: max(v, 0.0)
+                      for law, v in g_law_violations(G, normalised(G), rng).items()})
+    return _law_rows(cases)

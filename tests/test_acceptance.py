@@ -53,7 +53,7 @@ def test_criterion_02_operator_laws():
 def test_criterion_03_rosenthal():
     rng = np.random.default_rng(20260803)
     t0 = time.perf_counter()
-    rows, failures, worst_ratio = rosenthal_suite(rng, trees=100, p=2.0)
+    rows, failures, worst_ratio = rosenthal_suite(rng, trees=100, p=2.0, max_depth=5)
     elapsed = time.perf_counter() - t0
     finite = all(np.isfinite(r["second_ratio"]) for r in rows)
     ok = failures == 0 and finite and elapsed < 30.0

@@ -210,6 +210,18 @@ def test_value_vector_checked():
         expect_upper(B, [0.0, np.nan, 1.0])
     with pytest.raises(DomainError, match="non-finite test value"):
         expect_lower(B, [0.0, 1.0, -np.inf])
+    for bad in (np.zeros((2, 4)), np.zeros((3, 2)), 1.0):
+        with pytest.raises(DomainError, match="value vector of shape"):
+            expect_upper(B, bad)
+    stack = np.zeros((2, 2, 3))
+    stack[1, 0, 2] = np.nan
+    with pytest.raises(DomainError, match="non-finite test value"):
+        expect_upper(B, stack)
+    stack[1, 0, 2] = -np.inf
+    with pytest.raises(DomainError, match="non-finite test value"):
+        expect_lower(B, stack)
+    value, idx = expect_upper_member(B, np.zeros((2, 0, 3)))
+    assert value.shape == idx.shape == (2, 0)
 
 
 @pytest.mark.parametrize("points, value", [([[1.0, 2.0], [3.0, 5.0]], 8.5),
@@ -325,15 +337,31 @@ UNION_FS = {
 
 
 @given(st.integers(0, 10_000), st.sampled_from([1, 2]),
-       st.sampled_from(["smooth", "scalar_only", "neg_zero", "values"]))
+       st.sampled_from(["smooth", "scalar_only", "neg_zero", "values", "stack"]))
 @settings(max_examples=60, deadline=None)
 def test_expect_upper_bit_identical_to_member_loop(seed, dim, f_name):
     """Members on different, unsorted supports with zero probabilities, in
-    1-d and 2-d; callables (vectorised, scalar-only, with -0.0 values) and
-    value vectors holding +-0.0."""
+    1-d and 2-d; callables (vectorised, scalar-only, with -0.0 values),
+    value vectors holding +-0.0, and stacks of them, each row of which
+    gives the bits of its own vector.  In the stack case a one-point member
+    leads the set and the first two rows are all -0.0 and all +0.0, so the
+    -0.0 that np.dot gives a one-point member is checked."""
     rng = np.random.default_rng(seed)
     X = random_union_set(rng, dim)
     assert [tuple(c) for c in X.lattice.to_integer(X.support).tolist()] == union_coords(X)
+    if f_name == "stack":
+        X = AmbiguitySet(X.lattice, (DiscreteDistribution(X.support[-1:], [1.0]),) + X.members)
+        stack = rng.uniform(-5.0, 5.0, size=(6, len(X.support)))
+        stack[rng.random(stack.shape) < 0.3] = 0.0
+        stack[rng.random(stack.shape) < 0.5] *= -1.0
+        stack[:2] = [[-0.0], [0.0]]
+        for got, f in ((expect_upper(X, stack), stack), (-expect_lower(X, stack), -stack)):
+            assert got.shape == (6,)
+            assert [v.hex() for v in got.tolist()] == [loop_expect_upper(X, row).hex()
+                                                       for row in f]
+            assert np.array_equal(expect_upper(X, f.reshape(2, 3, -1)).view(np.int64),
+                                  got.reshape(2, 3).view(np.int64))
+        return
     if f_name == "values":
         f = rng.uniform(-5.0, 5.0, size=len(X.support))
         zero = rng.random(len(f)) < 0.3
@@ -593,6 +621,28 @@ def test_axioms_on_random_sets(seed):
     lam = float(rng.uniform(0, 3))
     assert expect_upper(X, lam * f) == pytest.approx(lam * ef, abs=1e-12)
     assert expect_lower(X, f) <= ef + 1e-12
+
+
+def test_axiom_suite_makes_one_call_per_side_per_case():
+    """Each case's pairs go to expect_upper and expect_lower as stacks; a
+    suite with no pairs is rejected."""
+    from gexpect import suites
+
+    calls = []
+
+    def counted(fn):
+        def call(X, f):
+            calls.append(np.shape(f))
+            return fn(X, f)
+        return call
+
+    with mock.patch.object(suites, "expect_upper", counted(suites.expect_upper)), \
+            mock.patch.object(suites, "expect_lower", counted(suites.expect_lower)):
+        suites.axiom_suite(np.random.default_rng(3), trials=4, pairs=10)
+    assert len(calls) == 2 * 4
+    assert [shape[:-1] for shape in calls] == [(5, 10), (10,)] * 4
+    with pytest.raises(DomainError, match="pairs must be >= 1"):
+        suites.axiom_suite(np.random.default_rng(3), trials=1, pairs=0)
 
 
 @given(st.integers(0, 10_000))
