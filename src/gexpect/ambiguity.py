@@ -240,7 +240,12 @@ def expect_upper_member(X: AmbiguitySet, f):
     of a contiguous gather sums in np.dot's order, and a one-point member
     takes np.dot's product, which keeps a -0.0 that the matmul would not.
     """
-    rows = _support_values(X, f)[..., None, :]
+    return _upper_member(X, _support_values(X, f))
+
+
+def _upper_member(X: AmbiguitySet, values: np.ndarray):
+    """expect_upper_member on values that _support_values has checked."""
+    rows = values[..., None, :]
     means = np.empty((len(X.members),) + rows.shape[:-1])
     for i, (dist, pos) in enumerate(zip(X.members, X.positions)):
         part = rows.take(pos, axis=-1)
@@ -260,7 +265,7 @@ def expect_upper(X: AmbiguitySet, f):
 
 def expect_lower(X: AmbiguitySet, f):
     """Conjugate expectation -E[-f]; always <= expect_upper(X, f)."""
-    return -expect_upper(X, -_support_values(X, f))
+    return -_upper_member(X, -_support_values(X, f))[0]
 
 
 def _event_probabilities(X: AmbiguitySet, event: Callable) -> list:

@@ -45,6 +45,13 @@ class ScenarioTree:
                      contiguous child block
     Construction also flattens members[k] into rows[k], one _RowGroup per
     child count, which the level operator and the validation work on.
+
+    Cost model: nodes of a level may share one member list object, and each
+    distinct list (by identity) is resolved and checked once; the row groups
+    are then gathered by index.  Finding the distinct lists is two dict
+    passes over the nodes' ids, run in C.  So a level whose nodes all share
+    one list runs no Python code per node, and a level of distinct lists
+    runs Python code per row, as checking every row requires.
     """
 
     def __init__(self, lattice: LatticeSpec, parent: list, inc: list, members: list):
@@ -72,46 +79,67 @@ class ScenarioTree:
             par = self.parent[k + 1]
             if np.any(np.diff(par) < 0):
                 raise DomainError("children must be grouped by parent in order")
-            count = np.bincount(par, minlength=n_par)
-            start = np.concatenate([[0], np.cumsum(count)[:-1]])
-            self.child_start.append(start.astype(np.int64))
-            self.child_count.append(count.astype(np.int64))
+            if par.size and not 0 <= par[0] <= par[-1] < n_par:
+                bad = par[0] if par[0] < 0 else par[-1]
+                raise DomainError(f"level {k + 1}: parent index {bad} is not a node "
+                                  f"of level {k} (size {n_par})")
+            count = np.bincount(par, minlength=n_par).astype(np.int32)
+            self.child_start.append((np.cumsum(count) - count).astype(np.int32))
+            self.child_count.append(count)
 
     def _level_rows(self, k: int) -> list:
-        """Validate members[k] and group its rows by child count."""
-        mems = self.members[k]
+        """Validate members[k] and group its rows by child count.
+
+        The checks run on the rows of each distinct member list (by
+        identity), in the order and with the messages that checking every
+        node's rows would give; the group arrays are gathered from those
+        rows by index.
+        """
+        mems = list(self.members[k])  # holds every list alive, so ids stay distinct
         if len(mems) != self.sizes[k]:
             raise DomainError(f"level {k}: members list does not cover all nodes")
         count = self.child_count[k]
-        childless = np.flatnonzero(count == 0)
+        childless = (count == 0).nonzero()[0]
         if childless.size:
             raise DomainError(f"level {k} node {childless[0]}: every path must reach depth")
-        n_mem = np.fromiter(map(len, mems), dtype=np.int64, count=len(mems))
-        if np.any(n_mem == 0):
+        by_id = dict(zip(map(id, mems), mems))  # the distinct lists, in order of first use
+        index = dict(zip(by_id, range(len(by_id))))
+        inv = np.fromiter(map(index.__getitem__, map(id, mems)), dtype=np.int64,
+                          count=len(mems))
+        lists = list(by_id.values())
+        u_mem = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+        if not u_mem.all():
             raise DomainError("node needs at least one transition member")
-        rows = [np.asarray(p, dtype=float) for node in mems for p in node]
-        row_count = np.repeat(count, n_mem)
+        rows = [np.asarray(p, dtype=float) for node in lists for p in node]
+        u_count = np.empty_like(u_mem)
+        u_count[inv] = count  # a list's child count; the check below makes its nodes agree
+        row_count = u_count.repeat(u_mem)
         lengths = np.fromiter((p.size if p.ndim == 1 else -1 for p in rows),
                               dtype=np.int64, count=len(rows))
-        if np.any(lengths != row_count):
+        if (lengths != row_count).any() or (u_count[inv] != count).any():
             raise DomainError("member length does not match child count")
-        row_first = np.repeat(self.child_start[k], n_mem)
+        local = np.empty_like(u_mem)  # offset of a list's first row within its group
         groups = []
-        for c in np.unique(count):
-            nodes = np.flatnonzero(count == c)
-            picked = np.flatnonzero(row_count == c)
-            probs = np.array([rows[i] for i in picked]).reshape(-1, 1, c)
-            if not np.all(np.isfinite(probs)):
+        for c in sorted(set(u_count.tolist())):
+            own = (u_count == c).nonzero()[0]
+            probs = np.array([rows[i] for i in (row_count == c).nonzero()[0].tolist()])
+            probs = probs.reshape(-1, 1, c)
+            if not np.isfinite(probs).all():
                 raise DomainError("non-finite transition probability")
-            if np.any(probs < 0.0):
+            if (probs < 0.0).any():
                 raise DomainError("negative transition probability")
-            if np.any(np.abs(probs.sum(axis=2) - 1.0) > PROB_TOL):
+            if (np.abs(probs.sum(axis=2) - 1.0) > PROB_TOL).any():
                 raise DomainError("transition probabilities do not sum to 1")
-            seg = np.cumsum(n_mem[nodes]) - n_mem[nodes]
-            if np.any(np.maximum.reduceat(probs[:, 0], seg) <= 0.0):
+            own_mem = u_mem[own]
+            local[own] = own_mem.cumsum() - own_mem
+            if (np.maximum.reduceat(probs[:, 0], local[own]) <= 0.0).any():
                 raise DomainError("child unreachable under every member")
+            nodes = (count == c).nonzero()[0]
+            per_node = u_mem[inv[nodes]]
+            seg = per_node.cumsum() - per_node
+            pick = (local[inv[nodes]] - seg).repeat(per_node) + np.arange(per_node.sum())
             # int32 halves the index memory; trees stay far below 2**31 nodes.
-            groups.append(_RowGroup(probs, row_first[picked].astype(np.int32),
+            groups.append(_RowGroup(probs[pick], self.child_start[k][nodes].repeat(per_node),
                                     nodes.astype(np.int32), seg.astype(np.int32)))
         return groups
 
@@ -466,7 +494,9 @@ def iid_level_tree(X, depth: int, scale: float = 1.0) -> ScenarioTree:
     each transition member is one family member; edge increments are the
     scaled support points.  With c support points the tree has
     (c^(depth+1) - 1)/(c - 1) nodes (depth + 1 if c = 1), so depth must
-    stay small.  Every node of a level shares one member list.
+    stay small.  Every node of a level shares one member list, which
+    ScenarioTree resolves and checks once, so construction runs Python code
+    per level, not per node; the per-node work is dict lookups and numpy.
     """
     lat0 = X.lattice
     support = X.members[0].support

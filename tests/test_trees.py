@@ -126,6 +126,23 @@ def test_iid_level_tree_matches_sum_dp(bernoulli):
             iid_sum_expect(bernoulli, depth, phi, scale=scale), abs=1e-10)
 
 
+def test_benchmark_sized_iid_tree_structure():
+    """The depth-11 tree of the `large` benchmark workload: its sizes, its
+    row groups, and one root value against the lattice DP."""
+    X = symmetric_bernoulli_family([0.5, 1])
+    depth = 11
+    tree = iid_level_tree(X, depth)
+    assert tree.node_count == 265_720
+    assert [len(g.probs) for g in tree.rows[10]] == [2 * 3 ** 10]  # 118,098 rows
+    assert sum(len(g.probs) for groups in tree.rows for g in groups) == 177_146
+    scale = 1 / np.sqrt(depth)
+    phi = get("excess_square")
+    terminal = path_sums(tree, MartingaleArray(tree))[depth][:, 0]
+    root = cond_expect(tree, TreeRandomVariable(depth, phi(scale * terminal)), 0)
+    assert root.values[0] == pytest.approx(
+        iid_sum_expect(X, depth, phi, scale=scale), abs=1e-10)
+
+
 def test_cond_expect_level_mismatch():
     tree = iid_level_tree(B, 2)
     X = TreeRandomVariable(1, np.zeros(tree.sizes[1]))
@@ -474,10 +491,116 @@ PAIR_INC = [None, np.array([[1.0], [-1.0]])]
     (PAIR, PAIR_INC, [[[np.array([1.5, -0.5])]]], "negative transition probability"),
     (PAIR, [None, np.array([[1.0]])], [[[HALF]]], "level 1: increment array shape"),
     (PAIR, PAIR_INC, [[[np.array([np.nan, 0.5])]]], "non-finite transition probability"),
-], ids=["covering", "childless", "no_members", "length", "negative", "increments", "nan"])
+    ([None, np.array([-1, 0])], PAIR_INC, [[[HALF]]],
+     "^level 1: parent index -1 is not a node of level 0 \\(size 1\\)$"),
+    ([None, np.array([0, 0]), np.array([0, 2])],
+     [None, np.array([[1.0], [-1.0]]), np.array([[1.0], [-1.0]])],
+     [[[HALF]], [[np.array([1.0])], [np.array([1.0])]]],
+     "^level 2: parent index 2 is not a node of level 1 \\(size 2\\)$"),
+], ids=["covering", "childless", "no_members", "length", "negative", "increments", "nan",
+        "negative_parent", "parent_out_of_range"])
 def test_tree_validation_rejects(parent, inc, members, match):
     with pytest.raises(DomainError, match=match):
         ScenarioTree(LAT1, parent, inc, members)
+
+
+# ------------------------------------------------------- shared member lists
+
+def rebuild(tree, members):
+    return ScenarioTree(tree.lattice, tree.parent, tree.inc, members)
+
+
+def copied(members):
+    """The same member lists with a fresh list and fresh vectors per node."""
+    return [[[np.array(p, dtype=float) for p in node] for node in level]
+            for level in members]
+
+
+def assert_same_tree_arrays(a, b):
+    """Every row-group array and every conditional expectation, bytewise."""
+    assert a.depth == b.depth
+    for k in range(a.depth):
+        assert len(a.rows[k]) == len(b.rows[k])
+        for ga, gb in zip(a.rows[k], b.rows[k]):
+            for field in ("probs", "first", "nodes", "seg"):
+                x, y = getattr(ga, field), getattr(gb, field)
+                assert (x.dtype, x.shape) == (y.dtype, y.shape)
+                assert x.tobytes() == y.tobytes()
+    rng = np.random.default_rng(a.node_count)
+    vals = rng.uniform(-2.0, 2.0, size=a.sizes[a.depth])
+    for k in range(a.depth + 1):
+        got = [cond_expect(t, TreeRandomVariable(t.depth, vals), k).values
+               for t in (a, b)]
+        assert got[0].tobytes() == got[1].tobytes()
+
+
+def test_shared_member_lists_match_per_node_copies():
+    tree = iid_level_tree(B, 6)
+    assert all(len({id(node) for node in level}) == 1 for level in tree.members)
+    assert_same_tree_arrays(tree, rebuild(tree, copied(tree.members)))
+
+
+@pytest.mark.parametrize("kind", TREE_KINDS)
+@pytest.mark.parametrize("seed", range(12))
+def test_random_subsets_sharing_lists_match_copies(seed, kind):
+    """Random subsets of same-count nodes point at one list object."""
+    dim, shape = kind
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, max_depth=5, max_children=4, max_members=3, dim=dim, **shape)
+    shared = [list(level) for level in tree.members]
+    for k, level in enumerate(shared):
+        count = tree.child_count[k]
+        for c in np.unique(count):
+            nodes = np.flatnonzero((count == c) & (rng.random(len(level)) < 0.6))
+            if nodes.size:
+                for j in nodes:
+                    level[j] = level[nodes[0]]
+    assert_same_tree_arrays(rebuild(tree, shared), rebuild(tree, copied(shared)))
+
+
+def test_member_arrays_match_member_lists():
+    """A level given as one (nodes, members, children) array: iterating it
+    makes a fresh view per node, and no two views may count as one list."""
+    tree = iid_level_tree(B, 5)
+    rng = np.random.default_rng(5)
+    arrays = [rng.dirichlet(np.ones(3), size=(tree.sizes[k], 2)) for k in range(tree.depth)]
+    lists = [[list(node) for node in level] for level in arrays]
+    assert_same_tree_arrays(rebuild(tree, arrays), rebuild(tree, lists))
+
+
+# Two level-1 nodes under one root; node 0 has two children, node 1 `n1`.
+def shared_level_tree(bad, n1=2, share=True):
+    parent = [None, np.array([0, 0]), np.array([0, 0] + [1] * n1)]
+    inc = [None, np.array([[1.0], [-1.0]]), np.ones((2 + n1, 1))]
+    level1 = [bad, bad] if share else [list(bad), list(bad)]
+    return ScenarioTree(LAT1, parent, inc, [[[HALF]], level1])
+
+
+@pytest.mark.parametrize("bad, n1, match", [
+    ([np.array([np.inf, 0.5])], 2, "non-finite transition probability"),
+    ([HALF, np.array([1.5, -0.5])], 2, "negative transition probability"),
+    ([np.array([0.7, 0.7])], 2, "do not sum to 1"),
+    ([np.array([1.0, 0.0]), np.array([1.0, 0.0])], 2, "child unreachable"),
+    ([HALF], 3, "member length does not match child count"),
+], ids=["nonfinite", "negative", "sum", "unreachable", "child_counts"])
+def test_invalid_shared_list_rejected_as_copies_are(bad, n1, match):
+    messages = []
+    for share in (True, False):
+        with pytest.raises(DomainError, match=match) as info:
+            shared_level_tree(bad, n1, share)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_child_index_arrays_int32(seed):
+    tree = random_tree(np.random.default_rng(seed))
+    for k in range(tree.depth):
+        count = np.bincount(tree.parent[k + 1], minlength=tree.sizes[k])
+        assert tree.child_count[k].dtype == tree.child_start[k].dtype == np.int32
+        assert np.array_equal(tree.child_count[k], count)
+        assert np.array_equal(tree.child_start[k], np.cumsum(count) - count)
+        assert tree.parent[k + 1].dtype == np.int64
 
 
 TREE_DOC = ("tree v1 depth=1 dim=1 step=1.0 origin=0.0\n"
