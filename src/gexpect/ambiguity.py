@@ -55,13 +55,17 @@ class LatticeSpec:
         object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
 
     def to_integer(self, points: np.ndarray) -> np.ndarray:
-        """Map physical points to integer coordinates, verifying lattice membership."""
+        """Map physical points to integer coordinates, verifying lattice membership
+        while the tolerance stays below half a step: |q| < 0.5 / LATTICE_RTOL."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if not np.all(np.isfinite(pts)):
             raise DomainError("non-finite point")
         q = (pts - np.asarray(self.origin)) / self.step
         r = np.rint(q)
         tol = LATTICE_RTOL * np.maximum(1.0, np.abs(q))
+        if np.any(tol >= 0.5):
+            bad = pts[np.any(tol >= 0.5, axis=1)][0]
+            raise DomainError(f"point beyond the lattice range: {bad.tolist()}")
         if np.any(np.abs(q - r) > tol):
             bad = pts[np.any(np.abs(q - r) > tol, axis=1)][0]
             raise DomainError(f"point off lattice: {bad.tolist()}")

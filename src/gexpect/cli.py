@@ -19,7 +19,6 @@ from . import cltlab, pde, suites
 from .ambiguity import DEFAULT_MAX_SUM_NODES
 from .config import ExperimentConfig, load_config, with_seed
 from .errors import ConfigError, DomainError, ResourceCapError
-from .gfunc import g_eval
 from .reporting import LAW_TOLERANCE, ExperimentReport, write_rows_csv
 
 
@@ -116,34 +115,9 @@ def run_fdd(cfg: ExperimentConfig, rng) -> ExperimentReport:
 
 def run_iid_conditions(cfg: ExperimentConfig, rng) -> ExperimentReport:
     p = cfg.params
-    spec = cfg.inputs["rows"]
-    tol = p.get("tolerance", 0.02)
-    block = cltlab.check_iid_necessary_conditions(spec.law, p["c_schedule"],
-                                                  p["x_schedule"])
-    report = ExperimentReport(
-        "iid-conditions", ("condition", "probe", "level", "value"))
-    for c, v in block.rows_second_moment:
-        report.add_row(condition="capped_second_moment", probe="", level=c, value=v)
-    for x, v in block.rows_tail:
-        report.add_row(condition="scaled_tail", probe="", level=x, value=v)
-    for c, v in block.rows_trunc_mean:
-        report.add_row(condition="truncated_means", probe="", level=c, value=v)
-    for pi, c, v in block.rows_quadratic:
-        report.add_row(condition="truncated_quadratic", probe=pi, level=c, value=v)
-    report.add_verdict("quadratic_stabilized", block.stabilized,
-                       1.0 if block.stabilized else 0.0)
-    report.add_verdict("second_moment_stabilized", block.second_moment_stabilized,
-                       block.second_moment_gap)
-    (n_est,) = spec.schedule
-    c_big = p["c_schedule"][-1]
-    for name, A in (("plus", np.array([[1.0]])), ("minus", np.array([[-1.0]]))):
-        est = cltlab.estimate_limit_G(spec, A, c_big, n_est)
-        ref = g_eval(block.induced, A)
-        report.add_row(condition=f"estimate_{name}", probe=name, level=float(n_est),
-                       value=est)
-        report.add_verdict(f"estimate_gap[{name}]", abs(est - ref) <= tol,
-                           abs(est - ref), f"reference {ref!r}")
-    return report
+    return cltlab.check_iid_necessary_conditions(
+        cfg.inputs["rows"], p["c_schedule"], p["x_schedule"],
+        tolerance=p.get("tolerance", cltlab.ESTIMATE_TOLERANCE))
 
 
 RUNNERS = {**dict.fromkeys(LAW_SUITES, run_law_suite), "pde": run_pde, "clt": run_clt,

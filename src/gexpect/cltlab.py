@@ -27,6 +27,7 @@ from .trees import MartingaleArray, drift_stat, lindeberg_stat, quadratic_charac
 DEFAULT_SCHEDULE = (16, 64, 256)
 GAP_CONSTANT = 0.01  # flat tolerance added to the solver error bar
 LINDEBERG_EPS = (0.1, 0.5)  # clip levels of the Lindeberg trends
+ESTIMATE_TOLERANCE = 0.02  # largest |estimate - G(A)| an iid-conditions report passes
 
 
 def member_second_moments(X: AmbiguitySet) -> list:
@@ -85,6 +86,17 @@ def fdd_times(times: Sequence[float]) -> tuple[float, float]:
     if not 0 < t1 < t2 <= 1.0:
         raise DomainError("times must satisfy 0 < t1 < t2 <= 1")
     return t1, t2
+
+
+def fdd_checkpoints(spec: Rows, times: Sequence[float]) -> dict:
+    """Row size n -> its checkpoints (k1, k2) for the fdd times (t1, t2);
+    rejects times whose t2 falls at step 0 of a row (k1 = 0 is allowed)."""
+    t1, t2 = fdd_times(times)
+    steps = {n: spec.checkpoints(n, (t1, t2)) for n in spec.schedule}
+    for n, (_, k2) in steps.items():
+        if k2 == 0:
+            raise DomainError(f"t2 = {t2!r} falls at step 0 of the row n = {n}")
+    return steps
 
 
 def _check_schedule(schedule):
@@ -386,6 +398,7 @@ def run_fdd_experiment(spec: Rows, times: Sequence[float], psi: TestFunction,
     if spec.dim != 1:
         raise DomainError("1-d only")
     G = spec.induced_gfunction()
+    steps = fdd_checkpoints(spec, (t1, t2))
     limit = gbm_fdd_expect(G, (t1, t2), psi, accuracy=accuracy)
     report = ExperimentReport(
         kind="fdd",
@@ -395,7 +408,7 @@ def run_fdd_experiment(spec: Rows, times: Sequence[float], psi: TestFunction,
     )
 
     def prelimit(n: int) -> float:
-        k1, k2 = spec.checkpoints(n, (t1, t2))
+        k1, k2 = steps[n]
         return two_point_sum_expect(spec.row_laws(n)[:k2], k1, psi, spec.row_scale(n))
 
     return _run_schedule(report, spec, [(psi.name or "psi", limit, prelimit)],
@@ -409,58 +422,57 @@ def default_probes(d: int) -> list:
             np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, 0.0])]
 
 
-@dataclass
-class IidConditionReport:
-    rows_second_moment: list
-    rows_tail: list
-    rows_trunc_mean: list
-    rows_quadratic: list
-    probes: list
-    induced: GFunction
-    stabilized: bool
-    second_moment_gap: float
-    second_moment_stabilized: bool
+def check_iid_necessary_conditions(spec: IidRows, c_schedule: Sequence[float],
+                                   x_schedule: Sequence[float],
+                                   tolerance: float = ESTIMATE_TOLERANCE) -> ExperimentReport:
+    """The iid-conditions report: the four one-law conditions behind the iid
+    limit, evaluated exactly, and the DP estimate of the limit generator.
 
-
-def check_iid_necessary_conditions(X: AmbiguitySet, c_schedule: Sequence[float],
-                                   x_schedule: Sequence[float]) -> IidConditionReport:
-    """The four one-law conditions behind the iid limit, evaluated exactly.
-
-    (capped second moment, scaled tail capacity, truncated means, truncated
-    quadratic forms along the default probe matrices); the generator induced
-    by the largest truncation level is returned as a support-function object.
+    Rows: capped second moments and, per tail level x, x^2 c(|X| >= x); per
+    truncation level, truncated means and quadratic forms along
+    default_probes(d); estimate_limit_G at +-I on the longest row.  Verdicts:
+    both stabilise over the two largest levels; each estimate is within
+    `tolerance` of G(+-I), G induced by the law truncated at the largest.
     """
+    if not isinstance(spec, IidRows):
+        raise DomainError("iid rows only")
+    d = spec.dim
+    if d > 2:
+        raise DomainError("dimension cap: d <= 2")
     check_increasing(c_schedule, "c_schedule")
+    if len(c_schedule) < 2:  # both stabilisation verdicts compare two levels
+        raise DomainError("c_schedule needs at least two truncation levels")
     check_increasing(x_schedule, "x_schedule")
     if not np.all(np.isfinite(x_schedule)):  # x^2 * capacity(|X| >= x) must be a number
         raise DomainError("tail level must be finite")
-    d = X.dim
-    sq = _sq_norm(d)
-    probes = default_probes(d)
+    X, sq, probes = spec.law, _sq_norm(d), default_probes(d)
+    report = ExperimentReport("iid-conditions", ("condition", "probe", "level", "value"))
+    moments = [expect_upper(X, lambda z, cc=c: np.minimum(sq(z), cc)) for c in c_schedule]
+    for c, v in zip(c_schedule, moments):
+        report.add_row(condition="capped_second_moment", level=float(c), value=v)
+    for x in x_schedule:
+        report.add_row(condition="scaled_tail", level=float(x), value=x * x * capacity_upper(
+            X, lambda z, xx=x: np.sqrt(sq(z)) >= xx))
+    truncated = [truncate(X, c) for c in c_schedule]
+    for c, Xc in zip(c_schedule, truncated):
+        report.add_row(condition="truncated_means", level=float(c), value=_drift(Xc, 1.0))
+    quad = [[expect_upper(Xc, _quad_form(A, d)) for A in probes] for Xc in truncated]
+    for c, values in zip(c_schedule, quad):
+        for pi, v in enumerate(values):
+            report.add_row(condition="truncated_quadratic", probe=pi, level=float(c), value=v)
 
-    rows_i = [(float(c), expect_upper(X, lambda z, cc=c: np.minimum(sq(z), cc)))
-              for c in c_schedule]
-    rows_ii = [(float(x), x * x * capacity_upper(X, lambda z, xx=x: np.sqrt(sq(z)) >= xx))
-               for x in x_schedule]
-
-    rows_iii = []
-    rows_iv = []
-    truncated_sets = {}
-    for c in c_schedule:
-        Xc = truncate(X, c)
-        truncated_sets[c] = Xc
-        rows_iii.append((float(c), _drift(Xc, 1.0)))
-        for pi, A in enumerate(probes):
-            rows_iv.append((pi, float(c), expect_upper(Xc, _quad_form(A, d))))
-
-    induced = GFunction.from_matrices(member_second_moments(truncated_sets[c_schedule[-1]]))
-    # rows_iv runs level by level: its last two blocks are the two largest levels
-    k = len(probes)
-    last, prev = [v for *_, v in rows_iv[-k:]], [v for *_, v in rows_iv[-2 * k:-k]]
-    stabilized = all(abs(a - b) <= 1e-12 * max(1.0, abs(a)) for a, b in zip(last, prev))
-    moment_gap = abs(rows_i[-1][1] - rows_i[-2][1]) if len(rows_i) > 1 else 0.0
-    return IidConditionReport(rows_i, rows_ii, rows_iii, rows_iv, probes,
-                              induced, stabilized, moment_gap, moment_gap <= 1e-12)
+    stabilized = all(abs(a - b) <= 1e-12 * max(1.0, abs(a))
+                     for a, b in zip(quad[-1], quad[-2]))
+    report.add_verdict("quadratic_stabilized", stabilized, 1.0 if stabilized else 0.0)
+    moment_gap = abs(moments[-1] - moments[-2])
+    report.add_verdict("second_moment_stabilized", moment_gap <= 1e-12, moment_gap)
+    G, n = GFunction.from_matrices(member_second_moments(truncated[-1])), spec.schedule[-1]
+    for name, A in zip(("plus", "minus"), probes):
+        est, ref = estimate_limit_G(spec, A, c_schedule[-1], n), g_eval(G, A)
+        report.add_row(condition=f"estimate_{name}", probe=name, level=float(n), value=est)
+        report.add_verdict(f"estimate_gap[{name}]", abs(est - ref) <= tolerance,
+                           abs(est - ref), f"reference {ref!r}")
+    return report
 
 
 def estimate_limit_G(spec: Rows, A, c: float, n: int) -> float:

@@ -128,7 +128,7 @@ _PARAMS_SCHEMA = {
             "family": _FAMILY_SCHEMA,
             "c_schedule": {"type": "array", "items": {"type": "number",
                                                       "exclusiveMinimum": 0},
-                           "minItems": 1},
+                           "minItems": 2},
             "x_schedule": {"type": "array", "items": {"type": "number",
                                                       "exclusiveMinimum": 0},
                            "minItems": 1},
@@ -244,7 +244,7 @@ def _build(kind: str, p: dict) -> dict:
         inputs["functionals"] = [functionals.get(name) for name in p["functionals"]]
     elif kind == "fdd":
         with _at("params/times"):
-            cltlab.fdd_times(p["times"])
+            cltlab.fdd_checkpoints(inputs["rows"], p["times"])
         inputs["functional"] = functionals.get_pair(p["functional"])
     elif kind == "pde":
         if ("sigma_interval" in p) == ("theta" in p):

@@ -95,7 +95,6 @@ class PdeEstimate:
     richardson_delta: float
     boundary_bound: float
     spacing: float
-    time_step: float
     half_width: float
     margin: float
 
@@ -315,23 +314,21 @@ def _two_grid(G: GFunction, horizon: float, half_width: float, nodes: int,
 
     march(grid) runs on the grid [-half_width, half_width]^d to the horizon
     with `nodes` nodes per axis, then on the one with 2 * nodes - 1; it
-    returns the time step it marched with (0.0 when its stages differ) and,
-    per functional, the centre value and max |initial data| on the grid,
-    the bound on |data| that the tail bound scales.  Each estimate
+    returns, per functional, the centre value and max |initial data| on the
+    grid, the bound on |data| that the tail bound scales.  Each estimate
     is the fine value with its bar: twice the coarse/fine difference, the
     frozen-boundary Gaussian tail bound and a floating-point floor.
     """
     coarse_grid, grid = (Grid.build(G.dimension, half_width, half_width / ((count - 1) // 2),
                                     horizon, G.sigma_sq_max) for count in (nodes, 2 * nodes - 1))
-    _, coarse = march(coarse_grid)
-    time_step, fine = march(grid)
+    coarse, fine = march(coarse_grid), march(grid)
     estimates = []
     for (coarse_value, data_max), (value, data_max2) in zip(coarse, fine):
         tail = _boundary_bound(G, horizon, half_width, max(data_max, data_max2), G.dimension)
         delta = abs(value - coarse_value)
         bar = 2.0 * delta + tail + 1e-9 * (1.0 + abs(value))
         estimates.append(PdeEstimate(value, bar, coarse_value, delta, tail, grid.spacing,
-                                     time_step, half_width, grid.margin()))
+                                     half_width, grid.margin()))
     return estimates
 
 
@@ -364,8 +361,8 @@ def gnormal_expect(G, phi, horizon: float = 1.0,
         del pts  # the march does not need the (N, N, 2) points
         data_max = [float(np.max(np.abs(u))) for u in data]
         fields = _march(G, grid, data, grid.steps)
-        return grid.time_step, [(float(u[(len(u) // 2,) * grid.dim]), bound)
-                                for u, bound in zip(fields, data_max)]
+        return [(float(u[(len(u) // 2,) * grid.dim]), bound)
+                for u, bound in zip(fields, data_max)]
 
     estimates = _two_grid(G, horizon, _auto_half_width(G, horizon), nodes, march)
     return estimates[0] if callable(phi) else estimates
@@ -408,8 +405,7 @@ def gbm_fdd_expect(G, times, phi, accuracy: str = "default") -> PdeEstimate:
     Backward nesting: the last increment is integrated out by a batched
     G-heat march over horizon t_p - t_{p-1}, the result is read on the
     diagonal (the increment starts at the previous marginal), and the
-    recursion continues to t_1.  The stages march with different time
-    steps, so the estimate's time_step is 0.0.
+    recursion continues to t_1.
 
     The last stage streams over blocks of rows (_fdd_last_stage), so with
     n nodes per axis the working set is O(n^(p-1) + BLOCK_CELLS) floats,
@@ -439,7 +435,7 @@ def gbm_fdd_expect(G, times, phi, accuracy: str = "default") -> PdeEstimate:
             u = stage(j, u)
             if j:
                 u = np.einsum("...ii->...i", u)
-        return 0.0, [(float(u[len(u) // 2]), data_max)]
+        return [(float(u[len(u) // 2]), data_max)]
 
     nodes = _preset_nodes(NODES_FDD, accuracy)
     if p == 3:

@@ -243,10 +243,11 @@ def _mean_range(tree: ScenarioTree, Z: MartingaleArray, k: int):
 
 
 def _predictable_sum(tree: ScenarioTree, upto: int, term) -> np.ndarray:
-    """sum_{k<=upto} of the level-(k-1) array term(k), lifted to level upto."""
-    total = np.zeros(tree.sizes[upto])
+    """sum_{k<=upto} of the level-(k-1) array term(k), lifted to level upto, as
+    one running sum: each node gets the float additions of lift-then-add."""
+    total = np.zeros(tree.sizes[0])
     for k in range(1, upto + 1):
-        total = total + lift(tree, TreeRandomVariable(k - 1, term(k)), upto).values
+        total = (total + term(k))[tree.parent[k]]
     return total
 
 

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from gexpect import (GFunction, IidRows, SigmaInterval, check_iid_necessary_conditions,
-                     estimate_limit_G, g_eval, gbm_fdd_expect, gbm_quadratic_identity,
-                     gnormal_expect, iid_sum_expect, run_clt_experiment,
+                     gbm_fdd_expect, gbm_quadratic_identity, gnormal_expect, iid_sum_expect,
                      symmetric_bernoulli_family, two_point_sum_expect)
 from gexpect.cli import main as cli_main
+from gexpect.cltlab import default_probes
 from gexpect.functionals import get, get_pair
 from gexpect.suites import (axiom_suite, g_law_suite, rosenthal_suite,
                             tree_law_suite)
@@ -144,21 +144,23 @@ def test_criterion_08_quadratic_identity(sigma_half_one):
 
 
 def test_criterion_09_iid_condition_block(bernoulli):
-    block = check_iid_necessary_conditions(bernoulli, [1.0, 2.0, 4.0, 8.0],
-                                           [0.5, 1.0, 1.5, 2.0, 4.0])
-    stab = all(v == 1.0 for _, v in block.rows_second_moment)
-    tails = all(v == 0.0 for x, v in block.rows_tail if x > 1.0)
-    means = all(v == 0.0 for _, v in block.rows_trunc_mean)
-    plus, minus = block.probes[0][0, 0], block.probes[1][0, 0]
+    report = check_iid_necessary_conditions(IidRows(bernoulli, (256,)), [1.0, 2.0, 4.0, 8.0],
+                                            [0.5, 1.0, 1.5, 2.0, 4.0])
+    rows = {}
+    for row in report.rows:
+        rows.setdefault(row["condition"], []).append(row)
+    stab = all(r["value"] == 1.0 for r in rows["capped_second_moment"])
+    tails = all(r["value"] == 0.0 for r in rows["scaled_tail"] if r["level"] > 1.0)
+    means = all(r["value"] == 0.0 for r in rows["truncated_means"])
+    plus, minus = (A[0, 0] for A in default_probes(1)[:2])
     assert (plus, minus) == (1.0, -1.0)
-    quad_exact = all(v == (1.0 if pi == 0 else -0.5)
-                     for pi, c, v in block.rows_quadratic)
-    exact_g = (quad_exact and g_eval(block.induced, [[1.0]]) == 1.0
-               and g_eval(block.induced, [[-1.0]]) == -0.5)
-    spec = IidRows(bernoulli, (256,))
-    up = estimate_limit_G(spec, [[1.0]], 8.0, 256)
-    lo = estimate_limit_G(spec, [[-1.0]], 8.0, 256)
-    est_ok = abs(up - 1.0) <= 0.02 and abs(lo + 0.5) <= 0.02
+    quad_exact = all(r["value"] == (1.0 if r["probe"] == 0 else -0.5)
+                     for r in rows["truncated_quadratic"])
+    refs = {v.name: v.detail for v in report.verdicts}
+    exact_g = (quad_exact and refs["estimate_gap[plus]"] == "reference 1.0"
+               and refs["estimate_gap[minus]"] == "reference -0.5")
+    (up,), (lo,) = ([r["value"] for r in rows[f"estimate_{name}"]] for name in ("plus", "minus"))
+    est_ok = abs(up - 1.0) <= 0.02 and abs(lo + 0.5) <= 0.02 and report.hard_pass
     ok = stab and tails and means and exact_g and est_ok
     announce(9, "iid condition block", ok,
              f"capped moment at 1.0: {stab}, tail/means zero: {tails and means}, "

@@ -775,6 +775,27 @@ def test_non_finite_point_rejected_by_lattice(value):
         lat.to_integer(np.array([[0.0], [value]]))
 
 
+def test_lattice_rejects_points_beyond_half_step_tolerance():
+    """A point 2**41 + 0.5 steps out has a tolerance above half a step, so it
+    would pass as 2**41; the range ends where the tolerance reaches 0.5."""
+    lat = LatticeSpec(1, 1.0, (0.0,))
+    with pytest.raises(DomainError, match="beyond the lattice range"):
+        lat.to_integer(np.array([[2.0 ** 41 + 0.5]]))
+    with pytest.raises(DomainError, match="off lattice"):
+        lat.to_integer(np.array([[2.0 ** 38 + 0.5]]))
+    assert lat.to_integer(np.array([[2.0 ** 38]])).tolist() == [[2 ** 38]]
+
+
+@pytest.mark.parametrize("support", [[-1.0, 0.0, 1.0], [0.0, 1.0]])
+def test_lattice_rejects_coordinates_past_int64(support):
+    """At step 1e-300 the coordinates of +-1 would overflow the int64 cast:
+    {-1, 0, 1} was rejected as repeated and {0, 1} truncated to -9.2e-282."""
+    pts = np.array(support).reshape(-1, 1)
+    dist = DiscreteDistribution(pts, np.full(len(pts), 1.0 / len(pts)))
+    with pytest.raises(DomainError, match="beyond the lattice range"):
+        AmbiguitySet(LatticeSpec(1, 1e-300, (0.0,)), [dist])
+
+
 def test_empty_members_rejected():
     with pytest.raises(DomainError, match="at least one member"):
         AmbiguitySet(LatticeSpec(1, 1.0, (0.0,)), [])

@@ -271,6 +271,9 @@ REJECTIONS = [
     (with_params("pde", cases=[{"functional": "square", "reference": float("nan"),
                                 "tolerance": 0.01}]), "params/cases/0/reference"),
     (with_params("rosenthal", p=float("inf")), "params/p"),
+    (with_params("fdd", times=[0.01, 0.02], schedule=[16, 64]), "params/times"),
+    (with_params("clt", family={**explicit([0.0, 1.0], [0.5, 0.5]), "step": 1e-300}),
+     "params/family/support"),
 ]
 
 
@@ -281,7 +284,7 @@ REJECTIONS = [
     "schedule_order", "times_order", "c_order", "x_order", "interval_order",
     "interval_zero", "theta_zero", "support_nan", "horizon_infinite", "x_infinite",
     "interval_infinite", "theta_infinite", "theta_nan", "tolerance_nan", "reference_nan",
-    "p_infinite"])
+    "p_infinite", "t2_at_step_zero", "support_beyond_lattice_range"])
 def test_config_rejected_at_load_with_field_path(doc, path):
     with pytest.raises(ConfigError) as info:
         parse_config(doc)
@@ -293,6 +296,14 @@ def test_off_lattice_support_exits_two_with_path(tmp_path, capsys):
     code = main(["--config", write_config(tmp_path, doc), "--out", str(tmp_path)])
     assert code == 2
     assert "config rejected at params/family/support:" in capsys.readouterr().err
+
+
+def test_one_truncation_level_exits_two_with_path(tmp_path, capsys):
+    """Both stabilisation verdicts compare the two largest truncation levels."""
+    doc = with_params("iid-conditions", c_schedule=[1.0])
+    code = main(["--config", write_config(tmp_path, doc), "--out", str(tmp_path)])
+    assert code == 2
+    assert "config rejected at params/c_schedule:" in capsys.readouterr().err
 
 
 def test_infinite_horizon_exits_two_with_path(tmp_path, capsys):

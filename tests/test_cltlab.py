@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from gexpect import (AmbiguitySet, DiscreteDistribution, DomainError, HeterogeneousRows,
-                     IidRows, LatticeSpec, MartingaleArray, ResourceCapError, TreeRows,
-                     check_iid_necessary_conditions, estimate_limit_G, g_eval, iid_level_tree,
-                     iid_sum_expect, nested_expect, nested_product, quadratic_characteristic,
-                     run_clt_experiment, run_fdd_experiment, symmetric_bernoulli_family,
-                     two_point_sum_expect)
+from gexpect import (AmbiguitySet, DiscreteDistribution, DomainError, GFunction,
+                     HeterogeneousRows, IidRows, LatticeSpec, MartingaleArray, ResourceCapError,
+                     TreeRows, check_iid_necessary_conditions, estimate_limit_G, g_eval,
+                     iid_level_tree, iid_sum_expect, nested_expect, nested_product,
+                     quadratic_characteristic, run_clt_experiment, run_fdd_experiment,
+                     symmetric_bernoulli_family, truncate, two_point_sum_expect)
 from gexpect import ambiguity
-from gexpect.cltlab import _non_increasing, attach_condition_verdicts
+from gexpect.cltlab import _non_increasing, attach_condition_verdicts, fdd_checkpoints
 from gexpect.functionals import get, get_pair
 from gexpect.reporting import ExperimentReport
 
@@ -523,6 +523,26 @@ def test_fdd_product_checkpoint():
     assert report.rows[-1]["gap"] <= 0.02
 
 
+def test_fdd_rejects_t2_at_step_zero_before_the_solve():
+    """t2 = 0.02 is step 0 of the row n = 16; the DP needs at least one step."""
+    from gexpect import cltlab
+
+    with mock.patch.object(cltlab, "gbm_fdd_expect") as solve, \
+            pytest.raises(DomainError, match=r"t2 = 0\.02 falls at step 0 of the row n = 16"):
+        run_fdd_experiment(IidRows(B, (16, 64)), (0.01, 0.02), get_pair("increment_square"),
+                           accuracy="fast")
+    solve.assert_not_called()
+
+
+def test_fdd_first_checkpoint_at_step_zero_runs():
+    spec = IidRows(B, (16,))
+    assert fdd_checkpoints(spec, (0.05, 0.5)) == {16: [0, 8]}
+    report = run_fdd_experiment(spec, (0.05, 0.5), get_pair("increment_square"),
+                                accuracy="fast")
+    # k1 = 0: the increment is the whole sum of 8 steps, second moment 8/16
+    assert report.rows[0]["prelimit"] == pytest.approx(0.5, abs=1e-12)
+
+
 def test_fdd_increment_stationarity():
     """Equal checkpoint gaps give equal second moments, exactly."""
     psi = get_pair("increment_square")
@@ -556,17 +576,29 @@ def test_running_max_path_functional_trend(bernoulli):
 
 # --------------------------------------------------- necessary conditions
 
+def condition_rows(report, condition):
+    """(probe, level, value) of each row of an iid-conditions report for one
+    condition; there is at least one, so no check over them passes vacuously."""
+    rows = [(row["probe"], row["level"], row["value"]) for row in report.rows
+            if row["condition"] == condition]
+    assert rows, condition
+    return rows
+
+
 def test_iid_conditions_on_bernoulli(bernoulli):
-    block = check_iid_necessary_conditions(bernoulli, [1.0, 2.0, 4.0],
-                                           [0.5, 1.0, 1.5, 2.0, 4.0])
-    assert [v for _, v in block.rows_second_moment] == [1.0, 1.0, 1.0]
-    for x, v in block.rows_tail:
+    report = check_iid_necessary_conditions(IidRows(bernoulli, (16,)), [1.0, 2.0, 4.0],
+                                            [0.5, 1.0, 1.5, 2.0, 4.0])
+    assert [v for *_, v in condition_rows(report, "capped_second_moment")] == [1.0, 1.0, 1.0]
+    for _, x, v in condition_rows(report, "scaled_tail"):
         if x > 1.0:
             assert v == 0.0
-    assert all(v == pytest.approx(0.0, abs=1e-12) for _, v in block.rows_trunc_mean)
-    assert block.stabilized
-    assert g_eval(block.induced, [[1.0]]) == 1.0
-    assert g_eval(block.induced, [[-1.0]]) == -0.5
+    assert all(v == pytest.approx(0.0, abs=1e-12)
+               for *_, v in condition_rows(report, "truncated_means"))
+    verdicts = {v.name: v for v in report.verdicts}
+    assert verdicts["quadratic_stabilized"].passed
+    # G(+-1) of the generator induced at the largest level, written with repr
+    assert verdicts["estimate_gap[plus]"].detail == "reference 1.0"
+    assert verdicts["estimate_gap[minus]"].detail == "reference -0.5"
 
 
 def test_iid_conditions_call_each_functional_once(bernoulli):
@@ -582,35 +614,55 @@ def test_iid_conditions_call_each_functional_once(bernoulli):
         return lambda z: calls.append(np.shape(z)) or sq(z)
 
     with mock.patch.object(cltlab, "_sq_norm", counting):
-        check_iid_necessary_conditions(bernoulli, [1.0, 2.0], [0.5, 1.0, 2.0])
+        check_iid_necessary_conditions(IidRows(bernoulli, (4,)), [1.0, 2.0], [0.5, 1.0, 2.0])
     assert calls == [(3,)] * 5
 
 
 def test_iid_conditions_reject_non_finite_tail_level(bernoulli):
     with pytest.raises(DomainError, match="tail level must be finite"):
-        check_iid_necessary_conditions(bernoulli, [1.0, 2.0], [1.0, math.inf])
+        check_iid_necessary_conditions(IidRows(bernoulli, (4,)), [1.0, 2.0], [1.0, math.inf])
+
+
+@pytest.mark.parametrize("spec, c_schedule, x_schedule, message", [
+    (IidRows(B, (4,)), [1.0], [1.0], "at least two truncation levels"),
+    (IidRows(AmbiguitySet(LatticeSpec(3, 1.0, (0.0,) * 3), [DiscreteDistribution(
+        [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [0.5, 0.5])]), (4,)), [1.0, 2.0], [1.0],
+     "dimension cap: d <= 2"),
+    (HeterogeneousRows((B,) * 4, (4,)), [1.0, 2.0], [1.0], "iid rows only"),
+    (TreeRows((iid_level_tree(B, 2),)), [1.0, 2.0], [1.0], "iid rows only"),
+], ids=["one_truncation_level", "law_3d", "heterogeneous_rows", "tree_rows"])
+def test_iid_conditions_rejects(spec, c_schedule, x_schedule, message):
+    with pytest.raises(DomainError, match=message):
+        check_iid_necessary_conditions(spec, c_schedule, x_schedule)
 
 
 def test_iid_conditions_point_mass():
     from gexpect import point_mass
 
-    block = check_iid_necessary_conditions(point_mass(0.0), [1.0, 2.0], [1.0, 2.0])
-    assert all(v == 0.0 for _, v in block.rows_second_moment)
-    assert all(v == 0.0 for _, v in block.rows_tail)
-    assert all(v == 0.0 for _, v in block.rows_trunc_mean)
-    assert all(v == 0.0 for _, _, v in block.rows_quadratic)
+    report = check_iid_necessary_conditions(IidRows(point_mass(0.0), (4,)), [1.0, 2.0],
+                                            [1.0, 2.0])
+    for condition in ("capped_second_moment", "scaled_tail", "truncated_means",
+                      "truncated_quadratic"):
+        assert all(v == 0.0 for *_, v in condition_rows(report, condition))
 
 
 def test_iid_conditions_2d_product_matches_geval(bernoulli):
+    from gexpect.cltlab import default_probes, member_second_moments
+
     other = symmetric_bernoulli_family((0.25, 1.0))
     joint = nested_product(bernoulli, other)
-    block = check_iid_necessary_conditions(joint, [1.0, 2.0], [1.0, 2.0])
+    report = check_iid_necessary_conditions(IidRows(joint, (4,)), [1.0, 2.0], [1.0, 2.0])
     # probes evaluated on the truncated joint law must equal the induced
     # support-function values once c covers the support
-    for pi, c, v in block.rows_quadratic:
+    induced = GFunction.from_matrices(member_second_moments(truncate(joint, 2.0)))
+    probes = default_probes(2)
+    for pi, c, v in condition_rows(report, "truncated_quadratic"):
         if c == 2.0:
-            assert v == pytest.approx(g_eval(block.induced, block.probes[pi]),
-                                      abs=1e-12)
+            assert v == pytest.approx(g_eval(induced, probes[pi]), abs=1e-12)
+    # the estimates are read at +-I, the first two probes
+    verdicts = {v.name: v for v in report.verdicts}
+    for name, A in (("plus", np.eye(2)), ("minus", -np.eye(2))):
+        assert verdicts[f"estimate_gap[{name}]"].detail == f"reference {g_eval(induced, A)!r}"
 
 
 def test_estimate_limit_g_probes(bernoulli):

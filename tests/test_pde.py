@@ -62,7 +62,7 @@ def dense_fdd_expect(G, times, phi, accuracy):
             u = where_march_1d(u, lo, hi, grid.spacing, stage.time_step, stage.steps)
             if j:
                 u = np.einsum("...ii->...i", u)
-        return 0.0, [(float(u[len(u) // 2]), data_max)]
+        return [(float(u[len(u) // 2]), data_max)]
 
     nodes = pde._preset_nodes(pde.NODES_FDD, accuracy)
     if p == 3:
@@ -396,13 +396,13 @@ def test_stacked_gnormal_matches_separate_calls():
 PINNED = {
     "gnormal_2d": ("0x1.6a87be742bdcfp-2", "0x1.78db92c38ab42p-15", "0x1.6a8d92726e0dfp-2",
                    "0x1.74ff908c40000p-16", "0x1.ec8cea033d8a0p-22", "0x1.01059f2e3382ep-4",
-                   "0x1.cf62c7a0d724bp-10", "0x1.414706f9c063ap+2", "0x1.8000000000000p+2"),
+                   "0x1.414706f9c063ap+2", "0x1.8000000000000p+2"),
     "fdd_p1": ("0x1.3c6bea191ec69p-2", "0x1.7e32d94e7f71ap-14", "0x1.3c5ffd4d9bcd0p-2",
                "0x1.7d99705f32000p-15", "0x1.30023c78a3da8p-23", "0x1.7cbad13701bcap-5",
-               "0x0.0p+0", "0x1.2971f372f95b6p+2", "0x1.8000000000000p+2"),
+               "0x1.2971f372f95b6p+2", "0x1.8000000000000p+2"),
     "fdd_p3": ("0x1.8d1d6840465e6p-1", "0x1.b83cc514bff7ep-7", "0x1.908de1c2cf8f2p-1",
                "0x1.b83cc14498600p-8", "0x1.33570fab3675cp-70", "0x1.a389df3c2312ep-3",
-               "0x0.0p+0", "0x1.47c3b666fb66cp+3", "0x1.47c3b666fb66cp+3"),
+               "0x1.47c3b666fb66cp+3", "0x1.47c3b666fb66cp+3"),
 }
 
 
