@@ -9,6 +9,7 @@ bound after normalising G(I) = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,10 @@ def _check_symmetric(A: np.ndarray, d: int, what: str = "matrix") -> np.ndarray:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape != (d, d):
         raise DomainError(f"{what} must be {d}x{d}")
-    if np.max(np.abs(A - A.T)) > SYM_TOL * max(1.0, float(np.max(np.abs(A)))):
+    scale = float(np.max(np.abs(A)))  # NaN or infinite with any entry
+    if not math.isfinite(scale):
+        raise DomainError(f"{what} has non-finite values")
+    if np.max(np.abs(A - A.T)) > SYM_TOL * max(1.0, scale):
         raise DomainError(f"{what} must be symmetric")
     return A
 
@@ -41,8 +45,6 @@ class GFunction:
             raise DomainError("theta must be nonempty")
         mats = []
         for S in self.theta:
-            if not np.all(np.isfinite(S)):
-                raise DomainError("theta entry has non-finite values")
             S = _check_symmetric(S, self.dimension, "theta entry")
             if float(np.linalg.eigvalsh(S)[0]) < -PSD_TOL:
                 raise DomainError("theta entry is not positive semidefinite")

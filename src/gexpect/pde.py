@@ -19,7 +19,7 @@ import numpy as np
 
 from .ambiguity import evaluate
 from .errors import DomainError
-from .gfunc import GFunction, SigmaInterval, g_eval
+from .gfunc import GFunction, SigmaInterval, _check_symmetric, g_eval
 
 MARGIN_STDS = 6.0
 CFL_SAFETY = 0.9
@@ -29,8 +29,10 @@ NODES_1D = {"fast": 151, "default": 301, "fine": 601}
 NODES_2D = {"fast": 81, "default": 121, "fine": 161}
 NODES_FDD = {"fast": 101, "default": 201, "fine": 301}
 
-# cells per row block of the 1-d march: a block's three operands, 768 kB,
-# stay in a 2 MB L2
+# cells per row block of the 1-d march and per row tile of the 2-d march:
+# a 1-d block's three operands take 768 kB, a 2-d tile's scratch (two to
+# four differences, 2 * centre and, past one member, the maximum and, past
+# two, one numerator) 1.0-1.8 MB, so that each stays near a 2 MB L2
 BLOCK_CELLS = 32_768
 
 
@@ -48,10 +50,11 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise DomainError("grid dimension must be 1 or 2")
-        for v, what in ((self.half_width, "half_width"), (self.spacing, "spacing"),
-                        (self.time_step, "time_step"), (self.horizon, "horizon")):
-            if not v > 0:
-                raise DomainError(f"{what} must be positive")
+        for what in ("half_width", "spacing", "horizon", "time_step"):
+            if not 0 < getattr(self, what) < math.inf:
+                raise DomainError(f"{what} must be positive and finite")
+        if not 0 <= self.sigma_sq_max < math.inf:
+            raise DomainError("sigma_sq_max must be nonnegative and finite")
         ratio = self.time_step * self.dim * self.sigma_sq_max / self.spacing ** 2
         if ratio > 1.0 + 1e-12:
             raise DomainError(f"CFL violated: tau*d*sigma_sq_max/h^2 = {ratio:.4f} > 1")
@@ -62,7 +65,9 @@ class Grid:
         """The grid marched in the fewest equal steps within CFL_SAFETY of the
         CFL bound: the one place that picks a march's (tau, steps)."""
         tau_max = CFL_SAFETY * spacing ** 2 / max(dim * sigma_sq_max, 1e-300)
-        steps = max(1, math.ceil(horizon / tau_max))
+        steps = horizon / tau_max if tau_max > 0 else math.inf
+        # an infinite or NaN count comes from a field that __post_init__ names
+        steps = max(1, math.ceil(steps)) if math.isfinite(steps) else 1
         return cls(dim, half_width, spacing, horizon / steps, horizon, sigma_sq_max)
 
     @property
@@ -177,28 +182,35 @@ def _march_2d(u: np.ndarray, G: GFunction, h: float, tau: float,
     skips the cross term, a signed zero: that changes no value, but where a
     node is -0.0 and the winning Laplacian a signed zero (a member with
     a = b = c = 0, or subnormal products) the node's zero may change sign
-    against the form that adds the term.  Each step works in
-    place on one contiguous run of the flattened field, from the first to
-    the last interior node, so every operand is a 1-d slice; the rim nodes
-    inside that run get throw-away values and are restored after the
-    update.  2 * centre is formed once per step and, after the differences,
-    serves as scratch for products.  Interior nodes see the same float
-    operations in the same order as the whole-array form.
+    against the form that adds the term.
+
+    The field lives in two buffers: each step reads one and writes the next
+    field into the other.  A step works in tiles of max(1, BLOCK_CELLS //
+    cols) interior rows, so that a tile's scratch stays in L2.  A tile is
+    one contiguous run of the flattened field, from its first to its last
+    interior node, so every operand is a 1-d slice.  It forms its
+    differences and member numerators in scratch of tile size, writes
+    centre + (tau/2) best into the other buffer, and restores the rim nodes
+    inside its run, which got throw-away values, from a saved copy.  2 *
+    centre is formed once per tile and, after the differences, serves as
+    scratch for products; the last member works in place in xx and yy.
+    The maximum is taken over the numerators and divided by h^2 once:
+    division by h^2 > 0 is monotone, so that is the maximum of the
+    quotients, except where a quotient underflows to a zero whose sign the
+    maximum then picks (h > 1 and subnormal numerators).  Every interior
+    node reads only the buffer of the step before, so the tiling changes
+    no bit: interior nodes see the float operations of the whole-array
+    form in the same order.
     """
     _check_stencil_2d(G, h, tau)
     u = np.array(u, dtype=float, order="C")
     hh = h ** 2
     half_tau = 0.5 * tau
-    cols = u.shape[1]
-    flat = u.reshape(-1)
-    first, stop = cols + 1, u.size - cols - 1
-
-    def run(shift):
-        return flat[first + shift:stop + shift]
-
-    cen = run(0)
+    rows, cols = u.shape
+    per_tile = max(1, BLOCK_CELLS // cols)
+    size = max(min(per_tile, rows - 2) * cols - 2, 0)
     # second differences, keyed by the flat shift of their neighbour pair
-    diffs = {cols: np.empty(cen.shape), 1: np.empty(cen.shape)}
+    diffs = {cols: np.empty(size), 1: np.empty(size)}
     members = []
     for S in G.theta:
         a, b, c = float(S[0, 0]), float(S[1, 1]), float(S[0, 1])
@@ -206,34 +218,54 @@ def _march_2d(u: np.ndarray, G: GFunction, h: float, tau: float,
         cross = None
         if cc > 0:
             shift = cols + 1 if c > 0 else cols - 1
-            cross = diffs.setdefault(shift, np.empty(cen.shape))
+            cross = diffs.setdefault(shift, np.empty(size))
         members.append((a - cc, b - cc, cc, cross))
-    xx, yy = diffs[cols], diffs[1]
-    two = np.empty(cen.shape)
-    best = np.empty(cen.shape)
-    lap = np.empty(cen.shape) if len(members) > 1 else None
-    rim = u[1:-1, [0, -1]]
-    for _ in range(steps):
-        np.multiply(cen, 2.0, out=two)
-        for shift, diff in diffs.items():
-            np.add(run(shift), run(-shift), out=diff)
-            np.subtract(diff, two, out=diff)
-        tmp = two
-        for i, (ax, by, cc, cross) in enumerate(members):
-            dst = lap if i else best
-            np.multiply(xx, ax, out=dst)
-            np.multiply(yy, by, out=tmp)
-            np.add(dst, tmp, out=dst)
-            if cross is not None:
-                np.multiply(cross, cc, out=tmp)
-                np.add(dst, tmp, out=dst)
-            np.divide(dst, hh, out=dst)
-            if i:
-                np.maximum(best, dst, out=best)
-        np.multiply(best, half_tau, out=best)
-        np.add(cen, best, out=cen)
-        u[1:-1, [0, -1]] = rim
-    return u
+    last = len(members) - 1
+    two = np.empty(size)
+    best = np.empty(size) if last > 0 else None
+    lap = np.empty(size) if last > 1 else None
+    bufs = (u, u.copy())
+    ends = (u[:, 0].copy(), u[:, -1].copy())
+    tiles = []
+    for r0 in range(1, rows - 1, per_tile):
+        r1 = min(r0 + per_tile, rows - 1)
+        first, stop = r0 * cols + 1, r1 * cols - 1
+
+        def cut(a, n=max(stop - first, 0)):
+            return None if a is None else a[:n]
+
+        tiles.append((r0, r1, first, stop, cut(two), cut(best), cut(lap),
+                      [(shift, cut(diff)) for shift, diff in diffs.items()],
+                      cut(diffs[cols]), cut(diffs[1]),
+                      [(ax, by, cc, cut(cross)) for ax, by, cc, cross in members]))
+    for k in range(steps):
+        src, dst = bufs[k % 2], bufs[1 - k % 2]
+        flat = src.reshape(-1)
+        for r0, r1, first, stop, two, best, lap, tile_diffs, xx, yy, tile_members in tiles:
+            cen = flat[first:stop]
+            np.multiply(cen, 2.0, out=two)
+            for shift, diff in tile_diffs:
+                np.add(flat[first + shift:stop + shift], flat[first - shift:stop - shift],
+                       out=diff)
+                np.subtract(diff, two, out=diff)
+            # member numerators; the last works in place in xx and yy
+            for i, (ax, by, cc, cross) in enumerate(tile_members):
+                num, tmp = (xx, yy) if i == last else (lap if i else best, two)
+                np.multiply(xx, ax, out=num)
+                np.multiply(yy, by, out=tmp)
+                np.add(num, tmp, out=num)
+                if cross is not None:
+                    np.multiply(cross, cc, out=tmp)
+                    np.add(num, tmp, out=num)
+                if i:
+                    np.maximum(best, num, out=best)
+            top = best if last else xx
+            np.divide(top, hh, out=top)
+            np.multiply(top, half_tau, out=top)
+            np.add(cen, top, out=dst.reshape(-1)[first:stop])
+            dst[r0 + 1:r1, 0] = ends[0][r0 + 1:r1]
+            dst[r0:r1 - 1, -1] = ends[1][r0:r1 - 1]
+    return bufs[steps % 2]
 
 
 def _march(G: GFunction, grid: Grid, u: np.ndarray, steps: int) -> np.ndarray:
@@ -448,7 +480,7 @@ def gbm_fdd_expect(G, times, phi, accuracy: str = "default") -> PdeEstimate:
 def gbm_quadratic_identity(G, A, t: float, accuracy: str = "fast"):
     """Compare E[<W_t A, W_t>] computed by the solver with G(A) * t."""
     G = as_gfunction(G)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = _check_symmetric(A, G.dimension)
     if not t > 0:
         raise DomainError("t must be positive")
 

@@ -32,6 +32,15 @@ def test_g_eval_rejects_asymmetric():
         g_eval(G, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_g_eval_rejects_non_finite(bad):
+    """NaN passed the symmetry test, since NaN > tolerance is False, and
+    G(A) came out NaN or infinite."""
+    G = GFunction.from_matrices([np.eye(2)])
+    with pytest.raises(DomainError, match="non-finite"):
+        g_eval(G, np.array([[1.0, 0.0], [0.0, bad]]))
+
+
 def test_gfunction_rejects_non_psd():
     with pytest.raises(DomainError, match="semidefinite"):
         GFunction.from_matrices([np.diag([1.0, -0.5])])

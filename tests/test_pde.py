@@ -141,6 +141,28 @@ def test_cfl_rejected_at_construction():
         Grid(1, 4.0, 0.1, 0.2, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("field", ["half_width", "spacing", "time_step", "horizon",
+                                   "sigma_sq_max"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_grid_rejects_non_finite_field_by_name(field, bad):
+    """A NaN sigma_sq_max made the CFL ratio NaN, and NaN > 1 is False."""
+    good = {"dim": 1, "half_width": 4.0, "spacing": 0.1, "time_step": 0.004,
+            "horizon": 1.0, "sigma_sq_max": 1.0}
+    with pytest.raises(DomainError, match=f"^{field} must be"):
+        Grid(**{**good, field: bad})
+
+
+@pytest.mark.parametrize("field, args", [
+    ("horizon", (1, 4.0, 0.1, math.inf, 1.0)),    # was OverflowError from math.ceil
+    ("sigma_sq_max", (1, 4.0, 0.1, 1.0, math.nan)),  # was ValueError from math.ceil
+    ("sigma_sq_max", (2, 4.0, 0.1, 1.0, math.inf)),  # was ZeroDivisionError
+    ("spacing", (1, 4.0, 0.0, 1.0, 1.0)),         # was ZeroDivisionError
+])
+def test_grid_build_rejects_non_finite_field_by_name(field, args):
+    with pytest.raises(DomainError, match=f"^{field} must be"):
+        Grid.build(*args)
+
+
 def test_non_monotone_stencil_rejected():
     # PSD (det = 0.19) but |off-diagonal| exceeds the smaller diagonal entry
     G = GFunction.from_matrices([np.array([[2.0, 0.9], [0.9, 0.5]])])
@@ -187,6 +209,19 @@ def test_2d_diagonal_theta_decomposes_into_1d():
                           accuracy="fast")
     est1 = gnormal_expect(SI, lambda x: x * x, accuracy="default")
     assert est2.value == pytest.approx(2.0 * est1.value, abs=0.02)
+
+
+@pytest.mark.parametrize("A, match", [
+    (np.eye(3), "must be 2x2"),                           # was numpy's ValueError from einsum
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),    # was raised after the march
+    (np.array([[1.0, 0.0], [0.0, math.nan]]), "^matrix has non-finite"),
+    (np.array([[math.inf, 0.0], [0.0, 1.0]]), "^matrix has non-finite"),
+])
+def test_quadratic_identity_checks_A_before_marching(A, match):
+    G = GFunction.from_matrices([np.diag([1.0, 0.5])])
+    with mock.patch.object(pde, "_march", side_effect=AssertionError("marched")), \
+            pytest.raises(DomainError, match=match):
+        gbm_quadratic_identity(G, A, 1.0)
 
 
 def test_quadratic_identity_examples():
@@ -316,13 +351,17 @@ THETA_SIGNS = {"positive": (1,), "negative": (-1,), "zero": (0,), "mixed": (1, -
 
 
 @given(st.integers(0, 5_000), st.sampled_from(sorted(THETA_SIGNS)),
-       st.sampled_from([(3, 3), (7, 7), (9, 14), (15, 6)]), st.booleans())
-@settings(max_examples=80, deadline=None)
-def test_march_2d_bit_identical_to_allocating_form(seed, signs, shape, fortran):
+       st.sampled_from([(3, 3), (7, 7), (9, 14), (15, 6), (23, 11), (4, 30)]), st.booleans(),
+       st.sampled_from([1, 5, 14, 25, pde.BLOCK_CELLS]), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_march_2d_bit_identical_to_allocating_form(seed, signs, shape, fortran, block_cells,
+                                                   wide):
     """Theta with c > 0, c < 0, c = +-0.0, mixed signs, a single member, or
     degenerate members with a = 0 or b = 0; data with +-0.0 and +-1e-300;
-    column-major input.  k1 steps and then k2 more give the same bytes as
-    k1 + k2 steps."""
+    column-major input; spacings h >= 1 as well as h < 1.  Row tiles of one
+    interior row (1 or 5 cells), of a few rows with a partial last tile (14
+    or 25 on the narrower shapes), or holding every row.  k1 steps and then
+    k2 more give the same bytes as k1 + k2 steps."""
     rng = np.random.default_rng(seed)
     mats = []
     members = 1 if signs == "single" else int(rng.integers(2, 4))
@@ -339,12 +378,13 @@ def test_march_2d_bit_identical_to_allocating_form(seed, signs, shape, fortran):
     u = np.where(rng.random(shape) < 0.5, special, u)
     if fortran:
         u = np.asfortranarray(u)
-    h = float(rng.uniform(0.05, 0.5))
+    h = float(rng.uniform(1.0, 3.0) if wide else rng.uniform(0.05, 0.5))
     tau, steps = cfl(2, h, float(rng.uniform(0.5, 15.0)) * h * h / G.sigma_sq_max,
                      G.sigma_sq_max)
     k1 = int(rng.integers(0, steps + 1))
-    got = _march_2d(u, G, h, tau, steps)
-    split = _march_2d(_march_2d(u, G, h, tau, k1), G, h, tau, steps - k1)
+    with mock.patch.object(pde, "BLOCK_CELLS", block_cells):
+        got = _march_2d(u, G, h, tau, steps)
+        split = _march_2d(_march_2d(u, G, h, tau, k1), G, h, tau, steps - k1)
     ref = alloc_march_2d(u, G, h, tau, steps)
     assert got.tobytes() == ref.tobytes()
     assert split.tobytes() == got.tobytes()
@@ -422,6 +462,24 @@ def test_2d_gnormal_and_fdd_estimates_pinned():
 
 def estimate_hexes(est):
     return [float.hex(float(getattr(est, f.name))) for f in fields(est)]
+
+
+# every PdeEstimate field, in field order, by float.hex, as computed by the
+# 2-d march before it was cut into row tiles
+PINNED_2D_DEFAULT = ["0x1.24710edd49df2p-2", "0x1.2ce8b42b9fa60p-14", "0x1.2467b4a4f33f8p-2",
+                     "0x1.2b470ad3f4000p-15", "0x1.a047f67d85da1p-22", "0x1.21a1851ff630bp-5",
+                     "0x1.0f876ccdf6cdap+2", "0x1.8000000000000p+2"]
+
+
+def test_2d_gnormal_pinned_at_default_across_row_tiles():
+    """One member with c > 0 and one with c < 0, at `default`: the fine
+    grid has 241 nodes a side, so its 239 interior rows span two tiles."""
+    assert 239 > pde.BLOCK_CELLS // 241
+    G = GFunction.from_matrices([np.array([[1.0, 0.3], [0.3, 0.8]]),
+                                 np.array([[0.6, -0.2], [-0.2, 0.9]])])
+    est = gnormal_expect(G, lambda p: np.maximum(p[..., 0] - 0.5 * p[..., 1], 0.0),
+                         horizon=0.5, accuracy="default")
+    assert estimate_hexes(est) == PINNED_2D_DEFAULT
 
 
 def kinked_product(*x):
@@ -556,6 +614,18 @@ def test_2d_gnormal_working_set(traced_peak_mib):
     ridge = lambda p: np.maximum(p[..., 0] + p[..., 1], 0.0)
     peak = traced_peak_mib(lambda: gnormal_expect(G, ridge, horizon=1.0, accuracy="default"))
     assert peak < 4.0
+
+
+def test_2d_gnormal_working_set_at_fine(traced_peak_mib):
+    """The same shape at `fine`: 321^2 nodes on the fine grid, 0.79 MiB a
+    field.  The march holds the field twice and scratch of one row tile
+    (about BLOCK_CELLS cells) per difference and member; with scratch of
+    field size it peaked at 6.27 MiB."""
+    top = np.array([[1.0, 0.3], [0.3, 1.0]])
+    G = GFunction.from_matrices([top, 0.5 * top])
+    ridge = lambda p: np.maximum(p[..., 0] + p[..., 1], 0.0)
+    peak = traced_peak_mib(lambda: gnormal_expect(G, ridge, horizon=1.0, accuracy="fine"))
+    assert peak < 4.5
 
 
 def test_march_kernels_called_only_from_march():
