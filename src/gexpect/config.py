@@ -11,7 +11,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
-import jsonschema
 import numpy as np
 import yaml
 
@@ -197,12 +196,88 @@ def with_seed(cfg: ExperimentConfig, seed) -> ExperimentConfig:
 
 
 def _validate(instance, schema, prefix):
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        path = "/".join(str(p) for p in prefix + tuple(err.absolute_path)) or "<root>"
-        raise ConfigError(path, err.message)
+    """Reject instance with the first error at the smallest path."""
+    # min keeps the first of equal paths, as a stable sort by path would
+    first = min(_schema_errors(instance, schema, ()), key=lambda err: err[0], default=None)
+    if first is not None:
+        path, message = first
+        raise ConfigError("/".join(str(p) for p in prefix + path) or "<root>", message)
+
+
+# JSON types as Draft 2020-12 reads them: a bool is no number, 1.0 is an integer
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+}
+# the keywords _schema_errors reads -> the type each applies to (None: every
+# instance); a keyword skips an instance of another type
+_KEYWORDS = {
+    "type": None, "enum": None, "minimum": "number", "maximum": "number",
+    "exclusiveMinimum": "number", "minLength": "string", "minItems": "array",
+    "maxItems": "array", "items": "array", "properties": "object",
+    "required": "object", "dependentRequired": "object", "additionalProperties": "object",
+}
+
+
+def _schema_errors(instance, schema: dict, path: tuple):
+    """Every (path, message) by which instance breaks schema, in the order and
+    with the messages of jsonschema's Draft202012Validator, for the keywords in
+    _KEYWORDS, with `type` one name, `additionalProperties` false and `enum`
+    strings only."""
+    for key, rule in schema.items():
+        applies = _KEYWORDS[key]
+        if applies is not None and not _TYPES[applies](instance):
+            continue
+        if key == "type":
+            if not _TYPES[rule](instance):
+                yield path, f"{instance!r} is not of type {rule!r}"
+        elif key == "enum":
+            if instance not in rule:
+                yield path, f"{instance!r} is not one of {rule!r}"
+        elif key == "minimum":
+            if instance < rule:
+                yield path, f"{instance!r} is less than the minimum of {rule!r}"
+        elif key == "maximum":
+            if instance > rule:
+                yield path, f"{instance!r} is greater than the maximum of {rule!r}"
+        elif key == "exclusiveMinimum":
+            if instance <= rule:
+                yield path, f"{instance!r} is less than or equal to the minimum of {rule!r}"
+        elif key in ("minLength", "minItems"):
+            if len(instance) < rule:
+                verdict = "should be non-empty" if rule == 1 else "is too short"
+                yield path, f"{instance!r} {verdict}"
+        elif key == "maxItems":
+            if len(instance) > rule:
+                verdict = "is expected to be empty" if rule == 0 else "is too long"
+                yield path, f"{instance!r} {verdict}"
+        elif key == "items":
+            for index, item in enumerate(instance):
+                yield from _schema_errors(item, rule, path + (index,))
+        elif key == "properties":
+            for name, sub in rule.items():
+                if name in instance:
+                    yield from _schema_errors(instance[name], sub, path + (name,))
+        elif key == "required":
+            for name in rule:
+                if name not in instance:
+                    yield path, f"{name!r} is a required property"
+        elif key == "dependentRequired":
+            for name, needed in rule.items():
+                if name in instance:
+                    for other in needed:
+                        if other not in instance:
+                            yield path, f"{other!r} is a dependency of {name!r}"
+        else:  # additionalProperties: false
+            extras = sorted((name for name in instance
+                             if name not in schema.get("properties", {})), key=str)
+            if extras:
+                yield path, "Additional properties are not allowed ({} {} unexpected)".format(
+                    ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were")
 
 
 def _non_finite(node, path: str) -> str | None:

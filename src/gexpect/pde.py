@@ -36,6 +36,14 @@ NODES_FDD = {"fast": 101, "default": 201, "fine": 301}
 BLOCK_CELLS = 32_768
 
 
+def _square(value: float, what: str) -> float:
+    """value ** 2, rejected by name where a finite value's square overflows."""
+    try:
+        return value ** 2
+    except OverflowError:
+        raise DomainError(f"{what} is too large: its square overflows") from None
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform symmetric grid [-L, L]^d with an explicit-march time step."""
@@ -55,7 +63,7 @@ class Grid:
                 raise DomainError(f"{what} must be positive and finite")
         if not 0 <= self.sigma_sq_max < math.inf:
             raise DomainError("sigma_sq_max must be nonnegative and finite")
-        ratio = self.time_step * self.dim * self.sigma_sq_max / self.spacing ** 2
+        ratio = self.time_step * self.dim * self.sigma_sq_max / _square(self.spacing, "spacing")
         if ratio > 1.0 + 1e-12:
             raise DomainError(f"CFL violated: tau*d*sigma_sq_max/h^2 = {ratio:.4f} > 1")
 
@@ -64,7 +72,7 @@ class Grid:
               sigma_sq_max: float) -> "Grid":
         """The grid marched in the fewest equal steps within CFL_SAFETY of the
         CFL bound: the one place that picks a march's (tau, steps)."""
-        tau_max = CFL_SAFETY * spacing ** 2 / max(dim * sigma_sq_max, 1e-300)
+        tau_max = CFL_SAFETY * _square(spacing, "spacing") / max(dim * sigma_sq_max, 1e-300)
         steps = horizon / tau_max if tau_max > 0 else math.inf
         # an infinite or NaN count comes from a field that __post_init__ names
         steps = max(1, math.ceil(steps)) if math.isfinite(steps) else 1
@@ -328,7 +336,7 @@ def _auto_half_width(G: GFunction, horizon: float) -> float:
 
 def _boundary_bound(G: GFunction, horizon: float, half_width: float,
                     data_max: float, dim: int) -> float:
-    tail = math.exp(-half_width ** 2 / (2.0 * G.sigma_sq_max * horizon))
+    tail = math.exp(-_square(half_width, "half_width") / (2.0 * G.sigma_sq_max * horizon))
     return 2.0 * dim * tail * max(data_max, 1.0)
 
 

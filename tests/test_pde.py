@@ -163,6 +163,18 @@ def test_grid_build_rejects_non_finite_field_by_name(field, args):
         Grid.build(*args)
 
 
+@pytest.mark.parametrize("field, call", [
+    ("spacing", lambda: Grid.build(1, 1e201, 1e200, 1.0, 1.0)),
+    ("spacing", lambda: Grid(1, 1e201, 1e200, 1.0, 1.0, 1.0)),
+    ("half_width", lambda: pde._boundary_bound(GFunction.from_interval(SI), 1.0, 1e200,
+                                               1.0, 1)),
+], ids=["build", "grid", "boundary_bound"])
+def test_finite_field_whose_square_overflows_rejected_by_name(field, call):
+    """Float ** raised OverflowError: (34, 'Numerical result out of range')."""
+    with pytest.raises(DomainError, match=f"^{field} is too large"):
+        call()
+
+
 def test_non_monotone_stencil_rejected():
     # PSD (det = 0.19) but |off-diagonal| exceeds the smaller diagonal entry
     G = GFunction.from_matrices([np.array([[2.0, 0.9], [0.9, 0.5]])])
