@@ -103,6 +103,15 @@ class DiscreteDistribution:
         return self.support.shape[1]
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-d array, by sorting and comparing neighbours: a bare
+    np.unique call imports numpy.ma (numpy 2.4), about 6 ms and 0.6 MB."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 class AmbiguitySet:
     """A random vector's law: finitely many distributions on one lattice."""
 
@@ -123,7 +132,7 @@ class AmbiguitySet:
         inverse = inverse.reshape(-1)
         # a member lists a point twice iff two of its rows share a union row
         owner = np.repeat(np.arange(len(coords)), sizes)
-        if len(np.unique(owner * len(first) + inverse)) != len(inverse):
+        if len(_sorted_unique(owner * len(first) + inverse)) != len(inverse):
             raise DomainError("support points not pairwise distinct")
         # the union support in lattice order; a point shared by several
         # members takes its physical position from the first that lists it
@@ -342,21 +351,24 @@ def nested_expect(Xs: Sequence[AmbiguitySet], f, cap: int = DEFAULT_NESTING_CAP)
 
 
 def _shared_lattice(laws: Sequence[AmbiguitySet]) -> LatticeSpec:
+    """The lattice of every law, compared once per run of one law object."""
     lat = laws[0].lattice
-    for law in laws[1:]:
+    for law, _ in itertools.groupby(laws):
         if law.lattice != lat:
             raise DomainError("laws do not share a lattice")
     return lat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SumStep:
-    """One law as a step of the backward sum DP, in Python ints and floats.
+    """One law as a step of the backward sum DP.
 
-    `offsets` lists the distinct positive-probability points of all members
-    as offsets from `zmin`; `members` holds, per member and in support
-    order, (index into `offsets`, probability) for each such point.  `zmin`
-    and `zmax` are the lowest and highest coordinates on each axis.
+    `offsets` lists, as tuples of Python ints, the distinct
+    positive-probability points of all members as offsets from `zmin`.
+    `members` holds per member, in support order, its positive-probability
+    points as (index into `offsets`, probability as a 0-d float64 array):
+    the first point's pair, then a tuple of the other points' pairs.
+    `zmin` and `zmax` are the lowest and highest coordinates on each axis.
     """
 
     offsets: tuple
@@ -369,7 +381,7 @@ def _sum_steps(laws: Sequence[AmbiguitySet]) -> list:
     """The _SumStep of each law, resolved once per distinct law object."""
     resolved = {}
     steps = []
-    for law in laws:
+    for law, run in itertools.groupby(laws):
         step = resolved.get(id(law))
         if step is None:
             rows = []
@@ -379,26 +391,46 @@ def _sum_steps(laws: Sequence[AmbiguitySet]) -> list:
             zmin = np.min([coords.min(axis=0) for coords, _ in rows], axis=0)
             zmax = np.max([coords.max(axis=0) for coords, _ in rows], axis=0)
             index = {}
-            members = tuple(
-                tuple((index.setdefault(tuple(int(c) for c in z), len(index)), float(p))
-                      for z, p in zip(coords - zmin, probs))
-                for coords, probs in rows)
-            step = resolved[id(law)] = _SumStep(tuple(index), members,
+            members = []
+            for coords, probs in rows:
+                first, *rest = ((index.setdefault(tuple(int(c) for c in z), len(index)),
+                                 np.array(p)) for z, p in zip(coords - zmin, probs))
+                members.append((first, tuple(rest)))
+            step = resolved[id(law)] = _SumStep(tuple(index), tuple(members),
                                                tuple(int(c) for c in zmin),
                                                tuple(int(c) for c in zmax))
-        steps.append(step)
+        steps += itertools.repeat(step, len(list(run)))
     return steps
 
 
-def _level_boxes(steps: Sequence[_SumStep]) -> tuple[list, list]:
-    """Corner lo_k and shape of the partial-sum box at each level k = 0..n:
-    S_k lies in [lo_k, lo_k + shape_k - 1] on every axis."""
-    lo = [(0,) * len(steps[0].zmin)]
-    shapes = [(1,) * len(steps[0].zmin)]
-    for step in steps:
-        lo.append(tuple(a + b for a, b in zip(lo[-1], step.zmin)))
-        shapes.append(tuple(w + b - a for w, a, b in zip(shapes[-1], step.zmin, step.zmax)))
+def _progression(start: int, step: int, count: int):
+    """start + step * j for j = 1..count, in Python ints."""
+    if step == 0:
+        return itertools.repeat(start, count)
+    return range(start + step, start + step * (count + 1), step)
+
+
+def _level_boxes(steps: Sequence[_SumStep], dim: int) -> tuple[list, list]:
+    """Corner lo_k and shape of the partial-sum box at each level k = 0..n
+    of a d-dimensional lattice: S_k lies in [lo_k, lo_k + shape_k - 1] on
+    every axis.  A run of one step object moves each coordinate by the same
+    amount per level, so the run's tuples are zipped from one range per
+    axis."""
+    lo = [(0,) * dim]
+    shapes = [(1,) * dim]
+    for step, run in itertools.groupby(steps):
+        count = len(list(run))
+        lo += zip(*(_progression(c, a, count) for c, a in zip(lo[-1], step.zmin)))
+        shapes += zip(*(_progression(w, b - a, count)
+                        for w, a, b in zip(shapes[-1], step.zmin, step.zmax)))
     return lo, shapes
+
+
+def _bands(steps: Sequence[_SumStep], ks: Sequence[int], dim: int) -> list:
+    """Per phase (k_j, k_{j+1}] of consecutive ks, the width on each axis of
+    the increment S_k - S_{k_j} for k = k_j..k_{j+1}: shape_k - shape_{k_j}
+    + 1, which is the level box of the phase's own steps."""
+    return [_level_boxes(steps[start:end], dim)[1] for start, end in zip(ks, ks[1:])]
 
 
 def _positions(lat: LatticeSpec, level: int, lo: tuple, shape: tuple,
@@ -441,6 +473,13 @@ def _backward_sum(v: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
     carry such a difference along as the sign of a zero only.  A zero-start
     sum is never -0.0, so adding 0.0 to the final level gives the zero-start
     loop's values bit for bit.
+
+    Levels are short (a few thousand cells), so numpy's fixed cost per call
+    outweighs the arithmetic.  A 1-d level of at most BLOCK_CELLS cells
+    with no batch axes is one block and is neither cut nor reshaped.  The
+    operand rule of pde._march_1d holds: the probabilities are 0-d float64
+    arrays, made once per law by _sum_steps, and `out` is positional except
+    in np.maximum; the float operations and their order are unchanged.
     """
     if not steps:
         return v
@@ -450,11 +489,14 @@ def _backward_sum(v: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
     block_cells = min(size, max(BLOCK_CELLS, size // dims[0]))
     acc, tmp = np.empty(block_cells), np.empty(block_cells)
     buffers = []
+    flat = v.ndim == 1
     for k, (step, shape) in enumerate(steps):
-        if len(buffers) < 2:
+        if k < 2:
             buffers.append(np.empty(size))
-        dims = batch + shape
-        level = buffers[k % 2][:math.prod(dims)].reshape(dims)
+        if flat:
+            level = buffers[k % 2][:shape[0]]
+        else:
+            level = buffers[k % 2][:math.prod(batch + shape)].reshape(batch + shape)
         _sum_step(v, step, shape, level, acc, tmp)
         v = level
     return np.add(v, 0.0, out=v)
@@ -464,23 +506,36 @@ def _sum_step(v: np.ndarray, step: _SumStep, shape: tuple, level: np.ndarray,
               acc: np.ndarray, tmp: np.ndarray):
     """One _backward_sum step from v into level, with block scratch acc and
     tmp; its slices of v are gone when it returns."""
-    srcs = [v[(Ellipsis,) + tuple(slice(o, o + w) for o, w in zip(offset, shape))]
-            for offset in step.offsets]
+    if len(shape) == 1:
+        (w,) = shape
+        srcs = [v[..., o:o + w] for (o,) in step.offsets]
+    else:
+        srcs = [v[(Ellipsis,) + tuple(slice(o, o + w) for o, w in zip(offset, shape))]
+                for offset in step.offsets]
+    if level.ndim == 1 and len(level) <= BLOCK_CELLS:
+        n = len(level)
+        _member_max(step, srcs, level, acc[:n], tmp[:n])
+        return
     rows = max(1, BLOCK_CELLS * level.shape[0] // level.size)
     for r0 in range(0, level.shape[0], rows):
         block = slice(r0, r0 + rows)
         best = level[block]
-        other, term = (buf[:best.size].reshape(best.shape) for buf in (acc, tmp))
-        parts = [src[block] for src in srcs]
-        for m, points in enumerate(step.members):
-            dst = other if m else best
-            (i, p), *rest = points
-            np.multiply(parts[i], p, out=dst)
-            for i, p in rest:
-                np.multiply(parts[i], p, out=term)
-                np.add(dst, term, out=dst)
-            if m:
-                np.maximum(best, dst, out=best)
+        _member_max(step, [src[block] for src in srcs], best,
+                    acc[:best.size].reshape(best.shape), tmp[:best.size].reshape(best.shape))
+
+
+def _member_max(step: _SumStep, parts: list, best: np.ndarray, other: np.ndarray,
+                term: np.ndarray):
+    """best = the member maximum of the member means of `parts`, the
+    offset slices of one block; other and term are scratch of its shape."""
+    for m, ((i, p), rest) in enumerate(step.members):
+        dst = other if m else best
+        np.multiply(parts[i], p, dst)
+        for i, p in rest:
+            np.multiply(parts[i], p, term)
+            np.add(dst, term, dst)
+        if m:
+            np.maximum(best, dst, out=best)
 
 
 def _check_scale(scale: float):
@@ -519,25 +574,24 @@ def _checkpoint_expect(laws: Sequence[AmbiguitySet], checkpoints: Sequence[int],
         raise DomainError("1-d only")
 
     steps = _sum_steps(laws)
-    lo, shapes = _level_boxes(steps)
+    lo, shapes = _level_boxes(steps, lat.dimension)
     sizes = [math.prod(shapes[k]) for k in checkpoints]
     if math.prod(sizes) > max_nodes:
         raise ResourceCapError(
             f"lattice blowup: {sizes[0]} sum nodes at level {n}" if len(sizes) == 1 else
             f"augmentation blowup: {'x'.join(map(str, sizes))} checkpoint states")
 
-    def band(k: int, start: int) -> tuple:
-        """Width on each axis of the increment S_k - S_start."""
-        return tuple(w - b + 1 for w, b in zip(shapes[k], shapes[start]))
+    bands = _bands(steps, ks, lat.dimension)
 
     def view(j: int, k: int) -> np.ndarray:
         x = _positions(lat, k, lo[k], shapes[k], scale)
-        for start, end in zip(checkpoints, checkpoints[1:j + 1]):
-            x = np.moveaxis(sliding_window_view(x, band(end, start)[0], axis=0), -1, -2)
+        for widths in bands[1:j + 1]:
+            x = np.moveaxis(sliding_window_view(x, widths[-1][0], axis=0), -1, -2)
         return x[(Ellipsis,) + (None,) * (len(checkpoints) - 1 - j) + (slice(None),)]
 
-    phases = [[(steps[k - 1], band(k - 1, start)) for k in range(end, start, -1)]
-              for start, end in reversed(list(zip(ks, ks[1:])))]
+    # each phase's (step, band at the level it steps to), last phase first
+    phases = [list(zip(reversed(steps[start:end]), reversed(widths[:-1])))
+              for start, end, widths in reversed(list(zip(ks, ks[1:], bands)))]
     column = (Ellipsis,) + (0,) * lat.dimension
     # the data is made in the call, so that the kernel holds its only
     # reference; each copied column lets its phase's buffers go
@@ -595,10 +649,10 @@ def running_max_expect(X: AmbiguitySet, n: int, scale: float = 1.0,
         raise DomainError("n must be >= 1")
     _check_scale(scale)
     steps = _sum_steps([X] * n)
-    lo, shapes = _level_boxes(steps)
+    lo, shapes = _level_boxes(steps, 1)
     heights = [np.abs(_positions(X.lattice, k, lo[k], shapes[k], scale)[:, 0])
                for k in range(n + 1)]
-    peaks = np.unique(np.concatenate(heights))
+    peaks = _sorted_unique(np.concatenate(heights))
     if not np.isfinite(peaks[-1]):
         raise DomainError("non-finite position")
     cells = len(peaks) * shapes[n][0]

@@ -36,6 +36,11 @@ NODES_FDD = {"fast": 101, "default": 201, "fine": 301}
 BLOCK_CELLS = 32_768
 
 
+def _operands(*values: float) -> list:
+    """Each value as a 0-d float64 array: the operand form of the march loops."""
+    return [np.array(value, dtype=float) for value in values]
+
+
 def _square(value: float, what: str) -> float:
     """value ** 2, rejected by name where a finite value's square overflows."""
     try:
@@ -121,7 +126,8 @@ def _check_stencil_2d(G: GFunction, h: float, tau: float):
     for S in G.theta:
         a, b, c = float(S[0, 0]), float(S[1, 1]), float(S[0, 1])
         if abs(c) > min(a, b) + 1e-12:
-            raise DomainError("non-monotone stencil; regularize Theta or rotate coordinates")
+            raise DomainError("non-monotone stencil: every Theta member needs "
+                              "|c| <= min(a, b)")
         centre = 1.0 - tau * (a + b - abs(c)) / h ** 2
         if centre < -1e-12:
             raise DomainError("non-monotone stencil; tighten the CFL ratio")
@@ -146,14 +152,21 @@ def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, tau: float,
     block has none).  Every interior node reads only nodes of its own row,
     computed before the update, so it sees the same float operations in
     the same order as a whole-array step: blocking changes no bit.
+
+    Operand rule: every scalar operand (2, h^2, lo, hi, tau/2) is made a
+    0-d float64 array once per call, and every ufunc but np.maximum takes
+    `out` positionally.  At these row lengths numpy's fixed cost per call
+    outweighs the arithmetic, and a Python float costs each call a scalar
+    conversion that a 0-d array does not; both run the same float64 loop,
+    so the values are the same bits.  numpy 2.4 deprecates a third
+    positional argument to np.maximum, so it keeps `out=`.
     """
     u = np.array(u, dtype=float, order="C")
     n = u.shape[-1]
     rows = u.reshape(math.prod(u.shape[:-1]), n)
     flat = u.reshape(-1)
     per_block = max(1, BLOCK_CELLS // n)
-    hh = h ** 2
-    half_tau = 0.5 * tau
+    two, hh, lo, hi, half_tau = _operands(2.0, h ** 2, lo, hi, 0.5 * tau)
     size = max(min(per_block, len(rows)) * n - 2, 0)
     work, scratch = np.empty(size), np.empty(size)
     for r0 in range(0, len(rows), per_block):
@@ -162,20 +175,20 @@ def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, tau: float,
         stop = first + max(block.size - 2, 0)
         left, mid, right = flat[first - 1:stop - 1], flat[first:stop], flat[first + 1:stop + 1]
         d2, low = work[:stop - first], scratch[:stop - first]
-        ends = (block[:, 0].copy(), block[:, -1].copy()) if len(block) > 1 else None
+        # (row-end column, its saved values) pairs; a one-row block has none
+        ends = [(col, col.copy()) for col in (block[:, 0], block[:, -1])] if len(block) > 1 else []
         for _ in range(steps):
-            np.multiply(mid, 2.0, out=d2)
-            np.subtract(right, d2, out=d2)
-            np.add(d2, left, out=d2)
-            np.divide(d2, hh, out=d2)
-            np.multiply(d2, lo, out=low)
-            np.multiply(d2, hi, out=d2)
+            np.multiply(mid, two, d2)
+            np.subtract(right, d2, d2)
+            np.add(d2, left, d2)
+            np.divide(d2, hh, d2)
+            np.multiply(d2, lo, low)
+            np.multiply(d2, hi, d2)
             np.maximum(d2, low, out=d2)
-            np.multiply(d2, half_tau, out=d2)
-            np.add(mid, d2, out=mid)
-            if ends is not None:
-                block[:, 0] = ends[0]
-                block[:, -1] = ends[1]
+            np.multiply(d2, half_tau, d2)
+            np.add(mid, d2, mid)
+            for col, saved in ends:
+                col[...] = saved
     return u
 
 
@@ -209,11 +222,15 @@ def _march_2d(u: np.ndarray, G: GFunction, h: float, tau: float,
     node reads only the buffer of the step before, so the tiling changes
     no bit: interior nodes see the float operations of the whole-array
     form in the same order.
+
+    The operand rule of _march_1d holds: the scalars (2, h^2, tau/2 and
+    each member's coefficients) are 0-d float64 arrays, made once per call,
+    and `out` is positional except in np.maximum, for the same reason and
+    with the same bits.
     """
     _check_stencil_2d(G, h, tau)
     u = np.array(u, dtype=float, order="C")
-    hh = h ** 2
-    half_tau = 0.5 * tau
+    two, hh, half_tau = _operands(2.0, h ** 2, 0.5 * tau)
     rows, cols = u.shape
     per_tile = max(1, BLOCK_CELLS // cols)
     size = max(min(per_tile, rows - 2) * cols - 2, 0)
@@ -227,9 +244,9 @@ def _march_2d(u: np.ndarray, G: GFunction, h: float, tau: float,
         if cc > 0:
             shift = cols + 1 if c > 0 else cols - 1
             cross = diffs.setdefault(shift, np.empty(size))
-        members.append((a - cc, b - cc, cc, cross))
+        members.append((*_operands(a - cc, b - cc, cc), cross))
     last = len(members) - 1
-    two = np.empty(size)
+    twice = np.empty(size)
     best = np.empty(size) if last > 0 else None
     lap = np.empty(size) if last > 1 else None
     bufs = (u, u.copy())
@@ -242,35 +259,34 @@ def _march_2d(u: np.ndarray, G: GFunction, h: float, tau: float,
         def cut(a, n=max(stop - first, 0)):
             return None if a is None else a[:n]
 
-        tiles.append((r0, r1, first, stop, cut(two), cut(best), cut(lap),
+        tiles.append((r0, r1, first, stop, cut(twice), cut(best), cut(lap),
                       [(shift, cut(diff)) for shift, diff in diffs.items()],
                       cut(diffs[cols]), cut(diffs[1]),
                       [(ax, by, cc, cut(cross)) for ax, by, cc, cross in members]))
     for k in range(steps):
         src, dst = bufs[k % 2], bufs[1 - k % 2]
         flat = src.reshape(-1)
-        for r0, r1, first, stop, two, best, lap, tile_diffs, xx, yy, tile_members in tiles:
+        for r0, r1, first, stop, twice, best, lap, tile_diffs, xx, yy, tile_members in tiles:
             cen = flat[first:stop]
-            np.multiply(cen, 2.0, out=two)
+            np.multiply(cen, two, twice)
             for shift, diff in tile_diffs:
-                np.add(flat[first + shift:stop + shift], flat[first - shift:stop - shift],
-                       out=diff)
-                np.subtract(diff, two, out=diff)
+                np.add(flat[first + shift:stop + shift], flat[first - shift:stop - shift], diff)
+                np.subtract(diff, twice, diff)
             # member numerators; the last works in place in xx and yy
             for i, (ax, by, cc, cross) in enumerate(tile_members):
-                num, tmp = (xx, yy) if i == last else (lap if i else best, two)
-                np.multiply(xx, ax, out=num)
-                np.multiply(yy, by, out=tmp)
-                np.add(num, tmp, out=num)
+                num, tmp = (xx, yy) if i == last else (lap if i else best, twice)
+                np.multiply(xx, ax, num)
+                np.multiply(yy, by, tmp)
+                np.add(num, tmp, num)
                 if cross is not None:
-                    np.multiply(cross, cc, out=tmp)
-                    np.add(num, tmp, out=num)
+                    np.multiply(cross, cc, tmp)
+                    np.add(num, tmp, num)
                 if i:
                     np.maximum(best, num, out=best)
             top = best if last else xx
-            np.divide(top, hh, out=top)
-            np.multiply(top, half_tau, out=top)
-            np.add(cen, top, out=dst.reshape(-1)[first:stop])
+            np.divide(top, hh, top)
+            np.multiply(top, half_tau, top)
+            np.add(cen, top, dst.reshape(-1)[first:stop])
             dst[r0 + 1:r1, 0] = ends[0][r0 + 1:r1]
             dst[r0:r1 - 1, -1] = ends[1][r0:r1 - 1]
     return bufs[steps % 2]

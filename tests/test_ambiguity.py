@@ -847,3 +847,50 @@ def test_sum_dp_kernel_bit_identical_to_member_loop(seed, dim, n, g_name, block)
     with mock.patch.object(ambiguity, "BLOCK_CELLS", block):
         got = independent_sum_expect(laws, g, scale=scale)
     assert got.hex() == loop_sum_expect(laws, g, scale).hex()
+
+
+def per_level_boxes(steps):
+    """Level corners and shapes built one level at a time: the reference
+    for the per-run tuples of ambiguity._level_boxes."""
+    lo = [(0,) * len(steps[0].zmin)]
+    shapes = [(1,) * len(steps[0].zmin)]
+    for step in steps:
+        lo.append(tuple(a + b for a, b in zip(lo[-1], step.zmin)))
+        shapes.append(tuple(w + b - a for w, a, b in zip(shapes[-1], step.zmin, step.zmax)))
+    return lo, shapes
+
+
+@given(st.integers(0, 10_000), st.sampled_from([1, 2]),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(1, 6), st.booleans()),
+                min_size=1, max_size=6),
+       st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_per_run_setup_matches_per_level_loop(seed, dim, runs, mixed):
+    """Runs of one law object, runs of distinct but equal objects (a law
+    rebuilt on an equal but distinct lattice), and, when `mixed`, one law
+    on another lattice late in the list."""
+    rng = np.random.default_rng(seed)
+    pool = random_sum_laws(rng, dim, 3)
+    laws = []
+    for pick, count, copies in runs:
+        law = pool[pick]
+        if copies:
+            laws += [AmbiguitySet(LatticeSpec(dim, law.lattice.step, law.lattice.origin),
+                                  law.members) for _ in range(count)]
+        else:
+            laws += [law] * count
+    steps = ambiguity._sum_steps(laws)
+    lo, shapes = per_level_boxes(steps)
+    assert ambiguity._level_boxes(steps, dim) == (lo, shapes)
+    cuts = sorted(int(k) for k in rng.integers(0, len(laws) + 1, size=2))
+    ks = (0, *cuts, len(laws))
+    bands = [[tuple(w - b + 1 for w, b in zip(shapes[k], shapes[start]))
+              for k in range(start, end + 1)] for start, end in zip(ks, ks[1:])]
+    assert ambiguity._bands(steps, ks, dim) == bands
+    assert ambiguity._shared_lattice(laws) == laws[0].lattice
+    if mixed:
+        lat = laws[0].lattice
+        other = AmbiguitySet(LatticeSpec(dim, lat.step / 2, lat.origin), pool[0].members)
+        laws.insert(len(laws) - int(rng.integers(0, min(len(laws), 3))), other)
+        with pytest.raises(DomainError, match="laws do not share a lattice"):
+            independent_sum_expect(laws, SUM_GS[dim]["smooth"])
