@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import DomainError, ResourceCapError
 
@@ -32,8 +32,9 @@ DEFAULT_MAX_STATES = 400_000
 
 LATTICE_RTOL = 1e-12
 PROB_TOL = 1e-12
-# output cells per block of the backward sum DP: about 1 MB of operands,
-# which stays in a 2 MB L2 cache
+# cells per block of the backward sum DP and the 1-d march, and per row tile
+# of the 2-d march (pde imports it): a block's operands or a tile's scratch
+# take 0.8-1.8 MB, so that each stays near a 2 MB L2
 BLOCK_CELLS = 32_768
 
 
@@ -369,12 +370,14 @@ class _SumStep:
     points as (index into `offsets`, probability as a 0-d float64 array):
     the first point's pair, then a tuple of the other points' pairs.
     `zmin` and `zmax` are the lowest and highest coordinates on each axis.
+    `ufuncs` is the number of ufunc passes that one output cell takes.
     """
 
     offsets: tuple
     members: tuple
     zmin: tuple
     zmax: tuple
+    ufuncs: int
 
 
 def _sum_steps(laws: Sequence[AmbiguitySet]) -> list:
@@ -398,7 +401,8 @@ def _sum_steps(laws: Sequence[AmbiguitySet]) -> list:
                 members.append((first, tuple(rest)))
             step = resolved[id(law)] = _SumStep(tuple(index), tuple(members),
                                                tuple(int(c) for c in zmin),
-                                               tuple(int(c) for c in zmax))
+                                               tuple(int(c) for c in zmax),
+                                               sum(2 * len(rest) + 2 for _, rest in members) - 1)
         steps += itertools.repeat(step, len(list(run)))
     return steps
 
@@ -459,69 +463,77 @@ def _backward_sum(v: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
     batch axis.  A step maps level-k values to level-(k-1) values on the
     lattice shape `shape`: entry x becomes the member maximum (lowest index
     first) of the member mean sum_z p_z v[x + offset_z], summed in support
-    order.  Each level slices v once per distinct offset, from Python ints,
-    and works with in-place ufuncs, one block of rows along the first axis
-    at a time, so that a block's operands stay in cache.  Two flat buffers
-    sized for the first step take the levels in turn, the second allocated
-    only after the first step, once nothing in the kernel refers to v: an
-    input that the caller does not hold is freed by then.  The member sums
-    and products use two more of one block, at most BLOCK_CELLS cells or one
-    row: the first step has the widest rows, as boxes shrink backward.
+    order.  A level lives in a flat buffer at the C-order strides of a
+    layout, at first v's shape (v.reshape(-1) copies v only where no flat
+    view exists), so an offset is one flat shift and a step one contiguous
+    run from the first to the last live output cell, in cache-sized blocks
+    of BLOCK_CELLS cells.  The run's cells outside the live box (the rim, as
+    in pde._march_2d) get throw-away values: a live cell reads only live
+    cells, a rim cell only cells that the step before wrote.  When the rim
+    of a step's input run, at _SumStep.ufuncs passes a cell, would cost more
+    than one pass copying the live input, that is first copied tight into
+    the other buffer and its shape becomes the layout; a 1-d level with no
+    batch axes has no rim.  Two buffers of the first run's length take the
+    levels in turn, the second allocated only after the first step, once
+    nothing in the kernel refers to v: an input that the caller does not
+    hold is freed by then.  Two more of one block take the member sums and
+    products.  Returns a view of the live box.
 
     Each member sum starts from its first product rather than from zeros:
     that changes at most the sign of a zero, and comparisons and later sums
     carry such a difference along as the sign of a zero only.  A zero-start
     sum is never -0.0, so adding 0.0 to the final level gives the zero-start
-    loop's values bit for bit.
+    loop's values bit for bit; no block, rim or copy changes a live bit.
 
     Levels are short (a few thousand cells), so numpy's fixed cost per call
-    outweighs the arithmetic.  A 1-d level of at most BLOCK_CELLS cells
-    with no batch axes is one block and is neither cut nor reshaped.  The
-    operand rule of pde._march_1d holds: the probabilities are 0-d float64
-    arrays, made once per law by _sum_steps, and `out` is positional except
-    in np.maximum; the float operations and their order are unchanged.
+    counts: a run of at most BLOCK_CELLS cells takes no block loop, shifts
+    are worked out once per step object and layout, and the operand rule of
+    pde._march_1d holds (0-d float64 probabilities, made once per law by
+    _sum_steps; `out` positional except in np.maximum).
     """
     if not steps:
         return v
-    batch = v.shape[:v.ndim - len(steps[0][1])]
-    dims = batch + steps[0][1]
-    size = math.prod(dims)
-    block_cells = min(size, max(BLOCK_CELLS, size // dims[0]))
-    acc, tmp = np.empty(block_cells), np.empty(block_cells)
-    buffers = []
-    flat = v.ndim == 1
+    dims = live = v.shape
+    batch = dims[:v.ndim - len(steps[0][1])]
+    src = v.reshape(-1)
+    del v
+    end = len(src)  # one past the last live cell of the level in src
+    key = None
     for k, (step, shape) in enumerate(steps):
-        if k < 2:
-            buffers.append(np.empty(size))
-        if flat:
-            level = buffers[k % 2][:shape[0]]
-        else:
-            level = buffers[k % 2][:math.prod(batch + shape)].reshape(batch + shape)
-        _sum_step(v, step, shape, level, acc, tmp)
-        v = level
-    return np.add(v, 0.0, out=v)
+        if k == 1:
+            src = dst
+            dst = np.empty(len(src))
+        elif k:
+            src, dst = dst, src
+        live_in, live = live, batch + shape
+        if live_in[1:] != dims[1:]:
+            cells = math.prod(live_in)
+            if step.ufuncs * (end - cells) > cells:
+                np.copyto(dst[:cells].reshape(live_in), _box(src, dims, live_in))
+                src, dst, dims, end = dst, src, live_in, cells
+        if key != (step, dims):
+            key = step, dims
+            strides = [math.prod(dims[i + 1:]) for i in range(len(batch), len(dims))]
+            shifts = [sum(o * s for o, s in zip(offset, strides)) for offset in step.offsets]
+            span = sum((b - a) * s for a, b, s in zip(step.zmin, step.zmax, strides))
+        end -= span
+        if not k:  # the first run is the longest
+            acc, tmp = np.empty(min(end, BLOCK_CELLS)), np.empty(min(end, BLOCK_CELLS))
+            dst = np.empty(end)
+        if end <= BLOCK_CELLS:
+            _member_max(step, [src[s:s + end] for s in shifts], dst[:end], acc[:end], tmp[:end])
+            continue
+        for a in range(0, end, BLOCK_CELLS):
+            b = min(a + BLOCK_CELLS, end)
+            _member_max(step, [src[a + s:b + s] for s in shifts], dst[a:b],
+                        acc[:b - a], tmp[:b - a])
+    np.add(dst[:end], 0.0, dst[:end])
+    return _box(dst, dims, live)
 
 
-def _sum_step(v: np.ndarray, step: _SumStep, shape: tuple, level: np.ndarray,
-              acc: np.ndarray, tmp: np.ndarray):
-    """One _backward_sum step from v into level, with block scratch acc and
-    tmp; its slices of v are gone when it returns."""
-    if len(shape) == 1:
-        (w,) = shape
-        srcs = [v[..., o:o + w] for (o,) in step.offsets]
-    else:
-        srcs = [v[(Ellipsis,) + tuple(slice(o, o + w) for o, w in zip(offset, shape))]
-                for offset in step.offsets]
-    if level.ndim == 1 and len(level) <= BLOCK_CELLS:
-        n = len(level)
-        _member_max(step, srcs, level, acc[:n], tmp[:n])
-        return
-    rows = max(1, BLOCK_CELLS * level.shape[0] // level.size)
-    for r0 in range(0, level.shape[0], rows):
-        block = slice(r0, r0 + rows)
-        best = level[block]
-        _member_max(step, [src[block] for src in srcs], best,
-                    acc[:best.size].reshape(best.shape), tmp[:best.size].reshape(best.shape))
+def _box(buffer: np.ndarray, dims: tuple, live: tuple) -> np.ndarray:
+    """The live box `live` of the layout `dims` in a flat float64 buffer."""
+    return as_strided(buffer, live, [8 * math.prod(dims[i + 1:]) for i in range(len(dims))])
 
 
 def _member_max(step: _SumStep, parts: list, best: np.ndarray, other: np.ndarray,
@@ -553,14 +565,16 @@ def _checkpoint_expect(laws: Sequence[AmbiguitySet], checkpoints: Sequence[int],
     ..., S_k - S_k{j-1}).  Each increment axis holds only its reachable
     band, of width shape_k - shape_k{j-1} + 1 on every axis (the first band
     is the level box of S_k), so each phase is one _backward_sum call, and
-    at k_{j-1} the band is one column, which is dropped.  With checkpoints
-    (n/2, n) on {-1, 0, 1} that is about n^3/4 shift-adds, against 3n^3/4
-    over the whole box of S_k.  f sees S_k1 as an open column of the
-    level-k1 positions and, in 1-d, S_kj at box index a + c_2 + ... + c_j
-    as the level-kj positions under one sliding window per increment axis;
-    these read-only views are gone before the DP runs.  Each state entry is
-    the box entry for the same S_k, built by the same float operations, so
-    the value is the box DP's bit for bit.
+    at k_{j-1} the band is one column, which is dropped.  The earlier axes
+    are the kernel's batch axes: a level is one flat run over all their
+    rows, copied tight as the band shrinks.  With checkpoints (n/2, n) on
+    {-1, 0, 1} that is about n^3/4 live shift-adds, against 3n^3/4 over the
+    whole box of S_k.  f sees S_k1 as an open column of the level-k1
+    positions and, in 1-d, S_kj at box index a + c_2 + ... + c_j as the
+    level-kj positions under one sliding window per increment axis; these
+    read-only views are gone before the DP runs.  Each state entry is the
+    box entry for the same S_k, built by the same float operations, so the
+    value is the box DP's bit for bit.
     """
     n = len(laws)
     if n == 0:

@@ -98,14 +98,6 @@ def g_1d(s: SigmaInterval, alpha: float) -> float:
     return alpha * s.upper if alpha >= 0 else alpha * s.lower
 
 
-def regularize(G: GFunction, eps: float) -> GFunction:
-    """Uniform-ellipticity lift: add eps * I to every theta entry."""
-    if not eps > 0:
-        raise DomainError("eps must be positive")
-    eye = eps * np.eye(G.dimension)
-    return GFunction(G.dimension, tuple(S + eye for S in G.theta))
-
-
 def _random_symmetric(rng, d: int) -> np.ndarray:
     M = rng.normal(size=(d, d))
     return (M + M.T) / 2

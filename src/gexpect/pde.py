@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import evaluate
+from .ambiguity import BLOCK_CELLS, evaluate
 from .errors import DomainError
 from .gfunc import GFunction, SigmaInterval, _check_symmetric, g_eval
 
@@ -29,11 +29,6 @@ NODES_1D = {"fast": 151, "default": 301, "fine": 601}
 NODES_2D = {"fast": 81, "default": 121, "fine": 161}
 NODES_FDD = {"fast": 101, "default": 201, "fine": 301}
 
-# cells per row block of the 1-d march and per row tile of the 2-d march:
-# a 1-d block's three operands take 768 kB, a 2-d tile's scratch (two to
-# four differences, 2 * centre and, past one member, the maximum and, past
-# two, one numerator) 1.0-1.8 MB, so that each stays near a 2 MB L2
-BLOCK_CELLS = 32_768
 
 
 def _operands(*values: float) -> list:

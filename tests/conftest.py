@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,3 +51,18 @@ def _traced_peak_mib(fn):
 @pytest.fixture(scope="session")
 def traced_peak_mib():
     return _traced_peak_mib
+
+
+@pytest.fixture(scope="session")
+def nan_filled_empty():
+    """A context in which np.empty returns NaN-filled float arrays, so that
+    a value computed from a cell that nothing wrote comes out NaN."""
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    return lambda: mock.patch.object(np, "empty", poisoned)

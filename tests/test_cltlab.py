@@ -481,10 +481,16 @@ def test_two_point_band_bit_identical_to_box_dp(seed, n, data, psi_name):
     assert got.hex() == box_two_point_sum_expect(laws, k1, psi, scale).hex()
 
 
-@given(st.integers(0, 5_000), st.integers(1, 24), st.data(), st.sampled_from([1, 5, 64]))
+@given(st.integers(0, 5_000),
+       st.one_of(st.tuples(st.integers(1, 24), st.sampled_from([1, 5, 64])),
+                 st.tuples(st.integers(25, 64), st.sampled_from([64, ambiguity.BLOCK_CELLS]))),
+       st.data())
 @settings(max_examples=30)
-def test_two_point_dp_in_row_blocks_bit_identical_to_box_dp(seed, n, data, block):
-    """The kernel split into blocks of S_k1 rows as small as one row."""
+def test_two_point_dp_in_row_blocks_bit_identical_to_box_dp(seed, n_block, data):
+    """The kernel's flat runs cut into blocks as small as one cell, and,
+    past n = 24, wide S_k1 batches whose bands are often copied tight more
+    than once."""
+    n, block = n_block
     k1 = data.draw(st.integers(0, n))
     rng = np.random.default_rng(seed)
     laws = random_lattice_laws(rng, n)
@@ -492,6 +498,30 @@ def test_two_point_dp_in_row_blocks_bit_identical_to_box_dp(seed, n, data, block
     with mock.patch.object(ambiguity, "BLOCK_CELLS", block):
         got = two_point_sum_expect(laws, k1, psi, 0.5)
     assert got.hex() == box_two_point_sum_expect(laws, k1, psi, 0.5).hex()
+
+
+def test_two_point_dp_reads_only_cells_a_step_wrote(nan_filled_empty):
+    """With every np.empty array NaN-filled, the two-checkpoint DP keeps the
+    box DP's bits at every k1: no live cell reads a cell of the flat level
+    buffers that no step (or tight copy) wrote."""
+    laws = random_lattice_laws(np.random.default_rng(20261020), 40)
+    psi = PAIR_PSIS["smooth"]
+    refs = [box_two_point_sum_expect(laws, k1, psi, 0.5).hex() for k1 in range(41)]
+    with nan_filled_empty():
+        got = [two_point_sum_expect(laws, k1, psi, 0.5).hex() for k1 in range(41)]
+    assert got == refs
+
+
+@pytest.mark.parametrize("psi", [lambda a, b: np.cos(b), lambda a, b: np.cos(a)],
+                         ids=["cos_b", "cos_a"])
+def test_two_point_dp_of_a_psi_that_ignores_an_argument(psi):
+    """A psi that reads one argument: evaluate broadcasts the values of cos a
+    from the open column of S_k1 to the grid.  The DP keeps the box DP's
+    bits at every k1."""
+    laws = random_lattice_laws(np.random.default_rng(11), 12)
+    for k1 in range(13):
+        assert (two_point_sum_expect(laws, k1, psi, 0.5).hex()
+                == box_two_point_sum_expect(laws, k1, psi, 0.5).hex())
 
 
 @given(st.integers(0, 5_000), st.integers(1, 6), st.data(), st.sampled_from(sorted(PAIR_PSIS)))

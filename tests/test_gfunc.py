@@ -1,12 +1,12 @@
-"""Support-function generator: closed form, laws, regularisation."""
+"""Support-function generator: closed form and laws."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gexpect import (DomainError, GFunction, SigmaInterval, g_1d, g_eval,
-                     g_eval_argmax, regularize, verify_g_laws)
+from gexpect import (DomainError, GFunction, SigmaInterval, g_1d, g_eval, g_eval_argmax,
+                     verify_g_laws)
 
 
 def test_g_eval_1d_examples():
@@ -103,10 +103,3 @@ def test_degenerate_zero_generator_laws_hold():
     report = verify_g_laws(G, trials=50, seed=1)
     assert report.passed
     assert g_eval(G, np.eye(2)) == 0.0
-
-
-def test_regularize_adds_identity():
-    G = GFunction.from_matrices([np.zeros((2, 2))])
-    R = regularize(G, 0.25)
-    assert np.allclose(R.theta[0], 0.25 * np.eye(2))
-    assert g_eval(R, np.eye(2)) == pytest.approx(0.5)
