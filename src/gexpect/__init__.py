@@ -15,13 +15,12 @@ from .ambiguity import (AmbiguitySet, DiscreteDistribution, LatticeSpec,
 from .cltlab import (HeterogeneousRows, IidRows, TreeRows, check_iid_necessary_conditions,
                      estimate_limit_G, run_clt_experiment, run_fdd_experiment)
 from .errors import ConfigError, DomainError, ResourceCapError
-from .gfunc import GFunction, SigmaInterval, g_1d, g_eval, g_eval_argmax, verify_g_laws
+from .gfunc import GFunction, SigmaInterval, g_eval, g_eval_argmax, verify_g_laws
 from .pde import (Grid, PdeEstimate, gbm_fdd_expect, gbm_quadratic_identity,
                   gnormal_expect, solve_gheat)
 from .trees import (MartingaleArray, ScenarioTree, TreeRandomVariable, cond_expect,
                     cond_expect_lower, drift_stat, expectation, iid_level_tree,
                     lift, lindeberg_stat, quadratic_characteristic, random_tree,
-                    rosenthal_check, tree_from_text, tree_to_text,
-                    verify_operator_laws)
+                    rosenthal_check, verify_operator_laws)
 
 __version__ = "0.1.0"

@@ -93,11 +93,6 @@ def g_eval(G: GFunction, A: np.ndarray) -> float:
     return g_eval_argmax(G, A)[0]
 
 
-def g_1d(s: SigmaInterval, alpha: float) -> float:
-    """One-dimensional closed form: alpha+ upper - alpha- lower."""
-    return alpha * s.upper if alpha >= 0 else alpha * s.lower
-
-
 def _random_symmetric(rng, d: int) -> np.ndarray:
     M = rng.normal(size=(d, d))
     return (M + M.T) / 2

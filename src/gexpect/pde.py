@@ -512,22 +512,9 @@ def gbm_quadratic_identity(G, A, t: float, accuracy: str = "fast"):
 
 
 def fields_rows(grid: Grid, field: np.ndarray, snapshots):
-    """Flatten solve_gheat's output on `grid` to (time, coordinates, value)
-    rows for CSV dumps; the field is the one at the grid horizon."""
+    """Flatten solve_gheat's output on a 1-d `grid` to (time, x, y, value)
+    rows for CSV dumps, y left empty; the field is the one at the grid
+    horizon."""
     axis = grid.axis()
-    rows = []
-
-    def emit(t, values):
-        if grid.dim == 1:
-            for x, v in zip(axis, values):
-                rows.append({"time": t, "x": float(x), "y": "", "value": float(v)})
-        else:
-            for i, x in enumerate(axis):
-                for j, y in enumerate(axis):
-                    rows.append({"time": t, "x": float(x), "y": float(y),
-                                 "value": float(values[i, j])})
-
-    for t, vals in snapshots:
-        emit(t, vals)
-    emit(grid.horizon, field)
-    return rows
+    return [{"time": t, "x": float(x), "y": "", "value": float(v)}
+            for t, vals in (*snapshots, (grid.horizon, field)) for x, v in zip(axis, vals)]

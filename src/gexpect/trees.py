@@ -37,7 +37,8 @@ class _RowGroup:
 class ScenarioTree:
     """Rooted tree of fixed depth with per-node transition ambiguity.
 
-    Level arrays (children of consecutive parents are contiguous):
+    Level arrays (children of consecutive parents are contiguous; parent and
+    inc have depth + 1 entries, the first unused, and members has depth):
       parent[k][i]   index in level k-1 of node i's parent (k >= 1)
       inc[k][i]      d-vector increment on the edge into node i (k >= 1)
       members[k][j]  list of transition probability vectors over the children
@@ -60,7 +61,19 @@ class ScenarioTree:
         self.depth = len(parent) - 1
         if self.depth < 1:
             raise DomainError("tree needs at least one level")
-        self.parent = [None] + [np.asarray(p, dtype=np.int64) for p in parent[1:]]
+        if len(inc) != len(parent):
+            raise DomainError(f"level {min(len(inc), len(parent))}: inc has {len(inc)} "
+                              f"levels where parent has {len(parent)}")
+        if len(members) != self.depth:
+            raise DomainError(f"level {min(len(members), self.depth)}: members has "
+                              f"{len(members)} levels for a tree of depth {self.depth}")
+        self.parent = [None]
+        for k, p in enumerate(parent[1:], 1):
+            p = np.asarray(p)
+            if p.ndim != 1 or p.dtype.kind not in "iu":
+                raise DomainError(f"level {k}: parent must be a 1-d integer array, "
+                                  f"not {p.ndim}-d {p.dtype}")
+            self.parent.append(p.astype(np.int64, copy=False))
         self.inc = [None] + [np.atleast_2d(np.asarray(z, dtype=float)) for z in inc[1:]]
         self.members = members
         self.sizes = [1] + [len(p) for p in self.parent[1:]]
@@ -518,98 +531,3 @@ def iid_level_tree(X, depth: int, scale: float = 1.0) -> ScenarioTree:
         members.append([probs] * level_size)
         level_size *= cnt
     return ScenarioTree(lattice, parent, inc, members)
-
-
-def tree_to_text(tree: ScenarioTree) -> str:
-    """Serialise as a line-oriented document: nodes with parent index and
-    edge increment, then per-node member distributions."""
-    lines = [f"tree v1 depth={tree.depth} dim={tree.dim} "
-             f"step={tree.lattice.step!r} "
-             f"origin={','.join(repr(o) for o in tree.lattice.origin)}"]
-    node_id = {}
-    nid = 0
-    for k in range(tree.depth + 1):
-        for j in range(tree.sizes[k]):
-            node_id[(k, j)] = nid
-            if k == 0:
-                lines.append(f"node {nid} parent -")
-            else:
-                pid = node_id[(k - 1, int(tree.parent[k][j]))]
-                vec = ",".join(repr(float(v)) for v in tree.inc[k][j])
-                lines.append(f"node {nid} parent {pid} inc {vec}")
-            nid += 1
-    for k in range(tree.depth):
-        for j in range(tree.sizes[k]):
-            blocks = " ".join(",".join(repr(float(p)) for p in mem)
-                              for mem in tree.members[k][j])
-            lines.append(f"members {node_id[(k, j)]} {blocks}")
-    return "\n".join(lines) + "\n"
-
-
-def tree_from_text(text: str) -> ScenarioTree:
-    """Parse a tree_to_text document; a malformed one raises DomainError
-    naming the offending line or node."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise DomainError("empty tree document")
-    head = lines[0].split()
-    if head[:2] != ["tree", "v1"]:
-        raise DomainError("unrecognised tree document header")
-    try:
-        meta = dict(item.split("=", 1) for item in head[2:])
-        depth = int(meta["depth"])
-        lattice = LatticeSpec(int(meta["dim"]), float(meta["step"]),
-                              tuple(float(v) for v in meta["origin"].split(",")))
-    except (KeyError, ValueError):
-        raise DomainError(f"malformed tree document header: {lines[0]}") from None
-    parents = {}
-    incs = {}
-    member_map = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        try:
-            if parts[0] == "node" and parts[2:] == ["parent", "-"]:
-                table, nid, value = parents, int(parts[1]), None
-            elif parts[0] == "node" and len(parts) == 6 and parts[2::2] == ["parent", "inc"]:
-                table, nid, value = parents, int(parts[1]), int(parts[3])
-                incs[nid] = np.array([float(v) for v in parts[5].split(",")]).reshape(
-                    lattice.dimension)
-            elif parts[0] == "members" and len(parts) > 2:
-                table, nid = member_map, int(parts[1])
-                value = [np.array([float(v) for v in blk.split(",")]) for blk in parts[2:]]
-            else:
-                raise ValueError
-        except ValueError:
-            raise DomainError(f"unrecognised line: {ln}") from None
-        if nid in table:
-            raise DomainError(f"node {nid}: second {parts[0]} line: {ln}")
-        table[nid] = value
-    level_of = {}
-    for nid in sorted(parents):
-        par = parents[nid]
-        if par is not None and par not in level_of:
-            raise DomainError(f"node {nid}: parent {par} is not a lower-numbered node")
-        level_of[nid] = 0 if par is None else level_of[par] + 1
-        if level_of[nid] > depth:
-            raise DomainError(f"node {nid}: level {level_of[nid]} is below depth {depth}")
-    strays = sorted(nid for nid in member_map if level_of.get(nid, depth) == depth)
-    if strays:
-        raise DomainError(f"node {strays[0]}: members line for a leaf or unlisted node")
-    pos = {}
-    parent_arrays = [None]
-    inc_arrays = [None]
-    members = []
-    for k in range(depth + 1):
-        ids = [nid for nid in sorted(parents) if level_of[nid] == k]
-        ids.sort(key=lambda nid: (pos[parents[nid]] if k else 0, nid))
-        for i, nid in enumerate(ids):
-            pos[nid] = i
-        if k >= 1:
-            parent_arrays.append(np.array([pos[parents[nid]] for nid in ids]))
-            inc_arrays.append(np.array([incs[nid] for nid in ids]))
-        if k < depth:
-            missing = [nid for nid in ids if nid not in member_map]
-            if missing:
-                raise DomainError(f"node {missing[0]}: no members line")
-            members.append([member_map[nid] for nid in ids])
-    return ScenarioTree(lattice, parent_arrays, inc_arrays, members)

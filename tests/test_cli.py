@@ -1,6 +1,7 @@
 """CLI contract: exit codes, determinism, report files."""
 
 import copy
+import hashlib
 import math
 import os
 import pathlib
@@ -130,6 +131,8 @@ def test_dump_fields_writes_snapshots(tmp_path):
     header = dump.read_text().splitlines()
     assert header[1] == "time,x,y,value"
     assert len(header) > 100
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == \
+        "fb19a9655e8dea21d8a524a9b2690713dd8a633c50660b783aaa4988ea915d99"
 
 
 def test_fdd_times_validation(tmp_path):

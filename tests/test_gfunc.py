@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gexpect import (DomainError, GFunction, SigmaInterval, g_1d, g_eval, g_eval_argmax,
+from gexpect import (DomainError, GFunction, SigmaInterval, g_eval, g_eval_argmax,
                      verify_g_laws)
 
 
@@ -47,19 +47,20 @@ def test_gfunction_rejects_non_psd():
 
 
 def test_g_1d_closed_form():
-    s = SigmaInterval(0.5, 1.0)
-    assert g_1d(s, 2.0) == 2.0
-    assert g_1d(s, -2.0) == -1.0
-    classical = SigmaInterval(1.0, 1.0)
+    """On a 1-d interval G(a) = a+ upper - a- lower."""
+    G = GFunction.from_interval(SigmaInterval(0.5, 1.0))
+    assert g_eval(G, [[2.0]]) == 2.0
+    assert g_eval(G, [[-2.0]]) == -1.0
+    classical = GFunction.from_interval(SigmaInterval(1.0, 1.0))
     for a in (-3.0, 0.0, 1.7):
-        assert g_1d(classical, a) == a
+        assert g_eval(classical, [[a]]) == a
 
 
 def test_g_1d_matches_support_function_on_grid():
     s = SigmaInterval(0.3, 1.4)
     G = GFunction.from_interval(s)
-    for a in np.linspace(-5, 5, 1000):
-        assert g_1d(s, float(a)) == g_eval(G, [[float(a)]])
+    for a in np.linspace(-5, 5, 1000).tolist():
+        assert g_eval(G, [[a]]) == (a * s.upper if a >= 0 else a * s.lower)
 
 
 def test_singleton_theta_is_linear():

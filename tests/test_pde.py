@@ -310,19 +310,17 @@ def test_snapshots_and_field_rows_1d():
         solve_gheat(G, lambda x: x * x, short, snapshot_count=-1)
 
 
-def test_snapshots_and_field_rows_2d():
-    from gexpect.pde import fields_rows
-
+def test_snapshots_2d():
     G = GFunction.from_matrices([np.diag([1.0, 0.5])])
     grid = small_grid(G, half_width=2.0, h=0.25, horizon=0.3)
     field, snaps = solve_gheat(G, lambda p: np.sum(np.square(p), axis=-1), grid,
                                snapshot_count=2)
     assert len(snaps) == 2
-    rows = fields_rows(grid, field, snaps)
+    times = [t for t, _ in snaps]
+    assert times == sorted(set(times)) and times[-1] < 0.3
     n_axis = len(grid.axis())
-    assert len(rows) == 3 * n_axis * n_axis
-    assert len({r["time"] for r in rows}) == 3
-    assert isinstance(rows[0]["y"], float)
+    assert field.shape == (n_axis, n_axis)
+    assert all(vals.shape == (n_axis, n_axis) for _, vals in snaps)
 
 
 def test_richardson_brackets_on_smooth_and_kinked_data():

@@ -11,8 +11,7 @@ from gexpect import (DomainError, MartingaleArray, ScenarioTree, TreeRandomVaria
                      cond_expect, cond_expect_lower, drift_stat, expectation,
                      iid_level_tree, iid_sum_expect, lift, lindeberg_stat,
                      quadratic_characteristic, random_tree, rosenthal_check,
-                     symmetric_bernoulli_family, tree_from_text, tree_to_text,
-                     verify_operator_laws)
+                     symmetric_bernoulli_family, verify_operator_laws)
 from gexpect.ambiguity import LatticeSpec
 from gexpect.functionals import get
 from gexpect.trees import path_sums
@@ -426,14 +425,27 @@ def test_tree_statistics_pinned_bit_for_bit():
     assert got == pinned
 
 
-# ------------------------------------------------------------- serialization
+# ------------------------------------------------------------ regression
+
+SMALL_PARENT = [None, [0, 0], [0, 1, 1, 1], [0, 1, 2, 2, 2, 3, 3, 3]]
+SMALL_INC = [None, [[3.0], [-3.0]], [[-3.0], [-3.0], [-3.0], [3.0]],
+             [[-1.0], [-3.0], [-1.0], [1.0], [-1.0], [0.0], [-2.0], [-3.0]]]
+SMALL_MEMBERS = [
+    [[[0.7908819892128073, 0.20911801078719264]]],
+    [[[1.0], [1.0]],
+     [[0.5971126484703981, 0.3310774125324778, 0.07180993899712394],
+      [0.7557702476502683, 0.24279140470983226, 0.001438347639899428],
+      [0.7741417304029268, 0.13784951828857434, 0.08800875130849904]]],
+    [[[1.0]], [[1.0]],
+     [[0.4995388900174927, 0.37060138606268644, 0.12985972391982073],
+      [0.0033768488686759736, 0.10757344101312907, 0.889049710118195]],
+     [[0.752911721498727, 0.007121828271318455, 0.23996645022995478]]],
+]
+
 
 def test_shipped_fixture_regression():
-    """Frozen values pin the text format and the backward recursion."""
-    import pathlib
-
-    path = pathlib.Path(__file__).parent / "fixtures" / "tree_small.txt"
-    tree = tree_from_text(path.read_text())
+    """Frozen values pin the backward recursion on a small hand-listed tree."""
+    tree = ScenarioTree(LatticeSpec(1, 1.0, (0.0,)), SMALL_PARENT, SMALL_INC, SMALL_MEMBERS)
     assert (tree.depth, tree.node_count) == (3, 15)
     X = TreeRandomVariable(tree.depth,
                            np.sin(np.arange(tree.sizes[tree.depth], dtype=float)))
@@ -442,18 +454,6 @@ def test_shipped_fixture_regression():
         0.05124805800904611
     _, lind = lindeberg_stat(tree, MartingaleArray(tree), 1.5)
     assert lind == 16.247602975696996
-
-
-@given(st.integers(0, 5_000))
-@settings(max_examples=20)
-def test_tree_text_roundtrip(seed):
-    rng = np.random.default_rng(seed)
-    tree = random_tree(rng, max_depth=4)
-    text = tree_to_text(tree)
-    again = tree_from_text(text)
-    assert tree_to_text(again) == text
-    X = TreeRandomVariable(tree.depth, np.arange(tree.sizes[tree.depth], dtype=float))
-    assert expectation(tree, X) == expectation(again, X)
 
 
 def test_tree_validation_rejects_bad_probs():
@@ -497,8 +497,17 @@ PAIR_INC = [None, np.array([[1.0], [-1.0]])]
      [None, np.array([[1.0], [-1.0]]), np.array([[1.0], [-1.0]])],
      [[[HALF]], [[np.array([1.0])], [np.array([1.0])]]],
      "^level 2: parent index 2 is not a node of level 1 \\(size 2\\)$"),
+    (PAIR, PAIR_INC, [], "^level 0: members has 0 levels for a tree of depth 1$"),
+    (PAIR, PAIR_INC, [[[HALF]], [[np.array([1.0])], [np.array([1.0])]]],
+     "^level 1: members has 2 levels for a tree of depth 1$"),
+    (PAIR, [None], [[[HALF]]], "^level 1: inc has 1 levels where parent has 2$"),
+    ([None, np.array([[0, 0]])], PAIR_INC, [[[HALF]]],
+     "^level 1: parent must be a 1-d integer array, not 2-d int"),
+    ([None, [0.0, 0.5]], PAIR_INC, [[[HALF]]],
+     "^level 1: parent must be a 1-d integer array, not 1-d float64$"),
 ], ids=["covering", "childless", "no_members", "length", "negative", "increments", "nan",
-        "negative_parent", "parent_out_of_range"])
+        "negative_parent", "parent_out_of_range", "short_members", "long_members",
+        "short_inc", "parent_2d", "parent_float"])
 def test_tree_validation_rejects(parent, inc, members, match):
     with pytest.raises(DomainError, match=match):
         ScenarioTree(LAT1, parent, inc, members)
@@ -601,29 +610,3 @@ def test_child_index_arrays_int32(seed):
         assert np.array_equal(tree.child_count[k], count)
         assert np.array_equal(tree.child_start[k], np.cumsum(count) - count)
         assert tree.parent[k + 1].dtype == np.int64
-
-
-TREE_DOC = ("tree v1 depth=1 dim=1 step=1.0 origin=0.0\n"
-            "node 0 parent -\nnode 1 parent 0 inc 1.0\nnode 2 parent 0 inc -1.0\n"
-            "members 0 0.5,0.5\n")
-
-
-@pytest.mark.parametrize("text, match", [
-    (TREE_DOC + "node 3 parent 1 inc 1.0\n", "node 3: level 2 is below depth 1"),
-    (TREE_DOC.replace("node 1 parent 0", "node 1 parent 2"),
-     "node 1: parent 2 is not a lower-numbered node"),
-    (TREE_DOC.replace("members 0 0.5,0.5\n", ""), "node 0: no members line"),
-    (TREE_DOC.replace(" inc -1.0", ""), "unrecognised line: node 2 parent 0$"),
-    ("", "empty tree document"),
-    (TREE_DOC.replace("depth=1", "depth=one"), "malformed tree document header: tree v1"),
-    (TREE_DOC + "node 1 parent 0 inc -1.0\n", "node 1: second node line"),
-    (TREE_DOC + "members 7 0.5,0.5\n", "node 7: members line for a leaf or unlisted node"),
-    (TREE_DOC + "members 1 1.0\n", "node 1: members line for a leaf or unlisted node"),
-    (TREE_DOC.replace("inc -1.0", "inc -1.0,0.0"), "unrecognised line: node 2 parent 0 inc -1.0,0.0$"),
-    (TREE_DOC.replace("inc -1.0", "inc nan"), "non-finite point"),
-], ids=["too_deep", "parent_after_child", "no_members", "no_inc", "empty", "header",
-        "repeated_node", "stray_members", "leaf_members", "increment_length", "increment_nan"])
-def test_tree_document_rejects(text, match):
-    assert tree_to_text(tree_from_text(TREE_DOC)) == TREE_DOC
-    with pytest.raises(DomainError, match=match):
-        tree_from_text(text)
