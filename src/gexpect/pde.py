@@ -12,6 +12,7 @@ bound is part of every reported error bar.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -82,9 +83,12 @@ class Grid:
     def steps(self) -> int:
         return round(self.horizon / self.time_step)
 
+    @property
+    def half_nodes(self) -> int:
+        return round(self.half_width / self.spacing)
+
     def axis(self) -> np.ndarray:
-        half_nodes = round(self.half_width / self.spacing)
-        return self.spacing * np.arange(-half_nodes, half_nodes + 1, dtype=float)
+        return self.spacing * np.arange(-self.half_nodes, self.half_nodes + 1, dtype=float)
 
     def points(self) -> np.ndarray:
         """The nodes, coordinates on the last axis: shape (N, 1) or (N, N, 2)."""
@@ -92,10 +96,6 @@ class Grid:
         if self.dim == 1:
             return axis[:, None]
         return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
-
-    def margin(self) -> float:
-        """Half-width in units of the diffusion scale sqrt(sigma_sq_max * T)."""
-        return self.half_width / math.sqrt(self.sigma_sq_max * self.horizon)
 
 
 @dataclass
@@ -360,26 +360,30 @@ def _preset_nodes(table: dict, accuracy: str) -> int:
 
 
 def _two_grid(G: GFunction, horizon: float, half_width: float, nodes: int,
-              march) -> list[PdeEstimate]:
+              march, stages) -> list[PdeEstimate]:
     """Richardson estimates from a coarse and a fine run of `march`.
 
     march(grid) runs on the grid [-half_width, half_width]^d to the horizon
     with `nodes` nodes per axis, then on the one with 2 * nodes - 1; it
     returns, per functional, the centre value and max |initial data| on the
     grid, the bound on |data| that the tail bound scales.  Each estimate
-    is the fine value with its bar: twice the coarse/fine difference, the
-    frozen-boundary Gaussian tail bound and a floating-point floor.
-    """
+    is the fine value with its bar: twice the coarse/fine difference, one
+    frozen-boundary Gaussian tail bound per (horizon, half-width) in
+    `stages` (monotone stages that preserve constants add their rim errors)
+    and a floating-point floor; its margin is the fewest diffusion scales
+    sqrt(sigma_sq_max * horizon) that a stage keeps to its rim."""
     coarse_grid, grid = (Grid.build(G.dimension, half_width, half_width / ((count - 1) // 2),
                                     horizon, G.sigma_sq_max) for count in (nodes, 2 * nodes - 1))
     coarse, fine = march(coarse_grid), march(grid)
+    margin = min(width / math.sqrt(G.sigma_sq_max * t) for t, width in stages)
     estimates = []
     for (coarse_value, data_max), (value, data_max2) in zip(coarse, fine):
-        tail = _boundary_bound(G, horizon, half_width, max(data_max, data_max2), G.dimension)
+        tail = sum(_boundary_bound(G, t, width, max(data_max, data_max2), G.dimension)
+                   for t, width in stages)
         delta = abs(value - coarse_value)
         bar = 2.0 * delta + tail + 1e-9 * (1.0 + abs(value))
         estimates.append(PdeEstimate(value, bar, coarse_value, delta, tail, grid.spacing,
-                                     half_width, grid.margin()))
+                                     half_width, margin))
     return estimates
 
 
@@ -415,52 +419,51 @@ def gnormal_expect(G, phi, horizon: float = 1.0,
         return [(float(u[(len(u) // 2,) * grid.dim]), bound)
                 for u, bound in zip(fields, data_max)]
 
-    estimates = _two_grid(G, horizon, _auto_half_width(G, horizon), nodes, march)
+    half_width = _auto_half_width(G, horizon)
+    estimates = _two_grid(G, horizon, half_width, nodes, march, [(horizon, half_width)])
     return estimates[0] if callable(phi) else estimates
 
 
-def _fdd_last_stage(phi, axis: np.ndarray, p: int, march) -> tuple[np.ndarray, float]:
+def _fdd_last_stage(G: GFunction, phi, stages: list[Grid]) -> tuple[np.ndarray, float]:
     """The last-increment stage of gbm_fdd_expect, streamed over row blocks.
 
-    Row (i_1, ..., i_{p-1}) holds phi(x_i1, ..., x_i{p-1}, x) for x on the
-    axis; march(rows) integrates x out along it, and of each marched row
-    only the diagonal entry x = x_i{p-1} is kept (for p = 1, the one row).
-    Each block of about BLOCK_CELLS cells is evaluated on an open grid, its
-    rows' p - 1 coordinates against the axis, so the p-cube of data never
-    exists.  Evaluation, march and diagonal act on each row alone, so the
-    kept values are those of the whole-cube form bit for bit.  Returns them,
-    shape (n,) * (p - 1), or (n,) for p = 1, with max |phi| on the grid.
-    """
-    n = len(axis)
-    lead = (n,) * (p - 1)
-    rows = math.prod(lead)
-    per_block = max(1, BLOCK_CELLS // n)
+    With m_j = stages[j].half_nodes, row (k_1, ..., k_{p-1}), k_j in [-m_j,
+    m_j], holds phi(x_1, ..., x_{p-1}, x_{p-1} + h k_p) for k_p in [-m_p, m_p],
+    each x read off the axis h * k at its integer index k_1 + ... + k_j.
+    Blocks of about BLOCK_CELLS cells are evaluated on open grids, so the
+    data cube never exists, and marched; each row keeps its centre.  Every
+    step acts on each row alone, so the kept values are those of the
+    whole-cube form bit for bit.  Returns them, one per row, and max |phi|."""
+    h, halves = stages[-1].spacing, [stage.half_nodes for stage in stages]
+    lead = tuple(2 * m + 1 for m in halves[:-1])
+    per_block = max(1, BLOCK_CELLS // (2 * halves[-1] + 1))
+    axis = h * np.arange(-sum(halves), sum(halves) + 1, dtype=float)
+    offsets = np.arange(-halves[-1], halves[-1] + 1)
     kept = np.empty(lead)
     data_max = 0.0
-    for r0 in range(0, rows, per_block):
-        block = np.arange(r0, min(r0 + per_block, rows))
+    for r0 in range(0, kept.size, per_block):
+        block = np.arange(r0, min(r0 + per_block, kept.size))
         idx = np.unravel_index(block, lead) if lead else ()
-        data = evaluate(phi, *(axis[i][:, None, None] for i in idx), axis[:, None],
+        # axis index of x_0 = 0, x_1, ..., x_{p-1} in each row of the block
+        pos = list(itertools.accumulate((k - m for k, m in zip(idx, halves)), initial=sum(halves)))
+        data = evaluate(phi, *(axis[k][:, None, None] for k in pos[1:]),
+                        axis[np.reshape(pos[-1], (-1, 1)) + offsets][..., None],
                         what="initial data")
         data_max = max(data_max, float(np.max(np.abs(data))))
-        u = march(data)
-        if not lead:
-            return u, data_max
-        kept.flat[block] = u[block - r0, idx[-1]]
+        kept.flat[block] = _march(G, stages[-1], data, stages[-1].steps)[:, halves[-1]]
     return kept, data_max
 
 
 def gbm_fdd_expect(G, times, phi, accuracy: str = "default") -> PdeEstimate:
     """Finite-dimensional upper expectation E[phi(W_t1, ..., W_tp)], d = 1.
 
-    Backward nesting: the last increment is integrated out by a batched
-    G-heat march over horizon t_p - t_{p-1}, the result is read on the
-    diagonal (the increment starts at the previous marginal), and the
-    recursion continues to t_1.
-
-    The last stage streams over blocks of rows (_fdd_last_stage), so with
-    n nodes per axis the working set is O(n^(p-1) + BLOCK_CELLS) floats,
-    not the n^p of the data cube.
+    Backward nesting (Peng 2019, ch. 3): stage j integrates out the
+    increment over (t_{j-1}, t_j] by a batched G-heat march on its own
+    [-w_j, w_j], w_j = MARGIN_STDS * sigma_max * sqrt(t_j - t_{j-1}) rounded
+    up to whole spacings, and reads the centre of each row.  The spacing is
+    that of L = sum_j w_j, the reach of x_p, which the estimate reports.
+    The last stage streams over row blocks (_fdd_last_stage), so the working
+    set is one stage state of prod_{j<p} (2 m_j + 1) floats plus a block.
     """
     G = as_gfunction(G)
     if G.dimension != 1:
@@ -473,27 +476,24 @@ def gbm_fdd_expect(G, times, phi, accuracy: str = "default") -> PdeEstimate:
         raise DomainError("times must be strictly increasing and positive")
 
     deltas = [times[0]] + [t2 - t1 for t1, t2 in zip(times, times[1:])]
+    widths = [MARGIN_STDS * (math.sqrt(G.sigma_sq_max) * math.sqrt(d)) for d in deltas]
     L = MARGIN_STDS * (math.sqrt(G.sigma_sq_max) * sum(math.sqrt(d) for d in deltas))
 
     def march(grid: Grid):
-        stages = [Grid.build(1, L, grid.spacing, delta, G.sigma_sq_max) for delta in deltas]
-
-        def stage(j, u):
-            return _march(G, stages[j], u, stages[j].steps)
-
-        u, data_max = _fdd_last_stage(phi, grid.axis(), p, lambda u: stage(p - 1, u))
-        for j in range(p - 2, -1, -1):
-            u = stage(j, u)
-            if j:
-                u = np.einsum("...ii->...i", u)
-        return [(float(u[len(u) // 2]), data_max)]
+        h = grid.spacing
+        # m_j = w_j / h rounded up past h's own rounding: each rim at least w_j out
+        stages = [Grid.build(1, max(1, math.ceil(w / h - 1e-9)) * h, h, d, G.sigma_sq_max)
+                  for d, w in zip(deltas, widths)]
+        u, data_max = _fdd_last_stage(G, phi, stages)
+        for stage in reversed(stages[:-1]):
+            u = _march(G, stage, u, stage.steps)[..., stage.half_nodes]
+        return [(float(u), data_max)]
 
     nodes = _preset_nodes(NODES_FDD, accuracy)
     if p == 3:
-        # the march takes n^3 * steps node updates; halving the resolution
-        # bounds that time and keeps the presets' values unchanged
+        # p = 3 runs at half resolution, which keeps the presets' values
         nodes = (nodes // 2) | 1
-    return _two_grid(G, times[-1], L, nodes, march)[0]
+    return _two_grid(G, times[-1], L, nodes, march, list(zip(deltas, widths)))[0]
 
 
 def gbm_quadratic_identity(G, A, t: float, accuracy: str = "fast"):

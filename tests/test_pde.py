@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gexpect import (DomainError, GFunction, Grid, SigmaInterval, gbm_fdd_expect,
-                     gbm_quadratic_identity, gnormal_expect, solve_gheat)
+                     gbm_quadratic_identity, gnormal_expect, solve_gheat, two_point_sum_expect)
 from gexpect import pde
 from gexpect.ambiguity import evaluate
 from gexpect.functionals import get, get_pair
@@ -43,15 +43,56 @@ def where_march_1d(u, lo, hi, h, tau, steps):
     return u
 
 
+def fdd_deltas_widths(G, times):
+    """The increments of `times`, each stage's half-width MARGIN_STDS
+    sigma_max sqrt(delta_j), and L, their sum: the half-width that sets h."""
+    deltas = [times[0]] + [t2 - t1 for t1, t2 in zip(times, times[1:])]
+    sigma = math.sqrt(G.sigma_sq_max)
+    widths = [pde.MARGIN_STDS * (sigma * math.sqrt(d)) for d in deltas]
+    return deltas, widths, pde.MARGIN_STDS * (sigma * sum(math.sqrt(d) for d in deltas))
+
+
+def fdd_nodes(p, accuracy):
+    nodes = pde._preset_nodes(pde.NODES_FDD, accuracy)
+    return (nodes // 2) | 1 if p == 3 else nodes
+
+
 def dense_fdd_expect(G, times, phi, accuracy):
-    """gbm_fdd_expect on the whole p-cube: data evaluated on p meshgrids,
-    every stage marched by where_march_1d and read on its diagonal by
-    einsum: the bit-for-bit reference for the streamed last stage."""
+    """gbm_fdd_expect on the whole per-stage cube: stage j spans m_j whole
+    spacings each side, w_j / h rounded up; the data are evaluated at the
+    lattice values h * k, k the running sums of the stage offsets, on p
+    meshgrids; every stage is marched by where_march_1d and read at its
+    centre: the bit-for-bit reference for the streamed last stage."""
     G = pde.as_gfunction(G)
     lo, hi = pde._theta_1d_range(G)
     p = len(times)
-    deltas = [times[0]] + [t2 - t1 for t1, t2 in zip(times, times[1:])]
-    L = pde.MARGIN_STDS * (math.sqrt(G.sigma_sq_max) * sum(math.sqrt(d) for d in deltas))
+    deltas, widths, L = fdd_deltas_widths(G, times)
+
+    def march(grid):
+        h = grid.spacing
+        halves = [math.ceil(w / h - 1e-9) for w in widths]
+        offsets = np.meshgrid(*(np.arange(-m, m + 1) for m in halves), indexing="ij")
+        lattice = np.cumsum(offsets, axis=0)
+        u = evaluate(phi, *(h * k[..., None] for k in lattice), what="initial data")
+        data_max = float(np.max(np.abs(u)))
+        for j in range(p - 1, -1, -1):
+            stage = Grid.build(1, halves[j] * h, h, deltas[j], G.sigma_sq_max)
+            u = where_march_1d(u, lo, hi, h, stage.time_step, stage.steps)[..., halves[j]]
+        return [(float(u), data_max)]
+
+    return pde._two_grid(G, times[-1], L, fdd_nodes(p, accuracy), march,
+                         list(zip(deltas, widths)))[0]
+
+
+def full_width_fdd_expect(G, times, phi, accuracy):
+    """The nested solve with every stage on the whole [-L, L]: data on the
+    p-cube of the axis, every stage marched by where_march_1d and read on
+    its diagonal by einsum, and one tail term for [-L, L] over the whole
+    horizon.  Its rim lies at least as far out as any per-stage rim."""
+    G = pde.as_gfunction(G)
+    lo, hi = pde._theta_1d_range(G)
+    p = len(times)
+    deltas, _, L = fdd_deltas_widths(G, times)
 
     def march(grid):
         mesh = np.meshgrid(*([grid.axis()] * p), indexing="ij")
@@ -64,10 +105,8 @@ def dense_fdd_expect(G, times, phi, accuracy):
                 u = np.einsum("...ii->...i", u)
         return [(float(u[len(u) // 2]), data_max)]
 
-    nodes = pde._preset_nodes(pde.NODES_FDD, accuracy)
-    if p == 3:
-        nodes = (nodes // 2) | 1
-    return pde._two_grid(G, times[-1], L, nodes, march)[0]
+    return pde._two_grid(G, times[-1], L, fdd_nodes(p, accuracy), march,
+                         [(times[-1], L)])[0]
 
 
 def alloc_march_2d(u, G, h, tau, steps):
@@ -450,9 +489,10 @@ PINNED = {
     "fdd_p1": ("0x1.3c6bea191ec69p-2", "0x1.7e32d94e7f71ap-14", "0x1.3c5ffd4d9bcd0p-2",
                "0x1.7d99705f32000p-15", "0x1.30023c78a3da8p-23", "0x1.7cbad13701bcap-5",
                "0x1.2971f372f95b6p+2", "0x1.8000000000000p+2"),
-    "fdd_p3": ("0x1.8d1d6840465e6p-1", "0x1.b83cc514bff7ep-7", "0x1.908de1c2cf8f2p-1",
-               "0x1.b83cc14498600p-8", "0x1.33570fab3675cp-70", "0x1.a389df3c2312ep-3",
-               "0x1.47c3b666fb66cp+3", "0x1.47c3b666fb66cp+3"),
+    # error_bar, boundary_bound and margin as the per-stage rims give them
+    "fdd_p3": ("0x1.8d1d6840465e6p-1", "0x1.b84cc97242b0cp-7", "0x1.908de1c2cf8f2p-1",
+               "0x1.b83cc14498600p-8", "0x1.0045d82b8e510p-19", "0x1.a389df3c2312ep-3",
+               "0x1.47c3b666fb66cp+3", "0x1.8000000000000p+2"),
 }
 
 
@@ -535,12 +575,55 @@ def test_streamed_fdd_bit_identical_at_fast_preset(name):
                                                                   "fast"))
 
 
+@pytest.mark.parametrize("name", sorted(FDD_DATA))
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("margin", [pde.MARGIN_STDS, 3.0], ids=["shipped", "margin3"])
+def test_per_stage_fdd_within_its_tail_of_full_width(margin, p, name):
+    """The per-stage rims move each march value, coarse and fine, by at
+    most the per-stage tail bound against the full-width solve; at p = 1
+    the two are one solve, every field alike.  A stage of m nodes a side
+    takes about m^2 / 32 steps at the shipped margin, so its rim reaches
+    its centre only on the p = 2 fine grid; at 3 standard deviations,
+    about m^2 / 8 steps, it does on the fine grid at p = 2 and 3."""
+    times = (0.25, 0.5, 1.0)[3 - p:]
+    with mock.patch.object(pde, "MARGIN_STDS", margin):
+        got = gbm_fdd_expect(SI, times, FDD_DATA[name], accuracy="fast")
+        ref = full_width_fdd_expect(SI, times, FDD_DATA[name], "fast")
+    if p == 1:
+        assert estimate_hexes(got) == estimate_hexes(ref)
+    for value, full in ((got.value, ref.value), (got.coarse_value, ref.coarse_value)):
+        assert abs(value - full) <= got.boundary_bound + 1e-12 * (1.0 + abs(full))
+
+
+# max(a, b)+, a+ (b - a)+, cos 2a cos(b - a) and -|b - 2a| on times (0.5, 1)
+BAR_AUDIT = {
+    "max_plus": lambda a, b: np.maximum(np.maximum(a, b), 0.0),
+    "kinked_product": lambda a, b: np.maximum(a, 0.0) * np.maximum(b - a, 0.0),
+    "cos_product": lambda a, b: np.cos(2.0 * a) * np.cos(b - a),
+    "neg_abs": lambda a, b: -np.abs(b - 2.0 * a),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAR_AUDIT))
+def test_fdd_bar_brackets_dp_extrapolation(bernoulli, name):
+    """Non-polynomial data, where no closed form exists: the exact
+    two-checkpoint DP V_n on {-1, 0, 1} with variances {0.5, 1}, k1 = n / 2,
+    converges like 1 / n, so 2 V_512 - V_256 is the reference that the
+    `default` bar must bracket."""
+    psi = BAR_AUDIT[name]
+    dp = {n: two_point_sum_expect([bernoulli] * n, n // 2, psi, 1 / math.sqrt(n))
+          for n in (256, 512)}
+    est = gbm_fdd_expect(SI, (0.5, 1.0), psi, accuracy="default")
+    assert abs(est.value - (2.0 * dp[512] - dp[256])) <= est.error_bar
+
+
 def test_fdd_p3_working_set_is_one_state_plus_blocks(traced_peak_mib):
-    """At the default preset the fine grid has 201 nodes per axis: the data
-    cube alone would take 62 MiB, and the dense form peaked at 372 MiB."""
+    """At the default preset the fine grid's per-stage data cube has
+    61 x 61 x 85 nodes: it alone would take 2.4 MiB.  The streamed solve
+    traces about 1.1 MiB."""
     psi = lambda a, b, c: np.maximum(c - b, 0.0) * np.maximum(b - a, 0.0)
     peak = traced_peak_mib(lambda: gbm_fdd_expect(SI, (0.25, 0.5, 1.0), psi))
-    assert peak < 8.0
+    assert peak < 2.0
 
 
 @pytest.mark.parametrize("G, phi", [
