@@ -1,12 +1,13 @@
 """Monotone explicit finite differences for the G-heat equation.
 
-The forward march u <- u + (tau/2) max over theta of L_Sigma u uses the
-central second difference in 1-d and, in 2-d, a sign-adapted nine-point
-stencil whose off-centre weights stay nonnegative whenever every Sigma is
-diagonally dominant.  A monotone consistent stable scheme converges to the
-viscosity solution, so no regularity machinery is needed.  Boundary values
-are frozen at the initial data; the domain is sized so that the frozen rim
-only reaches the evaluation point through a Gaussian tail, and that tail
+The forward march u <- u + max over theta of sum_v w_v D_v u, D_v the second
+difference along stencil direction v and w_v = tau sigma_v^2 / (2 h^2) worked
+out once per march, uses the central second difference in 1-d and, in 2-d, a
+sign-adapted nine-point stencil whose weights stay nonnegative whenever every
+Sigma is diagonally dominant.  A monotone consistent stable scheme converges
+to the viscosity solution, so no regularity machinery is needed.  Boundary
+values are frozen at the initial data; the domain is sized so that the frozen
+rim only reaches the evaluation point through a Gaussian tail, and that tail
 bound is part of every reported error bar.
 """
 
@@ -117,25 +118,34 @@ def _theta_1d_range(G: GFunction) -> tuple[float, float]:
     return min(vals), max(vals)
 
 
-def _check_stencil_2d(G: GFunction, h: float, tau: float):
+def _check_stencil_2d(G: GFunction, h: float, tau: float) -> list:
+    """Each Theta member's weights ((a - |c|) k, (b - |c|) k, |c| k), k =
+    tau / (2 h^2), and its c, checked monotone: the centre weight 1 - 2
+    (their sum) is judged from the floats that _march_2d then steps with."""
+    kappa = 0.5 * tau / h ** 2
+    members = []
     for S in G.theta:
         a, b, c = float(S[0, 0]), float(S[1, 1]), float(S[0, 1])
-        if abs(c) > min(a, b) + 1e-12:
+        cc = abs(c)
+        if cc > min(a, b) + 1e-12:
             raise DomainError("non-monotone stencil: every Theta member needs "
                               "|c| <= min(a, b)")
-        centre = 1.0 - tau * (a + b - abs(c)) / h ** 2
-        if centre < -1e-12:
+        weights = ((a - cc) * kappa, (b - cc) * kappa, cc * kappa)
+        if 1.0 - 2.0 * sum(weights) < -1e-12:
             raise DomainError("non-monotone stencil; tighten the CFL ratio")
+        members.append((*weights, c))
+    return members
 
 
 def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, tau: float,
               steps: int) -> np.ndarray:
     """Explicit march along the last axis; endpoints frozen at the data.
 
-    In 1-d the generator reduces to G(a) = hi * a+ + lo * a-, evaluated
-    pointwise on the discrete second difference as max(hi * a, lo * a):
-    with lo <= hi, rounding is monotone, so that is hi * a for a >= 0 and
-    lo * a otherwise, signed zeros included.
+    In 1-d the generator reduces to G(a) = hi * a+ + lo * a-.  A step adds
+    max(lo k * y, hi k * y) to each node, y = (right - 2 mid) + left and k =
+    tau / (2 h^2), so no step divides.  With lo <= hi, rounding is monotone,
+    so that is hi k * y for y >= 0 and lo k * y otherwise, signed zeros
+    included.
 
     The leading axes are a batch of independent rows.  They are marched in
     blocks of about BLOCK_CELLS cells, each block taking every time step
@@ -148,7 +158,7 @@ def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, tau: float,
     computed before the update, so it sees the same float operations in
     the same order as a whole-array step: blocking changes no bit.
 
-    Operand rule: every scalar operand (2, h^2, lo, hi, tau/2) is made a
+    Operand rule: every scalar operand (2 and the two weights) is made a
     0-d float64 array once per call, and every ufunc but np.maximum takes
     `out` positionally.  At these row lengths numpy's fixed cost per call
     outweighs the arithmetic, and a Python float costs each call a scalar
@@ -161,7 +171,8 @@ def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, tau: float,
     rows = u.reshape(math.prod(u.shape[:-1]), n)
     flat = u.reshape(-1)
     per_block = max(1, BLOCK_CELLS // n)
-    two, hh, lo, hi, half_tau = _operands(2.0, h ** 2, lo, hi, 0.5 * tau)
+    kappa = 0.5 * tau / h ** 2
+    two, lo, hi = _operands(2.0, lo * kappa, hi * kappa)
     size = max(min(per_block, len(rows)) * n - 2, 0)
     work, scratch = np.empty(size), np.empty(size)
     for r0 in range(0, len(rows), per_block):
@@ -176,11 +187,9 @@ def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, tau: float,
             np.multiply(mid, two, d2)
             np.subtract(right, d2, d2)
             np.add(d2, left, d2)
-            np.divide(d2, hh, d2)
             np.multiply(d2, lo, low)
             np.multiply(d2, hi, d2)
             np.maximum(d2, low, out=d2)
-            np.multiply(d2, half_tau, d2)
             np.add(mid, d2, mid)
             for col, saved in ends:
                 col[...] = saved
@@ -191,55 +200,46 @@ def _march_2d(u: np.ndarray, G: GFunction, h: float, tau: float,
               steps: int) -> np.ndarray:
     """Explicit march of the sign-adapted nine-point stencil; rim frozen.
 
-    Per member (a, b, c) of Theta the Laplacian is
-    ((a - |c|) xx + (b - |c|) yy + |c| cross) / h^2, with cross the diagonal
-    second difference for c > 0 and the anti-diagonal one for c < 0; only
-    the cross differences some member uses are formed.  A member with c = 0
+    Per member (a, b, c) of Theta a step adds w_xx xx + w_yy yy + w_c cross,
+    the weights those of _check_stencil_2d and cross the diagonal second
+    difference for c > 0 and the anti-diagonal one for c < 0; only the
+    cross differences some member uses are formed.  A member with c = 0
     skips the cross term, a signed zero: that changes no value, but where a
-    node is -0.0 and the winning Laplacian a signed zero (a member with
-    a = b = c = 0, or subnormal products) the node's zero may change sign
-    against the form that adds the term.
+    node is -0.0 and the winning sum a signed zero (a member with a = b =
+    c = 0, or subnormal products) the node's zero may change sign against
+    the form that adds the term.
 
     The field lives in two buffers: each step reads one and writes the next
     field into the other.  A step works in tiles of max(1, BLOCK_CELLS //
     cols) interior rows, so that a tile's scratch stays in L2.  A tile is
     one contiguous run of the flattened field, from its first to its last
     interior node, so every operand is a 1-d slice.  It forms its
-    differences and member numerators in scratch of tile size, writes
-    centre + (tau/2) best into the other buffer, and restores the rim nodes
-    inside its run, which got throw-away values, from a saved copy.  2 *
-    centre is formed once per tile and, after the differences, serves as
-    scratch for products; the last member works in place in xx and yy.
-    The maximum is taken over the numerators and divided by h^2 once:
-    division by h^2 > 0 is monotone, so that is the maximum of the
-    quotients, except where a quotient underflows to a zero whose sign the
-    maximum then picks (h > 1 and subnormal numerators).  Every interior
-    node reads only the buffer of the step before, so the tiling changes
-    no bit: interior nodes see the float operations of the whole-array
-    form in the same order.
+    differences and member sums in scratch of tile size, writes centre +
+    best, the member maximum, into the other buffer, and restores the rim
+    nodes inside its run, which got throw-away values, from a saved copy.
+    2 * centre is formed once per tile and, after the differences, serves
+    as scratch for products; the last member works in place in xx and yy.
+    Every interior node reads only the buffer of the step before, so the
+    tiling changes no bit: interior nodes see the float operations of the
+    whole-array form in the same order.
 
-    The operand rule of _march_1d holds: the scalars (2, h^2, tau/2 and
-    each member's coefficients) are 0-d float64 arrays, made once per call,
-    and `out` is positional except in np.maximum, for the same reason and
-    with the same bits.
+    The operand rule of _march_1d holds for 2 and each member's weights.
     """
-    _check_stencil_2d(G, h, tau)
+    weights = _check_stencil_2d(G, h, tau)
     u = np.array(u, dtype=float, order="C")
-    two, hh, half_tau = _operands(2.0, h ** 2, 0.5 * tau)
+    [two] = _operands(2.0)
     rows, cols = u.shape
     per_tile = max(1, BLOCK_CELLS // cols)
     size = max(min(per_tile, rows - 2) * cols - 2, 0)
     # second differences, keyed by the flat shift of their neighbour pair
     diffs = {cols: np.empty(size), 1: np.empty(size)}
     members = []
-    for S in G.theta:
-        a, b, c = float(S[0, 0]), float(S[1, 1]), float(S[0, 1])
-        cc = abs(c)
+    for wxx, wyy, wc, c in weights:
         cross = None
-        if cc > 0:
+        if c != 0:
             shift = cols + 1 if c > 0 else cols - 1
             cross = diffs.setdefault(shift, np.empty(size))
-        members.append((*_operands(a - cc, b - cc, cc), cross))
+        members.append((*_operands(wxx, wyy, wc), cross))
     last = len(members) - 1
     twice = np.empty(size)
     best = np.empty(size) if last > 0 else None
@@ -257,7 +257,7 @@ def _march_2d(u: np.ndarray, G: GFunction, h: float, tau: float,
         tiles.append((r0, r1, first, stop, cut(twice), cut(best), cut(lap),
                       [(shift, cut(diff)) for shift, diff in diffs.items()],
                       cut(diffs[cols]), cut(diffs[1]),
-                      [(ax, by, cc, cut(cross)) for ax, by, cc, cross in members]))
+                      [(*w, cut(cross)) for *w, cross in members]))
     for k in range(steps):
         src, dst = bufs[k % 2], bufs[1 - k % 2]
         flat = src.reshape(-1)
@@ -267,21 +267,18 @@ def _march_2d(u: np.ndarray, G: GFunction, h: float, tau: float,
             for shift, diff in tile_diffs:
                 np.add(flat[first + shift:stop + shift], flat[first - shift:stop - shift], diff)
                 np.subtract(diff, twice, diff)
-            # member numerators; the last works in place in xx and yy
-            for i, (ax, by, cc, cross) in enumerate(tile_members):
+            # member sums; the last works in place in xx and yy
+            for i, (wxx, wyy, wc, cross) in enumerate(tile_members):
                 num, tmp = (xx, yy) if i == last else (lap if i else best, twice)
-                np.multiply(xx, ax, num)
-                np.multiply(yy, by, tmp)
+                np.multiply(xx, wxx, num)
+                np.multiply(yy, wyy, tmp)
                 np.add(num, tmp, num)
                 if cross is not None:
-                    np.multiply(cross, cc, tmp)
+                    np.multiply(cross, wc, tmp)
                     np.add(num, tmp, num)
                 if i:
                     np.maximum(best, num, out=best)
-            top = best if last else xx
-            np.divide(top, hh, top)
-            np.multiply(top, half_tau, top)
-            np.add(cen, top, dst.reshape(-1)[first:stop])
+            np.add(cen, best if last else xx, dst.reshape(-1)[first:stop])
             dst[r0 + 1:r1, 0] = ends[0][r0 + 1:r1]
             dst[r0:r1 - 1, -1] = ends[1][r0:r1 - 1]
     return bufs[steps % 2]
@@ -392,9 +389,10 @@ def gnormal_expect(G, phi, horizon: float = 1.0,
     """Upper expectation of phi under the G-normal law, as the origin value
     of the G-heat march, with a two-grid Richardson error bar.
 
-    The reported bar adds the coarse/fine difference, the frozen-boundary
-    Gaussian tail bound, and a floating-point floor, so it brackets the true
-    discretisation gap on convergent runs.
+    The reported bar adds twice the coarse/fine difference, the
+    frozen-boundary Gaussian tail bound, and a floating-point floor.  It can
+    miss the true discretisation gap where a kink of phi falls between nodes
+    (ROADMAP item 1 tabulates such misses).
 
     phi may also be a sequence of functionals; the result is then a list
     with one PdeEstimate per functional, equal to what separate calls give.

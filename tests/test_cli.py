@@ -132,7 +132,7 @@ def test_dump_fields_writes_snapshots(tmp_path):
     assert header[1] == "time,x,y,value"
     assert len(header) > 100
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == \
-        "fb19a9655e8dea21d8a524a9b2690713dd8a633c50660b783aaa4988ea915d99"
+        "aef1f6e1e00ada11eaa35f980a0cca26c161b2b03bcc1d550bbdcfb8aaa75233"
 
 
 def test_fdd_times_validation(tmp_path):
@@ -387,6 +387,38 @@ def test_run_all_check_reproduces_committed_reports():
                           capture_output=True, text=True, timeout=600,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_run_all_check_prints_first_differing_line_pair(tmp_path, capsys):
+    """A differing report is listed with its first differing line pair,
+    committed then fresh; a shorter file reads <end of file>, and a file on
+    one side only is listed alone."""
+    run_all = runpy.run_path(str(ROOT / "scripts" / "run_all.py"))
+    fresh, committed = tmp_path / "fresh", tmp_path / "committed"
+    fresh.mkdir()
+    committed.mkdir()
+    for where, files in ((committed, {"a.csv": "x,1\ny,0.245\nz,3\n", "b.txt": "PASS\n",
+                                      "c.txt": "same\n", "gone.txt": "old\n"}),
+                         (fresh, {"a.csv": "x,1\ny,0.266\nz,4\n", "b.txt": "PASS\nextra\n",
+                                  "c.txt": "same\n", "new.txt": "new\n"})):
+        for name, text in files.items():
+            (where / name).write_text(text)
+    assert run_all["print_differences"](fresh, committed)
+    assert capsys.readouterr().out.splitlines() == [
+        "differs from reports/: a.csv",
+        "  line 2, committed: y,0.245",
+        "  line 2, fresh: y,0.266",
+        "differs from reports/: b.txt",
+        "  line 2, committed: <end of file>",
+        "  line 2, fresh: extra",
+        "differs from reports/: gone.txt",
+        "differs from reports/: new.txt"]
+    (fresh / "a.csv").write_text((committed / "a.csv").read_text())
+    for name in ("b.txt", "gone.txt", "new.txt"):
+        for where in (fresh, committed):
+            (where / name).unlink(missing_ok=True)
+    assert not run_all["print_differences"](fresh, committed)
+    assert capsys.readouterr().out == ""
 
 
 def test_shipped_configs_do_not_import_numpy_ma(tmp_path):
