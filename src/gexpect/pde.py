@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import BLOCK_CELLS, evaluate
+from .ambiguity import BLOCK_CELLS, _aligned, evaluate
 from .errors import DomainError
 from .gfunc import GFunction, SigmaInterval, _check_symmetric, g_eval
 
@@ -36,6 +36,13 @@ NODES_FDD = {"fast": 101, "default": 201, "fine": 301}
 def _operands(*values: float) -> list:
     """Each value as a 0-d float64 array: the operand form of the march loops."""
     return [np.array(value, dtype=float) for value in values]
+
+
+def _aligned_copy(u) -> np.ndarray:
+    """u as a new C-order float64 array that starts on a cache line."""
+    out = _aligned(np.shape(u))
+    out[...] = u
+    return out
 
 
 def _square(value: float, what: str) -> float:
@@ -151,12 +158,14 @@ def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, tau: float,
     blocks of about BLOCK_CELLS cells, each block taking every time step
     before the next one starts, so that its operands stay in L2.  Each step
     works in place, in two preallocated arrays, on one contiguous run of the
-    flattened block from its first to its last interior node.  The row
-    ends inside that run get throw-away values from the neighbouring row
-    and are restored after the update by two strided writes (a one-row
-    block has none).  Every interior node reads only nodes of its own row,
-    computed before the update, so it sees the same float operations in
-    the same order as a whole-array step: blocking changes no bit.
+    flattened block from its first to its last interior node.  The field
+    copy and both arrays start on a cache line (ambiguity._aligned), for
+    the reason given at BLOCK_CELLS.  The row ends inside that run get
+    throw-away values from the neighbouring row and are restored after the
+    update by two strided writes (a one-row block has none).  Every
+    interior node reads only nodes of its own row, computed before the
+    update, so it sees the same float operations in the same order as a
+    whole-array step: blocking changes no bit.
 
     Operand rule: every scalar operand (2 and the two weights) is made a
     0-d float64 array once per call, and every ufunc but np.maximum takes
@@ -166,7 +175,7 @@ def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, tau: float,
     so the values are the same bits.  numpy 2.4 deprecates a third
     positional argument to np.maximum, so it keeps `out=`.
     """
-    u = np.array(u, dtype=float, order="C")
+    u = _aligned_copy(u)
     n = u.shape[-1]
     rows = u.reshape(math.prod(u.shape[:-1]), n)
     flat = u.reshape(-1)
@@ -174,7 +183,7 @@ def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, tau: float,
     kappa = 0.5 * tau / h ** 2
     two, lo, hi = _operands(2.0, lo * kappa, hi * kappa)
     size = max(min(per_block, len(rows)) * n - 2, 0)
-    work, scratch = np.empty(size), np.empty(size)
+    work, scratch = _aligned(size), _aligned(size)
     for r0 in range(0, len(rows), per_block):
         block = rows[r0:r0 + per_block]
         first = r0 * n + 1
@@ -210,11 +219,13 @@ def _march_2d(u: np.ndarray, G: GFunction, h: float, tau: float,
     the form that adds the term.
 
     The field lives in two buffers: each step reads one and writes the next
-    field into the other.  A step works in tiles of max(1, BLOCK_CELLS //
-    cols) interior rows, so that a tile's scratch stays in L2.  A tile is
-    one contiguous run of the flattened field, from its first to its last
-    interior node, so every operand is a 1-d slice.  It forms its
-    differences and member sums in scratch of tile size, writes centre +
+    field into the other.  Both, and every scratch array below, start on a
+    cache line (ambiguity._aligned), for the reason given at BLOCK_CELLS.
+    A step works in tiles of max(1, BLOCK_CELLS // cols) interior rows, so
+    that a tile's scratch stays in L2.  A tile is one contiguous run of the
+    flattened field, from its first to its last interior node, so every
+    operand is a 1-d slice.  It forms its differences and member sums in
+    scratch of tile size, writes centre +
     best, the member maximum, into the other buffer, and restores the rim
     nodes inside its run, which got throw-away values, from a saved copy.
     2 * centre is formed once per tile and, after the differences, serves
@@ -226,25 +237,25 @@ def _march_2d(u: np.ndarray, G: GFunction, h: float, tau: float,
     The operand rule of _march_1d holds for 2 and each member's weights.
     """
     weights = _check_stencil_2d(G, h, tau)
-    u = np.array(u, dtype=float, order="C")
+    u = _aligned_copy(u)
     [two] = _operands(2.0)
     rows, cols = u.shape
     per_tile = max(1, BLOCK_CELLS // cols)
     size = max(min(per_tile, rows - 2) * cols - 2, 0)
     # second differences, keyed by the flat shift of their neighbour pair
-    diffs = {cols: np.empty(size), 1: np.empty(size)}
+    diffs = {cols: _aligned(size), 1: _aligned(size)}
     members = []
     for wxx, wyy, wc, c in weights:
         cross = None
         if c != 0:
             shift = cols + 1 if c > 0 else cols - 1
-            cross = diffs.setdefault(shift, np.empty(size))
+            cross = diffs.setdefault(shift, _aligned(size))
         members.append((*_operands(wxx, wyy, wc), cross))
     last = len(members) - 1
-    twice = np.empty(size)
-    best = np.empty(size) if last > 0 else None
-    lap = np.empty(size) if last > 1 else None
-    bufs = (u, u.copy())
+    twice = _aligned(size)
+    best = _aligned(size) if last > 0 else None
+    lap = _aligned(size) if last > 1 else None
+    bufs = (u, _aligned_copy(u))
     ends = (u[:, 0].copy(), u[:, -1].copy())
     tiles = []
     for r0 in range(1, rows - 1, per_tile):

@@ -487,6 +487,20 @@ def test_sum_lattice_cap():
         iid_sum_expect(B, 64, lambda s: s, max_nodes=16)
 
 
+# glibc serves requests of 128 KiB and more (its initial mmap threshold) by
+# mmap, 16 bytes past a page start, and smaller ones from the heap, 16-byte
+# aligned: neither is on a line unless by chance
+@pytest.mark.parametrize("shape", [1, 7, (3, 5), 1_000, 20_000, (2, 40_000)])
+def test_aligned_buffers_start_on_a_cache_line(shape):
+    held = []  # held, so that each allocation lands somewhere new
+    for _ in range(8):
+        a = ambiguity._aligned(shape)
+        held.append(a)
+        assert a.shape == (shape if isinstance(shape, tuple) else (shape,))
+        assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable
+        assert a.ctypes.data % ambiguity.LINE_BYTES == 0
+
+
 def test_sum_dp_2d_working_set(traced_peak_mib):
     """The five-point 2-d family at n = 256: a level holds 513^2 cells, 2 MiB.
     The positions, 4 MiB, are built with no box-sized temporary, and the DP

@@ -206,6 +206,13 @@ def test_all_shipped_configs_parse():
         assert cfg.kind
 
 
+def test_malformed_yaml_exits_two_at_document(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("kind: clt\nseed: [1, 2\n")
+    assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "config rejected at <document>: not parseable" in capsys.readouterr().err
+
+
 def test_convergence_table_script(capsys):
     script = CONFIG_DIR.parent / "scripts" / "convergence_table.py"
     runpy.run_path(str(script), run_name="__main__")

@@ -104,3 +104,35 @@ def test_degenerate_zero_generator_laws_hold():
     report = verify_g_laws(G, trials=50, seed=1)
     assert report.passed
     assert g_eval(G, np.eye(2)) == 0.0
+
+
+def tensordot_argmax(G, A):
+    """Reference for g_eval_argmax: each member's tr(A S) by np.tensordot."""
+    vals = np.array([float(np.tensordot(np.asarray(A, dtype=float), S)) for S in G.theta])
+    idx = int(np.argmax(vals))
+    return float(vals[idx]), idx
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300)
+def test_g_eval_argmax_bits_match_tensordot(seed):
+    """The value's bits and the index equal the tensordot form, signed zeros
+    (a -0.0 matrix, -0.0 off-diagonals) and tied members included."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 4))
+    theta = []
+    for _ in range(int(rng.integers(1, 5))):
+        if rng.random() < 0.3:
+            S = np.diag(rng.uniform(0, 2, size=d))
+            S[~np.eye(d, dtype=bool)] = -0.0
+        else:
+            M = rng.normal(size=(d, d))
+            S = M @ M.T * rng.uniform(0.01, 100)
+        theta += [S] * int(rng.integers(1, 3))
+    B = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-5, 5)
+    A = [(B + B.T) / 2, np.zeros((d, d)), -np.zeros((d, d))][int(rng.integers(0, 3))]
+    G = GFunction.from_matrices(theta)
+    value, idx = g_eval_argmax(G, A)
+    ref_value, ref_idx = tensordot_argmax(G, A)
+    assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+    assert idx == ref_idx

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gexpect import (DomainError, GFunction, Grid, SigmaInterval, gbm_fdd_expect,
-                     gbm_quadratic_identity, gnormal_expect, solve_gheat, two_point_sum_expect)
-from gexpect import pde
+                     gbm_quadratic_identity, gnormal_expect, solve_gheat,
+                     symmetric_bernoulli_family, two_point_sum_expect)
+from gexpect import ambiguity, pde
 from gexpect.ambiguity import evaluate
 from gexpect.functionals import get, get_pair
 from gexpect.pde import _check_stencil_2d, _march_1d, _march_2d
@@ -777,6 +778,47 @@ def test_march_overflow_rejected_by_every_solver(solve):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(DomainError, match="grid function has non-finite values"):
         solve()
+
+
+def test_kernels_take_their_scratch_from_the_aligned_helper(monkeypatch):
+    """The sum DP's block scratch, and each march's field copies and
+    scratch, come from ambiguity._aligned: its calls are recorded while
+    each kernel runs."""
+    calls = []
+    aligned = ambiguity._aligned
+
+    def record(shape):
+        calls.append(aligned(shape))
+        return calls[-1]
+
+    monkeypatch.setattr(ambiguity, "_aligned", record)
+    monkeypatch.setattr(pde, "_aligned", record)
+
+    n = 30
+    steps = ambiguity._sum_steps([symmetric_bernoulli_family((0.5, 1.0))] * n)
+    _, shapes = ambiguity._level_boxes(steps, 1)
+    v = np.cos(np.arange(3 * ambiguity.BLOCK_CELLS // shapes[n][0] * shapes[n][0]))
+    ambiguity._backward_sum(v.reshape(-1, shapes[n][0]),
+                            [(steps[k - 1], shapes[k - 1]) for k in range(n, 0, -1)])
+    assert [c.shape for c in calls] == [(ambiguity.BLOCK_CELLS,)] * 2
+
+    calls.clear()
+    u = np.sin(np.arange(160.0)).reshape(4, 40)
+    out = _march_1d(u, 0.5, 1.0, 0.1, 0.004, 3)
+    assert [c.shape for c in calls] == [u.shape, (u.size - 2,), (u.size - 2,)]
+    assert out is calls[0]
+
+    calls.clear()
+    G = GFunction.from_matrices([np.eye(2), [[1.0, 0.3], [0.3, 1.0]],
+                                 [[1.0, -0.3], [-0.3, 1.0]]])
+    u = np.sin(np.arange(180.0)).reshape(12, 15)
+    for count in (2, 3):
+        out = _march_2d(u, G, 0.1, 0.002, count)
+        fields = [c for c in calls if c.shape == u.shape]
+        # xx, yy, both cross differences, twice, best, lap
+        assert sorted(c.shape for c in calls if c.shape != u.shape) == [(10 * 15 - 2,)] * 7
+        assert len(fields) == 2 and out is fields[count % 2]
+        calls.clear()
 
 
 def test_2d_gnormal_working_set(traced_peak_mib):
