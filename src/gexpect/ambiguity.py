@@ -42,6 +42,10 @@ PROB_TOL = 1e-12
 # the heap.
 BLOCK_CELLS = 32_768
 LINE_BYTES = 64
+# a numpy call costs about as much as one ufunc pass over this many cells
+# (about 1 us, at about 0.25 ns a cell): the sum DP prices the calls of a
+# move with it
+CALL_CELLS = 4_096
 
 
 def _aligned(shape) -> np.ndarray:
@@ -480,31 +484,46 @@ def _backward_sum(v: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
     batch axis.  A step maps level-k values to level-(k-1) values on the
     lattice shape `shape`: entry x becomes the member maximum (lowest index
     first) of the member mean sum_z p_z v[x + offset_z], summed in support
-    order.  A level lives in a flat buffer at the C-order strides of a
-    layout, at first v's shape (v.reshape(-1) copies v only where no flat
-    view exists), so an offset is one flat shift and a step one contiguous
-    run from the first to the last live output cell, in cache-sized blocks
-    of BLOCK_CELLS cells.  The run's cells outside the live box (the rim, as
-    in pde._march_2d) get throw-away values: a live cell reads only live
-    cells, a rim cell only cells that the step before wrote.  When the rim
-    of a step's input run, at _SumStep.ufuncs passes a cell, would cost more
-    than one pass copying the live input, that is first copied tight into
-    the other buffer and its shape becomes the layout; a 1-d level with no
-    batch axes has no rim.  Two buffers of the first run's length take the
-    levels in turn, the second allocated only after the first step, once
-    nothing in the kernel refers to v: an input that the caller does not
-    hold is freed by then.  Two more of one block take the member sums and
-    products; these start on a cache line (_aligned), since every member
-    pass stores into them.  The level buffers stay where the allocator puts
-    them: aligning them too gained nothing measurable and, at level sizes
-    near 2 MB, moved glibc's dynamic mmap threshold so that the process
-    kept about 2 MB more resident.  Returns a view of the live box.
+    order.  A level lives in a flat buffer: point x of the level box, in
+    batch row b, sits at cell origin + s.x + lead.b, where the lattice
+    strides s come from _hull_strides and each batch row takes one run of
+    the lattice (lead in C order).  Only the lattice points of the level's
+    hull H_k (_Hull: the Minkowski sum of the support hulls of the steps
+    still to come) can reach the root, and s.x is one-to-one on them, so an
+    offset is one flat shift and a step one contiguous run from the first
+    to the last cell of H_{k-1}, in cache-sized blocks of BLOCK_CELLS cells.
+    For the nearest-neighbour cross, H_k is the diamond |x| + |y| <= k,
+    whose lattice translates tile Z^2 (it is the ball of a perfect Lee
+    code), so s = (k+1, k) packs its 2k^2 + 2k + 1 points into a run with
+    no hole, about half the cells of the box; a box hull keeps the C-order
+    strides of the box.  The run's cells outside the hull (the rim, as in
+    pde._march_2d) get throw-away values: a live cell reads only live cells,
+    a rim cell only cells that the step before wrote.
+
+    v is laid out on its box (v.reshape(-1) copies v only where no flat view
+    exists), so its values keep their bits.  As the levels shrink, strides
+    chosen for an earlier hull waste part of each run; once the run wasted
+    since the last layout, at _SumStep.ufuncs passes a cell, costs more than
+    moving the live points into the current level's best strides (one pass
+    a cell, plus CALL_CELLS for each row copy of a hull that is not a box
+    and as much again for the stride search), they are moved into the other
+    buffer, with any hole of the new run first set to 0.0.  A box hull moves
+    in one copy.  Two buffers of the first run's length take the levels in
+    turn, the second allocated only once nothing in the kernel refers to v:
+    an input that the caller does not hold is freed by then.  Two more of
+    one block take the member sums and products; these start on a cache
+    line (_aligned), since every member pass stores into them.  The level
+    buffers stay where the allocator puts them: aligning them too gained
+    nothing measurable and, at level sizes near 2 MB, moved glibc's dynamic
+    mmap threshold so that the process kept about 2 MB more resident.
+    Returns a view of the last level's box, which must be its hull (a
+    point, or a 1-d band).
 
     Each member sum starts from its first product rather than from zeros:
     that changes at most the sign of a zero, and comparisons and later sums
     carry such a difference along as the sign of a zero only.  A zero-start
     sum is never -0.0, so adding 0.0 to the final level gives the zero-start
-    loop's values bit for bit; no block, rim or copy changes a live bit.
+    loop's values bit for bit; no block, rim or move changes a live bit.
 
     Levels are short (a few thousand cells), so numpy's fixed cost per call
     counts: a run of at most BLOCK_CELLS cells takes no block loop, shifts
@@ -514,47 +533,276 @@ def _backward_sum(v: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
     """
     if not steps:
         return v
-    dims = live = v.shape
-    batch = dims[:v.ndim - len(steps[0][1])]
+    d = len(steps[0][1])
+    batch = v.shape[:v.ndim - d]
+    rows = math.prod(batch)
+    hull = _Hull([step for step, _ in steps], v.shape[v.ndim - d:])
+    s = tuple(math.prod(hull.box[i + 1:]) for i in range(d))
+    lead = tuple(math.prod(v.shape[i + 1:]) for i in range(len(batch)))
+    origin = 0  # the cell of box point 0 in batch row 0
     src = v.reshape(-1)
     del v
+    dst = None
+    fresh = True  # src is v's buffer, which the kernel must not write
     end = len(src)  # one past the last live cell of the level in src
-    key = None
-    for k, (step, shape) in enumerate(steps):
-        if k == 1:
-            src = dst
-            dst = np.empty(len(src))
-        elif k:
-            src, dst = dst, src
-        live_in, live = live, batch + shape
-        if live_in[1:] != dims[1:]:
-            cells = math.prod(live_in)
-            if step.ufuncs * (end - cells) > cells:
-                np.copyto(dst[:cells].reshape(live_in), _box(src, dims, live_in))
-                src, dst, dims, end = dst, src, live_in, cells
-        if key != (step, dims):
-            key = step, dims
-            strides = [math.prod(dims[i + 1:]) for i in range(len(batch), len(dims))]
-            shifts = [sum(o * s for o, s in zip(offset, strides)) for offset in step.offsets]
-            span = sum((b - a) * s for a, b, s in zip(step.zmin, step.zmax, strides))
+    wasted = 0
+    key = acc = None
+    # a box's best layout is known for free, so its waste is judged per
+    # level; any other hull's adds up until it pays for the search and move
+    boxy = hull.is_box
+    for step, shape in steps:
+        cells = rows * (math.prod(hull.box) if boxy else hull.points())
+        wasted = (0 if boxy else wasted) + step.ufuncs * (end - cells)
+        if wasted > cells and (boxy or wasted > cells + 2 * CALL_CELLS * hull.box[0]):
+            wasted = 0
+            strides, run = _hull_strides(hull)
+            if rows * (run + 1) < end:
+                end = rows * (run + 1)
+                moved = tuple(math.prod(batch[i + 1:]) * (run + 1) for i in range(len(batch)))
+                start = -min(_dots(hull.corners(), strides))
+                if dst is None:
+                    dst = np.empty(end)
+                if run + 1 > hull.points():
+                    dst[:end].fill(0.0)
+                if boxy:
+                    np.copyto(_box(dst, start, moved + strides, batch + hull.box),
+                              _box(src, origin, lead + s, batch + hull.box))
+                else:  # 2-d with no batch axes: one row of the hull per copy
+                    _move_rows(src, origin, s, dst, start, strides, hull.rows())
+                src, dst, lead, s, origin = dst, (None if fresh else src), moved, strides, start
+                fresh = False
+        if key != (step, s):
+            key = step, s
+            dots = _dots(step.offsets, s)
+            low = min(dots)
+            shifts = [t - low for t in dots]
+            span = max(dots) - low
         end -= span
-        if not k:  # the first run is the longest
-            acc, tmp = _aligned(min(end, BLOCK_CELLS)), _aligned(min(end, BLOCK_CELLS))
+        origin += low
+        if dst is None:
             dst = np.empty(end)
+        if acc is None:  # the first run is the longest
+            acc, tmp = _aligned(min(end, BLOCK_CELLS)), _aligned(min(end, BLOCK_CELLS))
         if end <= BLOCK_CELLS:
-            _member_max(step, [src[s:s + end] for s in shifts], dst[:end], acc[:end], tmp[:end])
-            continue
-        for a in range(0, end, BLOCK_CELLS):
-            b = min(a + BLOCK_CELLS, end)
-            _member_max(step, [src[a + s:b + s] for s in shifts], dst[a:b],
-                        acc[:b - a], tmp[:b - a])
-    np.add(dst[:end], 0.0, dst[:end])
-    return _box(dst, dims, live)
+            _member_max(step, [src[t:t + end] for t in shifts], dst[:end], acc[:end], tmp[:end])
+        else:
+            for a in range(0, end, BLOCK_CELLS):
+                b = min(a + BLOCK_CELLS, end)
+                _member_max(step, [src[a + t:b + t] for t in shifts], dst[a:b],
+                            acc[:b - a], tmp[:b - a])
+        src, dst = dst, (None if fresh else src)
+        fresh = False
+        hull.drop(step, shape)
+    np.add(src[:end], 0.0, src[:end])
+    return _box(src, origin, lead + s, batch + hull.box)
 
 
-def _box(buffer: np.ndarray, dims: tuple, live: tuple) -> np.ndarray:
-    """The live box `live` of the layout `dims` in a flat float64 buffer."""
-    return as_strided(buffer, live, [8 * math.prod(dims[i + 1:]) for i in range(len(dims))])
+def _dots(points, strides) -> list:
+    """s.x for each point x, in Python ints."""
+    return [sum(a * b for a, b in zip(x, strides)) for x in points]
+
+
+def _box(buffer: np.ndarray, origin: int, strides: tuple, shape: tuple) -> np.ndarray:
+    """The box `shape` of a flat float64 buffer laid out with `origin` and
+    cell `strides`."""
+    return as_strided(buffer[origin:], shape, [8 * t for t in strides])
+
+
+def _move_rows(src: np.ndarray, origin: int, s: tuple, dst: np.ndarray, start: int,
+               strides: tuple, rows: tuple):
+    """Copy the lattice points (x, a[x]..b[x]) of a 2-d hull, rows = (a, b),
+    from the layout (origin, s) of src to the layout (start, strides) of
+    dst, one row per slice assignment (a stride of 0 meets only rows of one
+    point)."""
+    a, b = rows
+    xs = np.flatnonzero(a <= b)
+    width = (b - a)[xs].tolist()
+    old = (origin + s[0] * xs + s[1] * a[xs]).tolist()
+    new = (start + strides[0] * xs + strides[1] * a[xs]).tolist()
+    t, u = s[1] or 1, strides[1] or 1
+    for w, i, j in zip(width, old, new):
+        dst[j:j + u * w + 1:u] = src[i:i + t * w + 1:t]
+
+
+class _Hull:
+    """The lattice hull H of a level of the backward sum DP, in box
+    coordinates.
+
+    The partial sums still to come add one point of each remaining step's
+    support, so a level's live points lie in H, the Minkowski sum of the
+    convex hulls of those steps' offsets.  H is cut out by one half-plane
+    u.x <= bound(u) per direction u of `dirs`: both signs of the axes and,
+    in 2-d, of the normal of every difference of two offsets of a step.  A
+    Minkowski sum of polygons has only its summands' edge normals, and
+    bound(u) is the sum of the summands' maxima of u.x, so in 2-d this is H
+    exactly; in other dimensions H is taken as the level box.  `drop`
+    removes one step as the DP moves down a level.  The hull code keeps to
+    numpy loops that the DPs already run (no integer matmul, np.gcd,
+    np.stack, np.argmin or integer unary minus): each first use of a loop
+    pages in about 64 kB of numpy code, which a process's peak RSS counts.
+    """
+
+    def __init__(self, steps: Sequence[_SumStep], box: tuple):
+        self.box = tuple(box)
+        self.counts = {}
+        for step in steps:
+            self.counts[step] = self.counts.get(step, 0) + 1
+        self._rows = None
+        self.is_box = len(box) != 2
+        if self.is_box:
+            return
+        dirs = {(0, 1), (1, 0)}
+        for step in self.counts:
+            for (p0, p1), (q0, q1) in itertools.combinations(step.offsets, 2):
+                g = math.gcd(p1 - q1, q0 - p0)
+                dirs.add(max(((p1 - q1) // g, (q0 - p0) // g), ((q1 - p1) // g, (p0 - q0) // g)))
+        self.dirs = np.array([w for u in sorted(dirs) for w in (u, (-u[0], -u[1]))],
+                             dtype=np.int64)
+        self.offsets = {step: np.array(step.offsets, dtype=np.int64) for step in self.counts}
+        self.tops = {step: np.array([max(_dots(step.offsets, u)) for u in self.dirs.tolist()])
+                     for step in self.counts}
+        self.is_box = all(top.tolist() == _dots(np.maximum(self.dirs, 0).tolist(),
+                                                np.subtract(step.zmax, step.zmin).tolist())
+                          for step, top in self.tops.items())
+        if self.is_box:
+            return
+        self.edge = {step: _polygon(o)[1] for step, o in self.offsets.items()}
+        self.mixed = {(p, q): (_polygon(np.vstack([o + z for z in self.offsets[q]]))[0]
+                               - _polygon(o)[0] - _polygon(self.offsets[q])[0])
+                      for p, o in self.offsets.items() for q in self.offsets}
+        for p, o in self.offsets.items():
+            self.mixed[p, p] = 2 * _polygon(o)[0]
+
+    def drop(self, step: _SumStep, box: tuple):
+        self.counts[step] -= 1
+        self.box = box
+        self._rows = None
+
+    def bound(self) -> np.ndarray:
+        return sum(count * self.tops[step] for step, count in self.counts.items())
+
+    def rows(self) -> tuple:
+        """(a, b): in 2-d, the lattice points of H in row x of the box are
+        (x, a[x]), ..., (x, b[x]); a row with a[x] > b[x] has none."""
+        if self._rows is None:
+            u, c = self.dirs, self.bound()
+            x = np.arange(self.box[0])
+            up, down = u[:, 1] > 0, u[:, 1] < 0
+            b = ((c[up, None] - u[up, :1] * x) // u[up, 1:]).min(axis=0)
+            a = ((u[down, :1] * x - c[down, None] - u[down, 1:] - 1)
+                 // (u[down, 1:] * -1)).max(axis=0)  # a ceiling
+            self._rows = a, b
+        return self._rows
+
+    def points(self) -> int:
+        """The number of lattice points of H, by Pick's theorem in 2-d: (twice
+        the area + the boundary points) / 2 + 1.  With c_i copies of step i,
+        twice the area is sum_ij c_i c_j M_ij / 2, where M_ii is 4A(P_i) and
+        M_ij = 2A(P_i + P_j) - 2A(P_i) - 2A(P_j), and the boundary holds
+        sum_i c_i B_i points, B_i those of P_i (edges of a Minkowski sum
+        add up)."""
+        if self.is_box:
+            return math.prod(self.box)
+        twice = sum(ci * cj * self.mixed[i, j] for (i, ci), (j, cj)
+                    in itertools.product(self.counts.items(), repeat=2))
+        return (twice // 2 + sum(c * self.edge[i] for i, c in self.counts.items())) // 2 + 1
+
+    def corners(self) -> list:
+        """Lattice points of H that include all its vertices."""
+        if self.is_box:
+            return list(itertools.product(*[(0, w - 1) for w in self.box]))
+        a, b = self.rows()
+        return [(x, int(y)) for x in np.flatnonzero(a <= b).tolist() for y in (a[x], b[x])]
+
+    def runs(self, strides: np.ndarray) -> np.ndarray:
+        """max - min of s.x over H for each column s of `strides`."""
+        return sum(count * np.ptp(self.offsets[step][:, :1] * strides[0]
+                                  + self.offsets[step][:, 1:] * strides[1], axis=0)
+                   for step, count in self.counts.items())
+
+
+def _gcd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """gcd(a, b) for b > 0, by Euclid's remainders (np.gcd is a numpy loop
+    that nothing else runs; see _Hull)."""
+    a, b = a.copy(), b.copy()
+    while True:
+        live = np.flatnonzero(b)
+        if not len(live):
+            return np.where(a < 0, a * -1, a)
+        a[live], b[live] = b[live], a[live] % b[live]
+
+
+def _polygon(points: np.ndarray) -> tuple:
+    """(twice the area, lattice points on the boundary) of the convex hull
+    of 2-d integer points; a segment's boundary runs both ways."""
+    pts = sorted(set(map(tuple, points.tolist())))
+    chain = []
+    for seq in (pts, pts[::-1]):  # Andrew's monotone chain
+        half = []
+        for p in seq:
+            while len(half) > 1 and ((half[-1][0] - half[-2][0]) * (p[1] - half[-2][1])
+                                     - (half[-1][1] - half[-2][1]) * (p[0] - half[-2][0])) <= 0:
+                half.pop()
+            half.append(p)
+        chain += half[:-1]
+    chain = chain or pts
+    ring = list(zip(chain, chain[1:] + chain[:1]))
+    return (sum(p[0] * q[1] - p[1] * q[0] for p, q in ring),
+            sum(math.gcd(q[0] - p[0], q[1] - p[1]) for p, q in ring))
+
+
+def _hull_strides(hull: _Hull) -> tuple:
+    """The lattice strides s that lay H out on the shortest run (max - min
+    of s.x over H) among those where s.x is one-to-one on H's lattice
+    points, and that run.  A box keeps its C-order strides.
+
+    In 2-d, s.x is one-to-one on H exactly when the primitive kernel vector
+    q of s lies outside D = H - H (every lattice point of D is a difference
+    of two of H, as H is a lattice polygon).  With s = (s0, j), q = (j, -s0):
+    the allowed s0 of row j have -s0 outside D's row j, and the run, convex
+    in s0, is least over them at the first s0 outside D on either side or
+    at the floor or ceiling of a break point of the run (where two offsets
+    of a step swap order).  From each, the search walks outward to the
+    nearest s0 prime to j: strides with a common factor g run g times
+    longer than their quotient, which has the same kernel, so the best
+    strides are primitive.  Rows run from j = 1 to run_C // V, where run_C
+    is the C-order run and V the longest column of lattice points of H, as
+    a run is at least j * V; with V = 0 no two points share a column and
+    s = (1, 0) is allowed too.  Ties go to the C order, then to lower rows.
+    """
+    box = hull.box
+    c_order = tuple(math.prod(box[i + 1:]) for i in range(len(box)))
+    run_c = sum((w - 1) * t for w, t in zip(box, c_order))
+    if hull.is_box or not run_c:
+        return c_order, run_c
+    a, b = hull.rows()
+    tall = int((b - a).max())
+    j = np.arange(1, run_c // max(tall, 1) + 1)
+    u = hull.dirs
+    c = hull.bound()
+    c = c + c.reshape(-1, 2)[:, ::-1].reshape(-1)  # D's bounds: c(u) + c(-u)
+    up, down, flat = u[:, 1] > 0, u[:, 1] < 0, u[:, 1] == 0
+    hi = ((c[up, None] - u[up, :1] * j) // u[up, 1:]).min(axis=0)
+    lo = ((u[down, :1] * j - c[down, None] - u[down, 1:] - 1) // (u[down, 1:] * -1)).max(axis=0)
+    empty = (u[flat, :1] * j > c[flat, None]).any(axis=0) | (lo > hi)
+    breaks = {(int(dy), int(dx)) for o in hull.offsets.values()
+              for dx, dy in (o[:, None] - o[None]).reshape(-1, 2) if dx > 0}
+    num, den = np.array(sorted(breaks), dtype=np.int64).reshape(-1, 2).T[:, :, None]
+    floor = (j * num * -1) // den
+    s0 = np.concatenate([[1 - lo, -1 - hi], floor, floor + 1]).reshape(-1)
+    way = np.repeat([1, -1] + [-1] * len(floor) + [1] * len(floor), len(j))
+    s1 = np.tile(j, len(s0) // len(j))
+    walk = np.flatnonzero(_gcd(s0, s1) != 1)
+    while len(walk):
+        s0[walk] += way[walk]
+        walk = walk[_gcd(s0[walk], s1[walk]) != 1]
+    row = s1 - 1
+    ok = empty[row] | (s0 + lo[row] > 0) | (s0 + hi[row] < 0)  # -s0 outside [lo, hi]
+    cand = np.array([np.concatenate([[c_order[0], 1], s0]), np.concatenate([[1, 0], s1])])
+    ok = np.concatenate([[True, tall == 0], ok])
+    runs = np.where(ok, hull.runs(cand), np.iinfo(np.int64).max)
+    best = int(np.flatnonzero(runs == runs.min())[0])
+    return (int(cand[0, best]), int(cand[1, best])), int(runs[best])
 
 
 def _member_max(step: _SumStep, parts: list, best: np.ndarray, other: np.ndarray,
@@ -581,6 +829,8 @@ def _checkpoint_expect(laws: Sequence[AmbiguitySet], checkpoints: Sequence[int],
     """Exact E[f(scale * S_k1, ..., scale * S_kp)] for independent lattice
     laws at checkpoints k_1 <= ... <= k_p = n = len(laws); p > 1 needs a
     1-d lattice, and max_nodes caps the product of the checkpoint boxes.
+    The cap counts the level box even where the kernel lays a level out on
+    its smaller hull, so that the inputs accepted stay those of the box.
 
     With k_0 = 0, between k_{j-1} and k_j the state is (S_k1, S_k2 - S_k1,
     ..., S_k - S_k{j-1}).  Each increment axis holds only its reachable
@@ -588,7 +838,10 @@ def _checkpoint_expect(laws: Sequence[AmbiguitySet], checkpoints: Sequence[int],
     is the level box of S_k), so each phase is one _backward_sum call, and
     at k_{j-1} the band is one column, which is dropped.  The earlier axes
     are the kernel's batch axes: a level is one flat run over all their
-    rows, copied tight as the band shrinks.  With checkpoints (n/2, n) on
+    rows, moved tight as the band shrinks.  In 2-d (one checkpoint) the
+    kernel lays each level out at the strides of its hull, for the
+    nearest-neighbour cross a diamond that tiles the plane, so its run has
+    no hole and about half the box's cells (see _backward_sum).  With checkpoints (n/2, n) on
     {-1, 0, 1} that is about n^3/4 live shift-adds, against 3n^3/4 over the
     whole box of S_k.  f sees S_k1 as an open column of the level-k1
     positions and, in 1-d, S_kj at box index a + c_2 + ... + c_j as the

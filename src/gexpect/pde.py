@@ -249,7 +249,9 @@ def _march_2d(u: np.ndarray, G: GFunction, h: float, tau: float,
         cross = None
         if c != 0:
             shift = cols + 1 if c > 0 else cols - 1
-            cross = diffs.setdefault(shift, _aligned(size))
+            if shift not in diffs:
+                diffs[shift] = _aligned(size)
+            cross = diffs[shift]
         members.append((*_operands(wxx, wyy, wc), cross))
     last = len(members) - 1
     twice = _aligned(size)

@@ -1,5 +1,6 @@
 """Ambiguity-set calculus: trivial values, oracle cross-checks, axioms."""
 
+import itertools
 import math
 from unittest import mock
 
@@ -617,13 +618,19 @@ def test_running_max_bit_identical_to_set_dp(seed, n, block):
 def test_sum_dp_reads_only_cells_a_step_wrote(nan_filled_empty):
     """With every np.empty array NaN-filled, the 2-d sum DP and the running
     maximum keep the bits of their references: no live cell reads a cell
-    of the flat level buffers that no step (or tight copy) wrote.  The
-    n = 24 draws end on 57 x 33 boxes and are copied tight 12 and 13 times."""
-    for seed, n in ((1, 2), (2, 24), (6, 24)):
-        laws = random_sum_laws(np.random.default_rng(seed), 2, n)
-        g = SUM_GS[2]["smooth"]
+    of the flat level buffers that no step (or move) wrote.  The n = 24
+    draws end on 57 x 33 boxes; the n = 40 cross-support draws (iid, and
+    mixed with a box-hull law) are moved to hull strides several times,
+    and with BLOCK_CELLS = 97 each run is cut into blocks."""
+    g = SUM_GS[2]["smooth"]
+    cases = [random_sum_laws(np.random.default_rng(seed), 2, n)
+             for seed, n in ((1, 2), (2, 24), (6, 24))]
+    cases += [cross_sum_laws(np.random.default_rng(seed), kind, 40)
+              for seed in (3, 4) for kind in ("iid", "mixed")]
+    for laws in cases:
         ref = loop_sum_expect(laws, g, 0.7)
-        with nan_filled_empty():
+        with nan_filled_empty(), mock.patch.object(ambiguity, "BLOCK_CELLS", 97), \
+                mock.patch.object(ambiguity, "CALL_CELLS", 0):
             assert independent_sum_expect(laws, g, scale=0.7).hex() == ref.hex()
     rng = np.random.default_rng(20261020)
     for n in (1, 6, 16):
@@ -867,25 +874,112 @@ def random_sum_laws(rng, dim, n):
     return [pool[i] for i in rng.integers(3, size=n)]
 
 
+def cross_sum_laws(rng, kind, n):
+    """n draws of the cross or the {0, +-(1, 0), +-(2, 1)} family ("iid"),
+    or of one of them and a law whose support hull is a box ("mixed")."""
+    lat = LatticeSpec(2, 0.5, (0.25, -0.5))
+    law = cross_law(lat, CROSS if rng.integers(2) else SKEW)
+    if kind == "iid":
+        return [law] * n
+    square = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [1, -1]])[:int(rng.integers(4, 6))]
+    box = AmbiguitySet(lat, [DiscreteDistribution(
+        np.asarray(lat.origin) + lat.step * square, w / w.sum())
+        for w in rng.integers(1, 4, size=(2, len(square))).astype(float)])
+    return [(law, box)[i] for i in rng.integers(2, size=n)]
+
+
 @given(st.integers(0, 10_000), st.sampled_from([1, 2]),
        st.one_of(st.tuples(st.integers(1, 9), st.sampled_from([1, 5, ambiguity.BLOCK_CELLS])),
                  st.tuples(st.integers(10, 30), st.sampled_from([97, ambiguity.BLOCK_CELLS]))),
-       st.sampled_from(["smooth", "scalar_only", "neg_zero", "view"]))
-@settings(max_examples=60, deadline=None)
-def test_sum_dp_kernel_bit_identical_to_member_loop(seed, dim, n_block, g_name):
+       st.sampled_from(["smooth", "scalar_only", "neg_zero", "view"]),
+       st.sampled_from(["pool", "iid", "mixed"]), st.sampled_from([0, ambiguity.CALL_CELLS]))
+@settings(max_examples=80, deadline=None)
+def test_sum_dp_kernel_bit_identical_to_member_loop(seed, dim, n_block, g_name, kind, call):
     """1-d and 2-d lattices, heterogeneous laws, permuted supports, zero
     probabilities, a g with -0.0 values, a scalar-only g, a g that returns
     a (strided, in 2-d) view of the positions, and levels cut into flat
     blocks.  Past n = 9 the 2-d levels mostly shrink unequally on the two
-    axes, and many runs are copied tight more than once."""
+    axes, and many runs are moved to new strides more than once.  In 2-d,
+    `kind` "iid" and "mixed" take n + 30 draws of a law with a hull that is
+    not a box (alone, or mixed with a box-hull law), whose levels are moved
+    to hull strides several times, every time when a call is priced at 0."""
     n, block = n_block
     rng = np.random.default_rng(seed)
-    laws = random_sum_laws(rng, dim, n if dim == 1 or n > 9 else min(n, 5))
+    if dim == 2 and kind != "pool":
+        laws = cross_sum_laws(rng, kind, n + 30)
+    else:
+        laws = random_sum_laws(rng, dim, n if dim == 1 or n > 9 else min(n, 5))
     g = SUM_GS[dim][g_name]
     scale = float(rng.uniform(0.2, 1.5))
-    with mock.patch.object(ambiguity, "BLOCK_CELLS", block):
+    with mock.patch.object(ambiguity, "BLOCK_CELLS", block), \
+            mock.patch.object(ambiguity, "CALL_CELLS", call):
         got = independent_sum_expect(laws, g, scale=scale)
     assert got.hex() == loop_sum_expect(laws, g, scale).hex()
+
+
+def cross_law(lattice, spread=(1, 0, 2, 1)):
+    """A three-member law on {0, +-(a, b), +-(c, e)} for spread (a, b, c, e):
+    the nearest-neighbour cross by default, {0, +-(1, 0), +-(2, 1)} for
+    (1, 0, 2, 1)."""
+    a, b, c, e = spread
+    pts = np.array([[0, 0], [a, b], [-a, -b], [c, e], [-c, -e]])
+    members = [DiscreteDistribution(np.asarray(lattice.origin) + lattice.step * pts,
+                                    [1 - p - q, p / 2, p / 2, q / 2, q / 2])
+               for p, q in ((0.2, 0.3), (0.4, 0.1), (0.15, 0.35))]
+    return AmbiguitySet(lattice, members)
+
+
+CROSS = (1, 0, 0, 1)
+SKEW = (1, 0, 2, 1)
+
+
+def hull_of(laws):
+    """The _Hull of the partial sum of `laws` and its lattice points."""
+    steps = ambiguity._sum_steps(laws)
+    hull = ambiguity._Hull(steps, ambiguity._level_boxes(steps, 2)[1][-1])
+    a, b = hull.rows()
+    pts = np.array([(x, y) for x in range(hull.box[0]) for y in range(a[x], b[x] + 1)])
+    return hull, pts
+
+
+@given(st.integers(0, 10_000), st.integers(1, 4), st.sampled_from(["pool", "cross", "skew"]))
+@settings(max_examples=60, deadline=None)
+def test_hull_strides_shortest_one_to_one_run(seed, n, family):
+    """The chosen strides are one-to-one on the hull's lattice points, run
+    no longer than the C order, keep the C order on a box, pack the cross
+    and the {0, +-(1, 0), +-(2, 1)} family with no hole, and match a brute
+    force over a stride window on hulls of up to 200 points."""
+    rng = np.random.default_rng(seed)
+    laws = random_sum_laws(rng, 2, n)
+    if family != "pool":
+        laws += [cross_law(laws[0].lattice, CROSS if family == "cross" else SKEW)] * n
+    hull, pts = hull_of(laws)
+    assert hull.points() == len(pts)
+    strides, run = ambiguity._hull_strides(hull)
+    dots = pts @ np.array(strides)
+    assert len(np.unique(dots)) == len(pts) and np.ptp(dots) == run
+    c_order = (hull.box[1], 1)
+    assert run <= np.ptp(pts @ np.array(c_order))
+    if hull.points() == math.prod(hull.box):
+        assert strides == c_order
+    if len(pts) <= 200:
+        m = 2 * max(hull.box) + 2
+        best = min(np.ptp(pts @ np.array(s)) for s in itertools.product(range(-m, m + 1), range(m + 1))
+                   if len(np.unique(pts @ np.array(s))) == len(pts))
+        assert run == best
+
+
+@pytest.mark.parametrize("spread", [CROSS, SKEW])
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_hull_strides_pack_the_cross_and_skew_families(spread, n):
+    """The nearest-neighbour cross and the {0, +-(1, 0), +-(2, 1)} family
+    tile the plane: their level hulls take a run of exactly |H| cells,
+    half and a quarter of the box's."""
+    hull, pts = hull_of([cross_law(LatticeSpec(2, 1.0, (0.0, 0.0)), spread)] * n)
+    strides, run = ambiguity._hull_strides(hull)
+    assert run + 1 == len(pts) == hull.points() == 2 * n * n + 2 * n + 1
+    if spread == CROSS:
+        assert strides == (n + 1, n)
 
 
 def per_level_boxes(steps):

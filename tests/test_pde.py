@@ -820,6 +820,11 @@ def test_kernels_take_their_scratch_from_the_aligned_helper(monkeypatch):
         assert len(fields) == 2 and out is fields[count % 2]
         calls.clear()
 
+    # two members with c > 0 share one cross-difference buffer
+    G = GFunction.from_matrices([[[1.0, 0.3], [0.3, 1.0]], [[0.8, 0.2], [0.2, 0.9]]])
+    _march_2d(u, G, 0.1, 0.002, 2)
+    assert sorted(c.shape for c in calls if c.shape != u.shape) == [(10 * 15 - 2,)] * 5
+
 
 def test_2d_gnormal_working_set(traced_peak_mib):
     """The `large` gnormal_2d shape at default: the fine grid has 241^2
