@@ -42,9 +42,9 @@ PROB_TOL = 1e-12
 # the heap.
 BLOCK_CELLS = 32_768
 LINE_BYTES = 64
-# a numpy call costs about as much as one ufunc pass over this many cells
-# (about 1 us, at about 0.25 ns a cell): the sum DP prices the calls of a
-# move with it
+# a numpy call on a short array costs about as much as one ufunc pass over
+# this many cells (1-2 us, at 0.25-0.4 ns a cell pass): the sum DP prices the
+# calls of a move with it
 CALL_CELLS = 4_096
 
 
@@ -502,22 +502,30 @@ def _backward_sum(v: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
 
     v is laid out on its box (v.reshape(-1) copies v only where no flat view
     exists), so its values keep their bits.  As the levels shrink, strides
-    chosen for an earlier hull waste part of each run; once the run wasted
+    chosen for an earlier hull waste part of each run.  Once the run wasted
     since the last layout, at _SumStep.ufuncs passes a cell, costs more than
-    moving the live points into the current level's best strides (one pass
-    a cell, plus CALL_CELLS for each row copy of a hull that is not a box
-    and as much again for the stride search), they are moved into the other
-    buffer, with any hole of the new run first set to 0.0.  A box hull moves
-    in one copy.  Two buffers of the first run's length take the levels in
-    turn, the second allocated only once nothing in the kernel refers to v:
-    an input that the caller does not hold is freed by then.  Two more of
-    one block take the member sums and products; these start on a cache
-    line (_aligned), since every member pass stores into them.  The level
-    buffers stay where the allocator puts them: aligning them too gained
-    nothing measurable and, at level sizes near 2 MB, moved glibc's dynamic
-    mmap threshold so that the process kept about 2 MB more resident.
-    Returns a view of the last level's box, which must be its hull (a
-    point, or a 1-d band).
+    moving the live points into the current level's best strides, they are
+    moved into the other buffer, with any hole of the new run first set to
+    0.0.  A box hull moves in one copy, priced at one pass a cell.  A hull
+    that is not a box moves one row per copy, priced at one pass a cell plus
+    2 x CALL_CELLS a box row: one call for the row's copy and one for its
+    share of the stride search.  That undercounts the search, which
+    measured 2-4 us a box row against 1-2 us for the copy (nearest-neighbour
+    cross, n = 256), but a higher price does not pay: at 4 x that cross ran
+    1-4% faster in process, yet made its first move a level later, after
+    the second level buffer had been allocated at the box's run rather than
+    the hull's, so the `large` benchmark's peak RSS rose 0.29 MB and its
+    wall time did not fall.  No call price (the box's rule) ran twice as
+    slow.  Two buffers take the levels in turn, each sized to the run it
+    first holds, which no later run outgrows; the second is allocated only
+    once nothing in the kernel refers to v: an input that the caller does
+    not hold is freed by then.  Two more of one block take the member sums
+    and products; these start on a cache line (_aligned), since every
+    member pass stores into them.  The level buffers stay where the
+    allocator puts them: aligning them too gained nothing measurable and,
+    at level sizes near 2 MB, moved glibc's dynamic mmap threshold so that
+    the process kept about 2 MB more resident.  Returns a view of the last
+    level's box, which must be its hull (a point, or a 1-d band).
 
     Each member sum starts from its first product rather than from zeros:
     that changes at most the sign of a zero, and comparisons and later sums
@@ -536,9 +544,9 @@ def _backward_sum(v: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
     d = len(steps[0][1])
     batch = v.shape[:v.ndim - d]
     rows = math.prod(batch)
-    hull = _Hull([step for step, _ in steps], v.shape[v.ndim - d:])
-    s = tuple(math.prod(hull.box[i + 1:]) for i in range(d))
-    lead = tuple(math.prod(v.shape[i + 1:]) for i in range(len(batch)))
+    hull = _Hull(steps, v.shape[v.ndim - d:])
+    c_order = [math.prod(v.shape[i + 1:]) for i in range(v.ndim)]
+    lead, s = tuple(c_order[:len(batch)]), tuple(c_order[len(batch):])
     origin = 0  # the cell of box point 0 in batch row 0
     src = v.reshape(-1)
     del v
@@ -592,7 +600,10 @@ def _backward_sum(v: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
                             acc[:b - a], tmp[:b - a])
         src, dst = dst, (None if fresh else src)
         fresh = False
-        hull.drop(step, shape)
+        if boxy:
+            hull.box = shape
+        else:
+            hull.drop(step, shape)
     np.add(src[:end], 0.0, src[:end])
     return _box(src, origin, lead + s, batch + hull.box)
 
@@ -635,22 +646,25 @@ class _Hull:
     in 2-d, of the normal of every difference of two offsets of a step.  A
     Minkowski sum of polygons has only its summands' edge normals, and
     bound(u) is the sum of the summands' maxima of u.x, so in 2-d this is H
-    exactly; in other dimensions H is taken as the level box.  `drop`
-    removes one step as the DP moves down a level.  The hull code keeps to
-    numpy loops that the DPs already run (no integer matmul, np.gcd,
-    np.stack, np.argmin or integer unary minus): each first use of a loop
-    pages in about 64 kB of numpy code, which a process's peak RSS counts.
+    exactly; in other dimensions H is taken as the level box.  `steps` are
+    the (step, shape) pairs of _backward_sum; only in 2-d are they counted.
+    Of a box hull the DP then uses `box` alone and sets it level by level;
+    `drop` removes one step of any other hull as the DP moves down a level.
+    The hull code keeps to numpy loops that the DPs already run (no integer
+    matmul, np.gcd, np.stack, np.argmin or integer unary minus): each first
+    use of a loop pages in about 64 kB of numpy code, which a process's
+    peak RSS counts.
     """
 
-    def __init__(self, steps: Sequence[_SumStep], box: tuple):
+    def __init__(self, steps: Sequence[tuple], box: tuple):
         self.box = tuple(box)
-        self.counts = {}
-        for step in steps:
-            self.counts[step] = self.counts.get(step, 0) + 1
-        self._rows = None
         self.is_box = len(box) != 2
         if self.is_box:
             return
+        self.counts = {}
+        for step, _ in steps:
+            self.counts[step] = self.counts.get(step, 0) + 1
+        self._rows = None
         dirs = {(0, 1), (1, 0)}
         for step in self.counts:
             for (p0, p1), (q0, q1) in itertools.combinations(step.offsets, 2):
@@ -700,7 +714,10 @@ class _Hull:
         twice the area is sum_ij c_i c_j M_ij / 2, where M_ii is 4A(P_i) and
         M_ij = 2A(P_i + P_j) - 2A(P_i) - 2A(P_j), and the boundary holds
         sum_i c_i B_i points, B_i those of P_i (edges of a Minkowski sum
-        add up)."""
+        add up).  This costs about 3 us a level; counting the points of
+        rows() instead (some 25 numpy calls a level) took about 80 us and
+        made the 2-d DP of the nearest-neighbour cross at n = 256 about 14%
+        slower in process."""
         if self.is_box:
             return math.prod(self.box)
         twice = sum(ci * cj * self.mixed[i, j] for (i, ci), (j, cj)

@@ -620,8 +620,11 @@ def test_sum_dp_reads_only_cells_a_step_wrote(nan_filled_empty):
     maximum keep the bits of their references: no live cell reads a cell
     of the flat level buffers that no step (or move) wrote.  The n = 24
     draws end on 57 x 33 boxes; the n = 40 cross-support draws (iid, and
-    mixed with a box-hull law) are moved to hull strides several times,
-    and with BLOCK_CELLS = 97 each run is cut into blocks."""
+    mixed with a law on a square or a trapezoid) are moved to hull strides
+    two or three times at the default settings.  Every case runs at the
+    default BLOCK_CELLS and CALL_CELLS, and again with BLOCK_CELLS = 97,
+    which cuts each run into blocks, and CALL_CELLS = 0, which moves at
+    nearly every level."""
     g = SUM_GS[2]["smooth"]
     cases = [random_sum_laws(np.random.default_rng(seed), 2, n)
              for seed, n in ((1, 2), (2, 24), (6, 24))]
@@ -629,9 +632,10 @@ def test_sum_dp_reads_only_cells_a_step_wrote(nan_filled_empty):
               for seed in (3, 4) for kind in ("iid", "mixed")]
     for laws in cases:
         ref = loop_sum_expect(laws, g, 0.7)
-        with nan_filled_empty(), mock.patch.object(ambiguity, "BLOCK_CELLS", 97), \
-                mock.patch.object(ambiguity, "CALL_CELLS", 0):
-            assert independent_sum_expect(laws, g, scale=0.7).hex() == ref.hex()
+        for block, call in ((ambiguity.BLOCK_CELLS, ambiguity.CALL_CELLS), (97, 0)):
+            with nan_filled_empty(), mock.patch.object(ambiguity, "BLOCK_CELLS", block), \
+                    mock.patch.object(ambiguity, "CALL_CELLS", call):
+                assert independent_sum_expect(laws, g, scale=0.7).hex() == ref.hex()
     rng = np.random.default_rng(20261020)
     for n in (1, 6, 16):
         X = random_union_set(rng, 1)
@@ -876,7 +880,8 @@ def random_sum_laws(rng, dim, n):
 
 def cross_sum_laws(rng, kind, n):
     """n draws of the cross or the {0, +-(1, 0), +-(2, 1)} family ("iid"),
-    or of one of them and a law whose support hull is a box ("mixed")."""
+    or of one of them and a law on the unit square, whose hull is a box, or
+    on the square and (1, -1), whose hull is a trapezoid ("mixed")."""
     lat = LatticeSpec(2, 0.5, (0.25, -0.5))
     law = cross_law(lat, CROSS if rng.integers(2) else SKEW)
     if kind == "iid":
@@ -901,8 +906,10 @@ def test_sum_dp_kernel_bit_identical_to_member_loop(seed, dim, n_block, g_name, 
     blocks.  Past n = 9 the 2-d levels mostly shrink unequally on the two
     axes, and many runs are moved to new strides more than once.  In 2-d,
     `kind` "iid" and "mixed" take n + 30 draws of a law with a hull that is
-    not a box (alone, or mixed with a box-hull law), whose levels are moved
-    to hull strides several times, every time when a call is priced at 0."""
+    not a box (alone, or mixed with a law on a square or a trapezoid),
+    whose levels are moved to hull strides two to five times at the
+    default CALL_CELLS, and at nearly every level when a call is priced
+    at 0."""
     n, block = n_block
     rng = np.random.default_rng(seed)
     if dim == 2 and kind != "pool":
@@ -936,7 +943,8 @@ SKEW = (1, 0, 2, 1)
 def hull_of(laws):
     """The _Hull of the partial sum of `laws` and its lattice points."""
     steps = ambiguity._sum_steps(laws)
-    hull = ambiguity._Hull(steps, ambiguity._level_boxes(steps, 2)[1][-1])
+    shapes = ambiguity._level_boxes(steps, 2)[1]
+    hull = ambiguity._Hull(list(zip(steps, shapes)), shapes[-1])
     a, b = hull.rows()
     pts = np.array([(x, y) for x in range(hull.box[0]) for y in range(a[x], b[x] + 1)])
     return hull, pts
