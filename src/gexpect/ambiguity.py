@@ -32,14 +32,13 @@ DEFAULT_MAX_STATES = 400_000
 
 LATTICE_RTOL = 1e-12
 PROB_TOL = 1e-12
-# cells per block of the backward sum DP and the 1-d march, and per row tile
-# of the 2-d march (pde imports it): a block's operands or a tile's scratch
-# take 0.8-1.8 MB, so that each stays near a 2 MB L2.  Every scratch buffer
-# those kernels make for themselves comes from _aligned, which starts it on
-# a cache line: numpy and malloc promise only 16-byte alignment, and a
-# 64-byte vector store into a buffer that starts off a line straddles two
-# lines, so a kernel's speed would move with where earlier allocations left
-# the heap.
+# cells per block of the backward sum DP, and per row tile of the G-heat
+# march (pde imports it): a block's operands or a tile's scratch take
+# 0.8-1.8 MB, so that each stays near a 2 MB L2.  Every scratch buffer those
+# kernels make for themselves comes from _aligned, which starts it on a
+# cache line: numpy and malloc promise only 16-byte alignment, and a 64-byte
+# vector store into a buffer that starts off a line straddles two lines, so
+# a kernel's speed would move with where earlier allocations left the heap.
 BLOCK_CELLS = 32_768
 LINE_BYTES = 64
 # a numpy call on a short array costs about as much as one ufunc pass over
@@ -497,8 +496,8 @@ def _backward_sum(v: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
     code), so s = (k+1, k) packs its 2k^2 + 2k + 1 points into a run with
     no hole, about half the cells of the box; a box hull keeps the C-order
     strides of the box.  The run's cells outside the hull (the rim, as in
-    pde._march_2d) get throw-away values: a live cell reads only live cells,
-    a rim cell only cells that the step before wrote.
+    pde._march_members) get throw-away values: a live cell reads only live
+    cells, a rim cell only cells that the step before wrote.
 
     v is laid out on its box (v.reshape(-1) copies v only where no flat view
     exists), so its values keep their bits.  As the levels shrink, strides
@@ -536,8 +535,8 @@ def _backward_sum(v: np.ndarray, steps: Sequence[tuple]) -> np.ndarray:
     Levels are short (a few thousand cells), so numpy's fixed cost per call
     counts: a run of at most BLOCK_CELLS cells takes no block loop, shifts
     are worked out once per step object and layout, and the operand rule of
-    pde._march_1d holds (0-d float64 probabilities, made once per law by
-    _sum_steps; `out` positional except in np.maximum).
+    pde._march_members holds (0-d float64 probabilities, made once per law
+    by _sum_steps; `out` positional except in np.maximum).
     """
     if not steps:
         return v

@@ -1,14 +1,17 @@
 """Monotone explicit finite differences for the G-heat equation.
 
-The forward march u <- u + max over theta of sum_v w_v D_v u, D_v the second
-difference along stencil direction v and w_v = tau sigma_v^2 / (2 h^2) worked
-out once per march, uses the central second difference in 1-d and, in 2-d, a
-sign-adapted nine-point stencil whose weights stay nonnegative whenever every
-Sigma is diagonally dominant.  A monotone consistent stable scheme converges
-to the viscosity solution, so no regularity machinery is needed.  Boundary
-values are frozen at the initial data; the domain is sized so that the frozen
-rim only reaches the evaluation point through a Gaussian tail, and that tail
-bound is part of every reported error bar.
+The forward march u <- u + max over members of sum_v w_v D_v u, D_v the
+second difference along stencil direction v, takes the generator as a list
+of members (_members), each a tuple of (flat shift, weight) pairs with
+tau / (2 h^2) folded into every weight once per march: in 1-d the central
+second difference weighted by the upper and by the lower variance, and in
+2-d, per Theta member, a sign-adapted nine-point stencil whose weights stay
+nonnegative whenever its Sigma is diagonally dominant.  One kernel
+(_march_members) marches any member list.  A monotone consistent stable
+scheme converges to the viscosity solution, so no regularity machinery is
+needed.  Boundary values are frozen at the initial data; the domain is sized
+so that the frozen rim only reaches the evaluation point through a Gaussian
+tail, and that tail bound is part of every reported error bar.
 """
 
 from __future__ import annotations
@@ -31,11 +34,6 @@ NODES_1D = {"fast": 151, "default": 301, "fine": 601}
 NODES_2D = {"fast": 81, "default": 121, "fine": 161}
 NODES_FDD = {"fast": 101, "default": 201, "fine": 301}
 
-
-
-def _operands(*values: float) -> list:
-    """Each value as a 0-d float64 array: the operand form of the march loops."""
-    return [np.array(value, dtype=float) for value in values]
 
 
 def _aligned_copy(u) -> np.ndarray:
@@ -120,16 +118,27 @@ class PdeEstimate:
     margin: float
 
 
-def _theta_1d_range(G: GFunction) -> tuple[float, float]:
-    vals = [float(S[0, 0]) for S in G.theta]
-    return min(vals), max(vals)
+def _members(G: GFunction, h: float, tau: float, cols: int) -> list:
+    """The generator as march members, each a tuple of (flat shift, weight)
+    pairs: a member adds sum w D_s u, D_s u the second difference u[x + s] -
+    2 u[x] + u[x - s] along the flattened field of `cols` columns, and a
+    step adds the member maximum.  k = tau / (2 h^2) is folded into each
+    weight, so no step divides.
 
-
-def _check_stencil_2d(G: GFunction, h: float, tau: float) -> list:
-    """Each Theta member's weights ((a - |c|) k, (b - |c|) k, |c| k), k =
-    tau / (2 h^2), and its c, checked monotone: the centre weight 1 - 2
-    (their sum) is judged from the floats that _march_2d then steps with."""
+    In 1-d, G(a) = max(hi a, lo a) over the range [lo, hi] of Theta: the
+    members ((1, hi k),) and then ((1, lo k),).  With lo <= hi, rounding is
+    monotone, so the step max(hi k y, lo k y) is hi k y for y >= 0 and lo k
+    y otherwise, signed zeros included.  In 2-d, per Theta member
+    (a, b, c), (cols, (a - |c|) k), (1, (b - |c|) k) and, only when c != 0,
+    the diagonal (cols + 1, |c| k) for c > 0 or the anti-diagonal (cols - 1,
+    |c| k) for c < 0: the sign-adapted nine-point stencil, monotone when
+    |c| <= min(a, b) and the centre weight 1 - 2 (the weight sum) is
+    nonnegative, which is judged from the floats that the march steps with.
+    """
     kappa = 0.5 * tau / h ** 2
+    if G.dimension == 1:
+        vals = [float(S[0, 0]) for S in G.theta]
+        return [((1, max(vals) * kappa),), ((1, min(vals) * kappa),)]
     members = []
     for S in G.theta:
         a, b, c = float(S[0, 0]), float(S[1, 1]), float(S[0, 1])
@@ -137,183 +146,145 @@ def _check_stencil_2d(G: GFunction, h: float, tau: float) -> list:
         if cc > min(a, b) + 1e-12:
             raise DomainError("non-monotone stencil: every Theta member needs "
                               "|c| <= min(a, b)")
-        weights = ((a - cc) * kappa, (b - cc) * kappa, cc * kappa)
-        if 1.0 - 2.0 * sum(weights) < -1e-12:
+        member = ((cols, (a - cc) * kappa), (1, (b - cc) * kappa))
+        if c != 0:
+            member += ((cols + 1 if c > 0 else cols - 1, cc * kappa),)
+        if 1.0 - 2.0 * sum(w for _, w in member) < -1e-12:
             raise DomainError("non-monotone stencil; tighten the CFL ratio")
-        members.append((*weights, c))
+        members.append(member)
     return members
 
 
-def _march_1d(u: np.ndarray, lo: float, hi: float, h: float, tau: float,
-              steps: int) -> np.ndarray:
-    """Explicit march along the last axis; endpoints frozen at the data.
+def _march_members(u: np.ndarray, members: list, steps: int) -> np.ndarray:
+    """Explicit march of _members' members along the rows of u's last axis.
 
-    In 1-d the generator reduces to G(a) = hi * a+ + lo * a-.  A step adds
-    max(lo k * y, hi k * y) to each node, y = (right - 2 mid) + left and k =
-    tau / (2 h^2), so no step divides.  With lo <= hi, rounding is monotone,
-    so that is hi k * y for y >= 0 and lo k * y otherwise, signed zeros
-    included.
+    u is a stack of rows of cols = u.shape[-1] cells, marched as one flat
+    array.  A step adds to each node it reaches the member maximum (lowest
+    index first) of the member sums sum w D_s u over the member's (s, w)
+    pairs, D_s the second difference at flat shift s.  The first and last
+    column stay frozen at the data, and so do the first and last row where
+    a shift leaves a row.  The shifts choose one of two loop orders:
 
-    The leading axes are a batch of independent rows.  They are marched in
-    blocks of about BLOCK_CELLS cells, each block taking every time step
-    before the next one starts, so that its operands stay in L2.  Each step
-    works in place, in two preallocated arrays, on one contiguous run of the
-    flattened block from its first to its last interior node.  The field
-    copy and both arrays start on a cache line (ambiguity._aligned), for
-    the reason given at BLOCK_CELLS.  The row ends inside that run get
-    throw-away values from the neighbouring row and are restored after the
-    update by two strided writes (a one-row block has none).  Every
-    interior node reads only nodes of its own row, computed before the
-    update, so it sees the same float operations in the same order as a
-    whole-array step: blocking changes no bit.
+    - No shift leaves a row (1-d): the rows are independent, so the field
+      is marched in place in blocks of max(1, BLOCK_CELLS // cols) rows,
+      each block taking every step before the next one starts, so that its
+      operands stay in L2.  D_1 is formed as (right - 2 centre) + left, in
+      the 2-centre buffer, so this order needs what the 1-d members are:
+      one shift, and one pair a member.
+    - Otherwise (2-d): the field lives in two buffers, and each step reads
+      one and writes the next field into the other, sweeping tiles of
+      max(1, BLOCK_CELLS // cols) interior rows, so that a tile's scratch
+      stays in L2.  Each D_s is formed as (f+ + f-) - 2 centre in its own
+      buffer, and the 2-centre buffer then serves as scratch for products.
 
-    Operand rule: every scalar operand (2 and the two weights) is made a
-    0-d float64 array once per call, and every ufunc but np.maximum takes
-    `out` positionally.  At these row lengths numpy's fixed cost per call
-    outweighs the arithmetic, and a Python float costs each call a scalar
-    conversion that a 0-d array does not; both run the same float64 loop,
-    so the values are the same bits.  numpy 2.4 deprecates a third
-    positional argument to np.maximum, so it keeps `out=`.
+    A tile is one contiguous run of the flattened field, from its first to
+    its last reached node, so every operand is a 1-d slice.  The row ends
+    inside the run get throw-away values and are restored after the update
+    from a saved copy.  Every reached node reads only nodes of the step
+    before (of its own row, in 1-d), so it sees the same float operations
+    in the same order as a whole-array step: tiling changes no bit.  A
+    member sum starts from its first product: the first member sums into
+    `best`, a middle one into `lap`, and the last in place in its own
+    differences; each after the first is folded into best by np.maximum.
+    A 2-d member with c = 0 has no cross pair, a signed zero: that changes
+    no value, but where a node is -0.0 and the winning sum a signed zero (a
+    member with a = b = c = 0, or subnormal products) the node's zero may
+    change sign against the form that adds the term.  The field copies and
+    every scratch buffer start on a cache line (ambiguity._aligned), for
+    the reason given at BLOCK_CELLS.
+
+    Rows are short (a few hundred to a few thousand cells), so numpy's
+    fixed cost per call counts.  Each tile's calls are listed once per
+    march call as (ufunc, a, b, out), and its row ends are restored by slice
+    assignments, which cost less per call than np.copyto.  Operand rule:
+    every scalar operand (2 and the weights) is a 0-d float64 array made
+    once per call, and every ufunc but np.maximum takes `out` positionally;
+    a Python float costs each call a scalar conversion that a 0-d array
+    does not, and both run the same float64 loop, so the values are the
+    same bits.  numpy 2.4 deprecates a third positional argument to
+    np.maximum, so it keeps `out=`.  An in-place call gets the same view
+    object as input and output, one per buffer and tile: two views of one
+    buffer cost about 160 ns more per call at 599 cells, because numpy then
+    runs its overlap check.
     """
     u = _aligned_copy(u)
-    n = u.shape[-1]
-    rows = u.reshape(math.prod(u.shape[:-1]), n)
-    flat = u.reshape(-1)
-    per_block = max(1, BLOCK_CELLS // n)
-    kappa = 0.5 * tau / h ** 2
-    two, lo, hi = _operands(2.0, lo * kappa, hi * kappa)
-    size = max(min(per_block, len(rows)) * n - 2, 0)
-    work, scratch = _aligned(size), _aligned(size)
-    for r0 in range(0, len(rows), per_block):
-        block = rows[r0:r0 + per_block]
-        first = r0 * n + 1
-        stop = first + max(block.size - 2, 0)
-        left, mid, right = flat[first - 1:stop - 1], flat[first:stop], flat[first + 1:stop + 1]
-        d2, low = work[:stop - first], scratch[:stop - first]
-        # (row-end column, its saved values) pairs; a one-row block has none
-        ends = [(col, col.copy()) for col in (block[:, 0], block[:, -1])] if len(block) > 1 else []
-        for _ in range(steps):
-            np.multiply(mid, two, d2)
-            np.subtract(right, d2, d2)
-            np.add(d2, left, d2)
-            np.multiply(d2, lo, low)
-            np.multiply(d2, hi, d2)
-            np.maximum(d2, low, out=d2)
-            np.add(mid, d2, mid)
-            for col, saved in ends:
-                col[...] = saved
-    return u
-
-
-def _march_2d(u: np.ndarray, G: GFunction, h: float, tau: float,
-              steps: int) -> np.ndarray:
-    """Explicit march of the sign-adapted nine-point stencil; rim frozen.
-
-    Per member (a, b, c) of Theta a step adds w_xx xx + w_yy yy + w_c cross,
-    the weights those of _check_stencil_2d and cross the diagonal second
-    difference for c > 0 and the anti-diagonal one for c < 0; only the
-    cross differences some member uses are formed.  A member with c = 0
-    skips the cross term, a signed zero: that changes no value, but where a
-    node is -0.0 and the winning sum a signed zero (a member with a = b =
-    c = 0, or subnormal products) the node's zero may change sign against
-    the form that adds the term.
-
-    The field lives in two buffers: each step reads one and writes the next
-    field into the other.  Both, and every scratch array below, start on a
-    cache line (ambiguity._aligned), for the reason given at BLOCK_CELLS.
-    A step works in tiles of max(1, BLOCK_CELLS // cols) interior rows, so
-    that a tile's scratch stays in L2.  A tile is one contiguous run of the
-    flattened field, from its first to its last interior node, so every
-    operand is a 1-d slice.  It forms its differences and member sums in
-    scratch of tile size, writes centre +
-    best, the member maximum, into the other buffer, and restores the rim
-    nodes inside its run, which got throw-away values, from a saved copy.
-    2 * centre is formed once per tile and, after the differences, serves
-    as scratch for products; the last member works in place in xx and yy.
-    Every interior node reads only the buffer of the step before, so the
-    tiling changes no bit: interior nodes see the float operations of the
-    whole-array form in the same order.
-
-    The operand rule of _march_1d holds for 2 and each member's weights.
-    """
-    weights = _check_stencil_2d(G, h, tau)
-    u = _aligned_copy(u)
-    [two] = _operands(2.0)
-    rows, cols = u.shape
+    cols = u.shape[-1]
+    rows = u.size // cols
+    diffs = dict.fromkeys([s for member in members for s, _ in member])
+    in_place = max(diffs) < cols
+    halo = 0 if in_place else 1
     per_tile = max(1, BLOCK_CELLS // cols)
-    size = max(min(per_tile, rows - 2) * cols - 2, 0)
-    # second differences, keyed by the flat shift of their neighbour pair
-    diffs = {cols: _aligned(size), 1: _aligned(size)}
-    members = []
-    for wxx, wyy, wc, c in weights:
-        cross = None
-        if c != 0:
-            shift = cols + 1 if c > 0 else cols - 1
-            if shift not in diffs:
-                diffs[shift] = _aligned(size)
-            cross = diffs[shift]
-        members.append((*_operands(wxx, wyy, wc), cross))
+    size = max(min(per_tile, rows - 2 * halo) * cols - 2, 0)
     last = len(members) - 1
-    twice = _aligned(size)
-    best = _aligned(size) if last > 0 else None
-    lap = _aligned(size) if last > 1 else None
-    bufs = (u, _aligned_copy(u))
-    ends = (u[:, 0].copy(), u[:, -1].copy())
-    tiles = []
-    for r0 in range(1, rows - 1, per_tile):
-        r1 = min(r0 + per_tile, rows - 1)
+    if not in_place:  # in 1-d the difference is formed in the 2-centre buffer
+        diffs = {s: _aligned(size) for s in diffs}
+    # 2 centre, then the member maximum and a middle member's sum if needed
+    scratch = [_aligned(size) for _ in range(min(3, len(members)))]
+    two = np.array(2.0)  # 0-d float64 operands: see the operand rule
+    members = [[(s, np.array(w, dtype=float)) for s, w in member] for member in members]
+    bufs = (u,) if in_place else (u, _aligned_copy(u))
+    programs = ([], [])  # per tile: reading bufs[0], and reading bufs[1]
+    for r0 in range(halo, rows - halo, per_tile):
+        r1 = min(r0 + per_tile, rows - halo)
         first, stop = r0 * cols + 1, r1 * cols - 1
-
-        def cut(a, n=max(stop - first, 0)):
-            return None if a is None else a[:n]
-
-        tiles.append((r0, r1, first, stop, cut(twice), cut(best), cut(lap),
-                      [(shift, cut(diff)) for shift, diff in diffs.items()],
-                      cut(diffs[cols]), cut(diffs[1]),
-                      [(*w, cut(cross)) for *w, cross in members]))
-    for k in range(steps):
-        src, dst = bufs[k % 2], bufs[1 - k % 2]
-        flat = src.reshape(-1)
-        for r0, r1, first, stop, twice, best, lap, tile_diffs, xx, yy, tile_members in tiles:
+        twice, best, lap = [buf[:stop - first] for buf in scratch] + [None] * (3 - len(scratch))
+        d = {s: twice if buf is None else buf[:stop - first] for s, buf in diffs.items()}
+        for src, dst, program in zip(bufs, bufs[::-1], programs):
+            flat = src.reshape(-1)
             cen = flat[first:stop]
-            np.multiply(cen, two, twice)
-            for shift, diff in tile_diffs:
-                np.add(flat[first + shift:stop + shift], flat[first - shift:stop - shift], diff)
-                np.subtract(diff, twice, diff)
-            # member sums; the last works in place in xx and yy
-            for i, (wxx, wyy, wc, cross) in enumerate(tile_members):
-                num, tmp = (xx, yy) if i == last else (lap if i else best, twice)
-                np.multiply(xx, wxx, num)
-                np.multiply(yy, wyy, tmp)
-                np.add(num, tmp, num)
-                if cross is not None:
-                    np.multiply(cross, wc, tmp)
-                    np.add(num, tmp, num)
+            ops = [(np.multiply, cen, two, twice)]
+            for s in d:
+                plus, minus = flat[first + s:stop + s], flat[first - s:stop - s]
+                ops += ([(np.subtract, plus, twice, d[s]), (np.add, d[s], minus, d[s])] if in_place
+                        else [(np.add, plus, minus, d[s]), (np.subtract, d[s], twice, d[s])])
+            for i, ((s0, w0), *rest) in enumerate(members):
+                num, tmp = lap if i else best, twice
+                if i == last:  # it sums in place in its own differences
+                    num, tmp = d[s0], d[rest[0][0]] if rest else None
+                ops.append((np.multiply, d[s0], w0, num))
+                for s, w in rest:
+                    ops += [(np.multiply, d[s], w, tmp), (np.add, num, tmp, num)]
                 if i:
-                    np.maximum(best, num, out=best)
-            np.add(cen, best if last else xx, dst.reshape(-1)[first:stop])
-            dst[r0 + 1:r1, 0] = ends[0][r0 + 1:r1]
-            dst[r0:r1 - 1, -1] = ends[1][r0:r1 - 1]
-    return bufs[steps % 2]
+                    ops.append((np.maximum, best, num, best))
+            ops.append((np.add, cen, best if last else num,
+                        cen if in_place else dst.reshape(-1)[first:stop]))
+            # the row ends inside the run, with their data (no march has run)
+            field = dst.reshape(rows, cols)
+            rims = (field[r0 + 1:r1, 0], field[r0:r1 - 1, -1]) if r1 - r0 > 1 else ()
+            program.append((ops, [(view, view.copy()) for view in rims]))
+    chain = itertools.chain.from_iterable
+    if in_place:  # each tile takes every step
+        order = chain(itertools.repeat(tile, steps) for tile in programs[0])
+    else:  # each step sweeps every tile
+        order = chain(itertools.islice(itertools.cycle(programs), steps))
+    maximum = np.maximum
+    for ops, rims in order:
+        for f, a, b, out in ops:
+            if f is maximum:
+                f(a, b, out=out)
+            else:
+                f(a, b, out)
+        for view, saved in rims:
+            view[...] = saved
+    return bufs[steps % len(bufs)]
 
 
 def _march(G: GFunction, grid: Grid, u: np.ndarray, steps: int) -> np.ndarray:
     """March the last grid.dim axes of u `steps` time steps of the grid.
 
-    Any leading axes are a batch of independent fields.  In 1-d they are
-    marched together by _march_1d; in 2-d each field is marched by
-    _march_2d, a batch field by field back into its slot of u, so that no
-    second batch exists.  Otherwise the result is a new array.  The one
-    check of a marched field: it must be finite.
+    G compiles to the grid's members (_members), which _march_members
+    marches.  Any leading axes are a batch of independent fields.  In 1-d
+    they are marched together, as rows; in 2-d a batch is marched field by
+    field back into its slot of u, so that no second batch exists.
+    Otherwise the result is a new array.  The one check of a marched field:
+    it must be finite.
     """
-    h, tau = grid.spacing, grid.time_step
-    if grid.dim == 1:
-        u = _march_1d(u, *_theta_1d_range(G), h, tau, steps)
-    elif u.ndim == 2:
-        u = _march_2d(u, G, h, tau, steps)
+    members = _members(G, grid.spacing, grid.time_step, u.shape[-1])
+    if grid.dim == 1 or u.ndim == 2:
+        u = _march_members(u, members, steps)
     else:
         for field in u.reshape(-1, *u.shape[-2:]):
-            field[...] = _march_2d(field, G, h, tau, steps)
+            field[...] = _march_members(field, members, steps)
     if not np.all(np.isfinite(u)):
         raise DomainError("grid function has non-finite values")
     return u

@@ -17,7 +17,6 @@ from gexpect import (DomainError, GFunction, Grid, SigmaInterval, gbm_fdd_expect
 from gexpect import ambiguity, pde
 from gexpect.ambiguity import evaluate
 from gexpect.functionals import get, get_pair
-from gexpect.pde import _check_stencil_2d, _march_1d, _march_2d
 
 SI = SigmaInterval(0.5, 1.0)
 HALF_NORMAL_MEAN = 0.3989422804014327  # E[Z+] for unit variance, oracle: 1/sqrt(2*pi)
@@ -33,10 +32,27 @@ def cfl(dim, h, horizon, sigma_sq_max):
     return grid.time_step, grid.steps
 
 
+def march_1d(u, lo, hi, h, tau, steps):
+    """The one march kernel on the members compiled from Theta = {lo, hi}."""
+    G = GFunction.from_matrices([[[lo]], [[hi]]])
+    return pde._march_members(u, pde._members(G, h, tau, np.shape(u)[-1]), steps)
+
+
+def march_2d(u, G, h, tau, steps):
+    """The one march kernel on the members compiled from G's Theta."""
+    return pde._march_members(u, pde._members(G, h, tau, np.shape(u)[-1]), steps)
+
+
+def theta_1d_range(G):
+    """(lo, hi): the least and the greatest variance in a 1-d Theta."""
+    vals = [float(S[0, 0]) for S in G.theta]
+    return min(vals), max(vals)
+
+
 def where_march_1d(u, lo, hi, h, tau, steps):
     """The 1-d march with the weight picked by np.where on the sign of the
     second difference, each weight sigma^2 kappa, kappa = tau / (2 h^2): the
-    bit-for-bit reference for pde._march_1d."""
+    bit-for-bit reference for the 1-d march."""
     u = np.array(u, dtype=float)
     kappa = 0.5 * tau / h ** 2
     for _ in range(steps):
@@ -78,7 +94,7 @@ def dense_fdd_expect(G, times, phi, accuracy):
     meshgrids; every stage is marched by where_march_1d and read at its
     centre: the bit-for-bit reference for the streamed last stage."""
     G = pde.as_gfunction(G)
-    lo, hi = pde._theta_1d_range(G)
+    lo, hi = theta_1d_range(G)
     p = len(times)
     deltas, widths, L = fdd_deltas_widths(G, times)
 
@@ -104,7 +120,7 @@ def full_width_fdd_expect(G, times, phi, accuracy):
     its diagonal by einsum, and one tail term for [-L, L] over the whole
     horizon.  Its rim lies at least as far out as any per-stage rim."""
     G = pde.as_gfunction(G)
-    lo, hi = pde._theta_1d_range(G)
+    lo, hi = theta_1d_range(G)
     p = len(times)
     deltas, _, L = fdd_deltas_widths(G, times)
 
@@ -127,8 +143,8 @@ def alloc_march_2d(u, G, h, tau, steps):
     """The 2-d march on whole-array views, allocating every difference,
     weighted sum and maximum afresh each step, each member weighted by
     ((a - |c|) kappa, (b - |c|) kappa, |c| kappa), kappa = tau / (2 h^2):
-    the bit-for-bit reference for pde._march_2d."""
-    _check_stencil_2d(G, h, tau)
+    the bit-for-bit reference for the 2-d march."""
+    pde._members(G, h, tau, np.shape(u)[-1])
     u = np.array(u, dtype=float)
     kappa = 0.5 * tau / h ** 2
     coeffs = [(float(S[0, 0]), float(S[1, 1]), float(S[0, 1])) for S in G.theta]
@@ -435,8 +451,8 @@ def test_march_1d_bit_identical_to_where_form(seed, shape, band, block_cells):
     u, lo, hi, h, tau, steps = draw_march_1d(rng, shape, band)
     k1 = int(rng.integers(0, steps + 1))
     with mock.patch.object(pde, "BLOCK_CELLS", block_cells):
-        got = _march_1d(u, lo, hi, h, tau, steps)
-        split = _march_1d(_march_1d(u, lo, hi, h, tau, k1), lo, hi, h, tau, steps - k1)
+        got = march_1d(u, lo, hi, h, tau, steps)
+        split = march_1d(march_1d(u, lo, hi, h, tau, k1), lo, hi, h, tau, steps - k1)
     ref = where_march_1d(u, lo, hi, h, tau, steps)
     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
     assert split.tobytes() == got.tobytes()
@@ -486,8 +502,8 @@ def test_march_2d_bit_identical_to_allocating_form(seed, signs, shape, wide, for
         u = np.asfortranarray(u)
     k1 = int(rng.integers(0, steps + 1))
     with mock.patch.object(pde, "BLOCK_CELLS", block_cells):
-        got = _march_2d(u, G, h, tau, steps)
-        split = _march_2d(_march_2d(u, G, h, tau, k1), G, h, tau, steps - k1)
+        got = march_2d(u, G, h, tau, steps)
+        split = march_2d(march_2d(u, G, h, tau, k1), G, h, tau, steps - k1)
     ref = alloc_march_2d(u, G, h, tau, steps)
     assert got.tobytes() == ref.tobytes()
     assert split.tobytes() == got.tobytes()
@@ -507,7 +523,7 @@ def test_march_1d_within_rounding_of_divided_form(seed, shape, band):
     ROUNDING_ULPS_PER_STEP * steps * eps * max|u_0| against the form that
     divides by h^2 and scales by tau / 2 on every step."""
     u, lo, hi, h, tau, steps = draw_march_1d(np.random.default_rng(seed), shape, band)
-    gap = np.abs(_march_1d(u, lo, hi, h, tau, steps) - divided_march_1d(u, lo, hi, h, tau, steps))
+    gap = np.abs(march_1d(u, lo, hi, h, tau, steps) - divided_march_1d(u, lo, hi, h, tau, steps))
     assert np.all(gap <= ROUNDING_ULPS_PER_STEP * steps * np.finfo(float).eps
                   * np.max(np.abs(u)))
 
@@ -517,7 +533,7 @@ def test_march_1d_within_rounding_of_divided_form(seed, shape, band):
 def test_march_2d_within_rounding_of_divided_form(seed, signs, shape, wide):
     """As the 1-d test, for the nine-point stencil's member weights."""
     u, G, h, tau, steps = draw_march_2d(np.random.default_rng(seed), signs, shape, wide)
-    gap = np.abs(_march_2d(u, G, h, tau, steps) - divided_march_2d(u, G, h, tau, steps))
+    gap = np.abs(march_2d(u, G, h, tau, steps) - divided_march_2d(u, G, h, tau, steps))
     assert np.all(gap <= ROUNDING_ULPS_PER_STEP * steps * np.finfo(float).eps
                   * np.max(np.abs(u)))
 
@@ -536,11 +552,34 @@ def test_march_2d_skipped_cross_term_changes_at_most_signs_of_zero():
         u = rng.choice([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324], size=(7, 9))
         tau, steps = cfl(2, 1.0, float(rng.uniform(0.5, 3.0)) / G.sigma_sq_max,
                          G.sigma_sq_max)
-        got = _march_2d(u, G, 1.0, tau, steps)
+        got = march_2d(u, G, 1.0, tau, steps)
         ref = alloc_march_2d(u, G, 1.0, tau, steps)
         assert np.array_equal(got, ref)
         differ = got.view(np.int64) != ref.view(np.int64)
         assert np.all(got[differ] == 0.0)
+
+
+@given(*MARCH_1D_DRAWS, *MARCH_2D_DRAWS)
+@settings(max_examples=60, deadline=None)
+def test_marches_read_only_scratch_cells_a_step_wrote(nan_filled_empty, seed, shape, band,
+                                                      seed_2d, signs, shape_2d, wide):
+    """With every np.empty array NaN-filled, a draw of draw_march_1d and
+    one of draw_march_2d keep the bytes of their references at the default
+    BLOCK_CELLS and at 5 and 14 cells: no node reads a scratch cell that no
+    call of its step wrote.  This guards the buffers the kernel shares: the
+    1-d difference is formed in the 2-centre buffer, and the last member
+    sums in place in its own difference buffers."""
+    u, lo, hi, h, tau, steps = draw_march_1d(np.random.default_rng(seed), shape, band)
+    u_2d, G, h_2d, tau_2d, steps_2d = draw_march_2d(np.random.default_rng(seed_2d), signs,
+                                                    shape_2d, wide)
+    ref = where_march_1d(u, lo, hi, h, tau, steps)
+    ref_2d = alloc_march_2d(u_2d, G, h_2d, tau_2d, steps_2d)
+    for block_cells in (pde.BLOCK_CELLS, 5, 14):
+        with nan_filled_empty(), mock.patch.object(pde, "BLOCK_CELLS", block_cells):
+            got = march_1d(u, lo, hi, h, tau, steps)
+            got_2d = march_2d(u_2d, G, h_2d, tau_2d, steps_2d)
+        assert got.tobytes() == ref.tobytes()
+        assert got_2d.tobytes() == ref_2d.tobytes()
 
 
 def test_stacked_gnormal_matches_separate_calls():
@@ -804,7 +843,7 @@ def test_kernels_take_their_scratch_from_the_aligned_helper(monkeypatch):
 
     calls.clear()
     u = np.sin(np.arange(160.0)).reshape(4, 40)
-    out = _march_1d(u, 0.5, 1.0, 0.1, 0.004, 3)
+    out = march_1d(u, 0.5, 1.0, 0.1, 0.004, 3)
     assert [c.shape for c in calls] == [u.shape, (u.size - 2,), (u.size - 2,)]
     assert out is calls[0]
 
@@ -813,7 +852,7 @@ def test_kernels_take_their_scratch_from_the_aligned_helper(monkeypatch):
                                  [[1.0, -0.3], [-0.3, 1.0]]])
     u = np.sin(np.arange(180.0)).reshape(12, 15)
     for count in (2, 3):
-        out = _march_2d(u, G, 0.1, 0.002, count)
+        out = march_2d(u, G, 0.1, 0.002, count)
         fields = [c for c in calls if c.shape == u.shape]
         # xx, yy, both cross differences, twice, best, lap
         assert sorted(c.shape for c in calls if c.shape != u.shape) == [(10 * 15 - 2,)] * 7
@@ -822,7 +861,7 @@ def test_kernels_take_their_scratch_from_the_aligned_helper(monkeypatch):
 
     # two members with c > 0 share one cross-difference buffer
     G = GFunction.from_matrices([[[1.0, 0.3], [0.3, 1.0]], [[0.8, 0.2], [0.2, 0.9]]])
-    _march_2d(u, G, 0.1, 0.002, 2)
+    march_2d(u, G, 0.1, 0.002, 2)
     assert sorted(c.shape for c in calls if c.shape != u.shape) == [(10 * 15 - 2,)] * 5
 
 
@@ -851,8 +890,9 @@ def test_2d_gnormal_working_set_at_fine(traced_peak_mib):
 
 
 def test_march_kernels_called_only_from_march():
-    """pde._march is the one path to the march kernels in the package."""
-    kernels = {"_march_1d", "_march_2d", "_theta_1d_range"}
+    """pde._march is the one caller of the member compiler and of the march
+    kernel in the package."""
+    kernels = {"_members", "_march_members"}
     callers = {name: set() for name in kernels}
     for path in pathlib.Path(pde.__file__).parent.glob("*.py"):
         for fn in ast.walk(ast.parse(path.read_text())):
