@@ -297,6 +297,27 @@ def _non_finite(node, path: str) -> str | None:
     return None
 
 
+def _float_in_integer_field(node, schema: dict, path: str) -> str | None:
+    """The path of the first float in a field that schema types `integer`,
+    or None.  JSON Schema counts 10.0 (and 1e300) as an integer, but range()
+    and numpy shapes take only an int."""
+    if schema.get("type") == "integer":
+        return path if isinstance(node, float) else None
+    if isinstance(node, dict):
+        properties = schema.get("properties", {})
+        children = ((key, child, properties[key]) for key, child in node.items()
+                    if key in properties)
+    elif isinstance(node, list) and "items" in schema:
+        children = ((index, child, schema["items"]) for index, child in enumerate(node))
+    else:
+        return None
+    for key, child, sub in children:
+        found = _float_in_integer_field(child, sub, f"{path}/{key}")
+        if found is not None:
+            return found
+    return None
+
+
 @contextmanager
 def _at(path: str):
     """Re-raise a DomainError from the block as a rejection of the field at `path`."""
@@ -307,6 +328,9 @@ def _at(path: str):
 
 
 def _build(kind: str, p: dict) -> dict:
+    path = _float_in_integer_field(p, _PARAMS_SCHEMA[kind], "params")
+    if path is not None:
+        raise ConfigError(path, "a float where an integer is required")
     inputs = {}
     if "family" in p:
         family = build_family(p["family"])

@@ -19,19 +19,24 @@ from .errors import DomainError
 from .gfunc import _check_symmetric
 from .reporting import LawReport
 
+INDEX_MAX = 2 ** 31 - 1  # node indices are int32
+
 
 @dataclass(frozen=True)
-class _RowGroup:
-    """The (node, member) rows of one level whose nodes have c children.
+class _MemberGroup:
+    """The nodes of one level that have c children, with their member lists.
 
-    Nodes are in level order and each node's rows are contiguous, in member
-    order, so np.maximum.reduceat over `seg` takes the member maximum.
+    Each distinct member list is stored once: probs is (1, M, c) when every
+    node of the group shares one list, else (n, M, c), node by node.  A list
+    of fewer than M members repeats its last member, which leaves the
+    member maximum bit for bit as it was: np.maximum returns one of its
+    equal operands, and the fold has already returned that member's value
+    or a larger one.
     """
 
-    probs: np.ndarray  # (rows, 1, c) transition probabilities
-    first: np.ndarray  # (rows,) index of the row's first child
+    probs: np.ndarray  # (1 or n, M, c) transition probabilities
+    first: np.ndarray  # (n,) index of each node's first child
     nodes: np.ndarray  # (n,) the group's nodes in the parent level
-    seg: np.ndarray    # (n,) offset of each node's first row
 
 
 class ScenarioTree:
@@ -39,20 +44,21 @@ class ScenarioTree:
 
     Level arrays (children of consecutive parents are contiguous; parent and
     inc have depth + 1 entries, the first unused, and members has depth):
-      parent[k][i]   index in level k-1 of node i's parent (k >= 1)
+      parent[k][i]   index in level k-1 of node i's parent (k >= 1), int32
       inc[k][i]      d-vector increment on the edge into node i (k >= 1)
       members[k][j]  list of transition probability vectors over the children
                      of node j at level k (k <= depth-1), aligned with the
                      contiguous child block
-    Construction also flattens members[k] into rows[k], one _RowGroup per
+    Construction also stacks members[k] into groups[k], one _MemberGroup per
     child count, which the level operator and the validation work on.
 
     Cost model: nodes of a level may share one member list object, and each
-    distinct list (by identity) is resolved and checked once; the row groups
-    are then gathered by index.  Finding the distinct lists is two dict
-    passes over the nodes' ids, run in C.  So a level whose nodes all share
-    one list runs no Python code per node, and a level of distinct lists
-    runs Python code per row, as checking every row requires.
+    distinct list (by identity) is resolved, checked and stored once.
+    Finding the distinct lists is two dict passes over the nodes' ids, run
+    in C.  So a level whose nodes all share one list runs no Python code
+    per node and stores one (1, M, c) block, and a level of distinct lists
+    runs Python code per member vector, as checking every vector requires.
+    Indices are int32, so a level of more than 2**31 - 1 nodes is rejected.
     """
 
     def __init__(self, lattice: LatticeSpec, parent: list, inc: list, members: list):
@@ -67,46 +73,53 @@ class ScenarioTree:
         if len(members) != self.depth:
             raise DomainError(f"level {min(len(members), self.depth)}: members has "
                               f"{len(members)} levels for a tree of depth {self.depth}")
-        self.parent = [None]
+        raw = [None]
         for k, p in enumerate(parent[1:], 1):
             p = np.asarray(p)
             if p.ndim != 1 or p.dtype.kind not in "iu":
                 raise DomainError(f"level {k}: parent must be a 1-d integer array, "
                                   f"not {p.ndim}-d {p.dtype}")
-            self.parent.append(p.astype(np.int64, copy=False))
+            if len(p) > INDEX_MAX:
+                raise DomainError(f"level {k}: {len(p)} nodes exceed the int32 index "
+                                  f"range (2**31 - 1)")
+            raw.append(p)
         self.inc = [None] + [np.atleast_2d(np.asarray(z, dtype=float)) for z in inc[1:]]
         self.members = members
-        self.sizes = [1] + [len(p) for p in self.parent[1:]]
-        self._index_children()
-        self.rows = [self._level_rows(k) for k in range(self.depth)]
+        self.sizes = [1] + [len(p) for p in raw[1:]]
+        self._index_children(raw)
+        self.groups = [self._level_groups(k) for k in range(self.depth)]
         for k in range(1, self.depth + 1):
             if self.inc[k].shape != (self.sizes[k], self.dim):
                 raise DomainError(f"level {k}: increment array shape mismatch")
             self.lattice.to_integer(self.inc[k])
 
-    def _index_children(self):
+    def _index_children(self, raw: list):
+        """Check each level's parent indices and store them as int32."""
+        self.parent = [None]
         self.child_start = []
         self.child_count = []
         for k in range(self.depth):
             n_par = self.sizes[k]
-            par = self.parent[k + 1]
+            par = raw[k + 1]
             if np.any(np.diff(par) < 0):
                 raise DomainError("children must be grouped by parent in order")
             if par.size and not 0 <= par[0] <= par[-1] < n_par:
                 bad = par[0] if par[0] < 0 else par[-1]
                 raise DomainError(f"level {k + 1}: parent index {bad} is not a node "
                                   f"of level {k} (size {n_par})")
+            par = par.astype(np.int32, copy=False)  # in range: every index < n_par
             count = np.bincount(par, minlength=n_par).astype(np.int32)
+            self.parent.append(par)
             self.child_start.append((np.cumsum(count) - count).astype(np.int32))
             self.child_count.append(count)
 
-    def _level_rows(self, k: int) -> list:
-        """Validate members[k] and group its rows by child count.
+    def _level_groups(self, k: int) -> list:
+        """Validate members[k] and group its nodes by child count.
 
-        The checks run on the rows of each distinct member list (by
-        identity), in the order and with the messages that checking every
-        node's rows would give; the group arrays are gathered from those
-        rows by index.
+        The checks run on the member vectors of each distinct member list
+        (by identity), in the order and with the messages that checking
+        every node's vectors would give; each group then stores its
+        distinct lists, padded to its largest member count.
         """
         mems = list(self.members[k])  # holds every list alive, so ids stay distinct
         if len(mems) != self.sizes[k]:
@@ -131,29 +144,31 @@ class ScenarioTree:
                               dtype=np.int64, count=len(rows))
         if (lengths != row_count).any() or (u_count[inv] != count).any():
             raise DomainError("member length does not match child count")
-        local = np.empty_like(u_mem)  # offset of a list's first row within its group
         groups = []
         for c in sorted(set(u_count.tolist())):
             own = (u_count == c).nonzero()[0]
             probs = np.array([rows[i] for i in (row_count == c).nonzero()[0].tolist()])
-            probs = probs.reshape(-1, 1, c)
+            probs = probs.reshape(-1, c)
             if not np.isfinite(probs).all():
                 raise DomainError("non-finite transition probability")
             if (probs < 0.0).any():
                 raise DomainError("negative transition probability")
-            if (np.abs(probs.sum(axis=2) - 1.0) > PROB_TOL).any():
+            if (np.abs(probs.sum(axis=1) - 1.0) > PROB_TOL).any():
                 raise DomainError("transition probabilities do not sum to 1")
             own_mem = u_mem[own]
-            local[own] = own_mem.cumsum() - own_mem
-            if (np.maximum.reduceat(probs[:, 0], local[own]) <= 0.0).any():
+            start = own_mem.cumsum() - own_mem  # each list's first vector in probs
+            pick = np.minimum(start[:, None] + np.arange(own_mem.max()),
+                              (start + own_mem - 1)[:, None])
+            probs = probs[pick]  # (lists, M, c), each list padded with its last member
+            if (probs.max(axis=1) <= 0.0).any():
                 raise DomainError("child unreachable under every member")
             nodes = (count == c).nonzero()[0]
-            per_node = u_mem[inv[nodes]]
-            seg = per_node.cumsum() - per_node
-            pick = (local[inv[nodes]] - seg).repeat(per_node) + np.arange(per_node.sum())
-            # int32 halves the index memory; trees stay far below 2**31 nodes.
-            groups.append(_RowGroup(probs[pick], self.child_start[k][nodes].repeat(per_node),
-                                    nodes.astype(np.int32), seg.astype(np.int32)))
+            if len(own) > 1:
+                probs = probs[np.searchsorted(own, inv[nodes])]
+            first = self.child_start[k]
+            if len(nodes) < len(mems):
+                first = first[nodes]
+            groups.append(_MemberGroup(probs, first, nodes.astype(np.int32)))
         return groups
 
     @property
@@ -188,18 +203,33 @@ class MartingaleArray:
 def _one_step(tree: ScenarioTree, level: int, vals: np.ndarray) -> np.ndarray:
     """Conditional upper expectation from one level down to its parents.
 
-    Each row's member mean is one (1, c) @ (c, d) product, the same matmul
-    kernel as p @ block on that node's child block, so the values equal the
-    per-node loop's bit for bit.  Summing with np.add.reduceat instead would
-    change the last bit of most levels.
+    Each member mean is a left-to-right sum p0*v0 + p1*v1 + ..., and the
+    means are folded with np.maximum in member order, vectorised over the
+    group's nodes.  Elementwise float operations round the same on every
+    CPU, so the values do not depend on a BLAS kernel's summation order.
+    A group covering the whole level has its children in child order, so
+    its child blocks are a reshape; any other group gathers them per node.
     """
     k = level - 1
     flat = vals.reshape(len(vals), -1)
     out = np.empty((tree.sizes[k], flat.shape[1]))
-    for g in tree.rows[k]:
-        block = flat[g.first[:, None] + np.arange(g.probs.shape[2])]
-        means = np.matmul(g.probs, block)[:, 0]
-        out[g.nodes] = np.maximum.reduceat(means, g.seg)
+    for g in tree.groups[k]:
+        n, c = len(g.nodes), g.probs.shape[2]
+        if n == tree.sizes[k]:
+            v = flat.reshape(n, c, -1).transpose(1, 0, 2)
+        else:
+            v = flat[np.arange(c)[:, None] + g.first]
+        p = g.probs.transpose(2, 1, 0)[..., None]  # (c, M, 1 or n, 1)
+        acc = p[0] * v[0]  # (M, n, d): v is (c, n, d), child j of every node
+        for pj, vj in zip(p[1:], v[1:]):
+            acc += pj * vj
+        best = acc[0]
+        for mean in acc[1:]:
+            best = np.maximum(best, mean)
+        if n == tree.sizes[k]:
+            out = best
+        else:
+            out[g.nodes] = best
     return out.reshape((tree.sizes[k],) + vals.shape[1:])
 
 
@@ -509,8 +539,9 @@ def iid_level_tree(X, depth: int, scale: float = 1.0) -> ScenarioTree:
     scaled support points.  With c support points the tree has
     (c^(depth+1) - 1)/(c - 1) nodes (depth + 1 if c = 1), so depth must
     stay small.  Every node of a level shares one member list, which
-    ScenarioTree resolves and checks once, so construction runs Python code
-    per level, not per node; the per-node work is dict lookups and numpy.
+    ScenarioTree resolves, checks and stores once, so construction runs
+    Python code per level, not per node; the per-node work is dict lookups
+    and numpy.
     """
     lat0 = X.lattice
     support = X.members[0].support
@@ -526,7 +557,7 @@ def iid_level_tree(X, depth: int, scale: float = 1.0) -> ScenarioTree:
     members = []
     level_size = 1
     for _ in range(depth):
-        parent.append(np.repeat(np.arange(level_size), cnt))
+        parent.append(np.repeat(np.arange(level_size, dtype=np.int32), cnt))
         inc.append(np.tile(support * scale, (level_size, 1)))
         members.append([probs] * level_size)
         level_size *= cnt

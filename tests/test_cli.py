@@ -323,6 +323,25 @@ def test_infinite_horizon_exits_two_with_path(tmp_path, capsys):
     assert "config rejected at params/horizon:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, field, value, path", [
+    ("axioms", "trials", 10.0, "params/trials"),
+    ("clt_bernoulli", "schedule", [16, 64.0], "params/schedule/1"),
+    ("axioms", "trials", 1e300, "params/trials"),
+], ids=["trials_integral_float", "schedule_integral_float", "trials_huge_float"])
+def test_float_in_integer_field_exits_two_with_path(tmp_path, capsys, name, field,
+                                                    value, path):
+    """The schema accepts an integral float as an integer; the load rejects
+    it at its field instead of letting it reach range() or a numpy shape."""
+    doc = yaml.safe_load((CONFIG_DIR / f"{name}.yaml").read_text())
+    doc["params"][field] = value
+    config._validate(doc["params"], config._PARAMS_SCHEMA[doc["kind"]], ("params",))
+    code = main(["--config", write_config(tmp_path, doc), "--out", str(tmp_path)])
+    assert code == 2
+    assert f"config rejected at {path}: a float where an integer is required" in \
+        capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def _number_paths(node, path=()):
     if isinstance(node, (int, float)) and not isinstance(node, bool):
         yield path
@@ -394,6 +413,46 @@ def test_run_all_check_reproduces_committed_reports():
                           capture_output=True, text=True, timeout=600,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _cpu_has_avx2() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("AVX2"))
+
+
+@pytest.mark.parametrize("coretype", [None, "Haswell"], ids=["default", "haswell"])
+def test_tree_reports_do_not_depend_on_the_blas_kernel(tmp_path, coretype):
+    """The tree_laws and rosenthal configs, run in a fresh interpreter on
+    OpenBLAS's default kernel and on its Haswell (AVX2) kernel, write the
+    committed reports byte for byte: tree member means are elementwise sums
+    in a fixed order, so no BLAS kernel's summation order reaches them."""
+    if coretype is not None and not _cpu_has_avx2():
+        pytest.skip("the Haswell kernel needs AVX2")
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      os.environ.get("PYTHONPATH")]))
+    names = ("tree_laws", "rosenthal")
+    script = f"""
+import sys
+from gexpect.cli import main
+for name in {names!r}:
+    code = main(["--config", f"{CONFIG_DIR}/{{name}}.yaml", "--out", {str(tmp_path)!r}])
+    if code:
+        sys.exit(code)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=600, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for name in names:
+        for suffix in (".csv", "_summary.txt"):
+            report = name + suffix
+            assert (tmp_path / report).read_bytes() == \
+                (ROOT / "reports" / report).read_bytes(), report
 
 
 def test_run_all_check_prints_first_differing_line_pair(tmp_path, capsys):

@@ -43,8 +43,9 @@ def policy_enumeration_expect(tree, X):
 
 
 def per_node_step(tree, level, vals):
-    """Reference level operator: node by node, the member maximum of
-    p @ block over that node's child block."""
+    """Reference level operator: node by node, the member maximum of the
+    left-to-right sum p[0] * block[0] + p[1] * block[1] + ... over that
+    node's child block, the members folded in order."""
     k = level - 1
     out = np.empty((tree.sizes[k],) + vals.shape[1:])
     for j in range(tree.sizes[k]):
@@ -52,7 +53,10 @@ def per_node_step(tree, level, vals):
         block = vals[s:s + c]
         best = None
         for p in tree.members[k][j]:
-            m = np.asarray(p, dtype=float) @ block
+            p = np.asarray(p, dtype=float)
+            m = p[0] * block[0]
+            for i in range(1, c):
+                m = m + p[i] * block[i]
             best = m if best is None else np.maximum(best, m)
         out[j] = best
     return out
@@ -126,14 +130,16 @@ def test_iid_level_tree_matches_sum_dp(bernoulli):
 
 
 def test_benchmark_sized_iid_tree_structure():
-    """The depth-11 tree of the `large` benchmark workload: its sizes, its
-    row groups, and one root value against the lattice DP."""
+    """The depth-11 tree of the `large` benchmark workload: its sizes, one
+    shared (1, 2, 3) member block per level, and one root value against the
+    lattice DP."""
     X = symmetric_bernoulli_family([0.5, 1])
     depth = 11
     tree = iid_level_tree(X, depth)
     assert tree.node_count == 265_720
-    assert [len(g.probs) for g in tree.rows[10]] == [2 * 3 ** 10]  # 118,098 rows
-    assert sum(len(g.probs) for groups in tree.rows for g in groups) == 177_146
+    for k, groups in enumerate(tree.groups):
+        assert [g.probs.shape for g in groups] == [(1, 2, 3)]
+        assert [len(g.nodes) for g in groups] == [3 ** k]
     scale = 1 / np.sqrt(depth)
     phi = get("excess_square")
     terminal = path_sums(tree, MartingaleArray(tree))[depth][:, 0]
@@ -414,8 +420,9 @@ def tree_statistics(dim, shape, seed):
 
 def test_tree_statistics_pinned_bit_for_bit():
     """Lindeberg, drift, quadratic characteristic, both Rosenthal displays and
-    the operator-law violations on 40 seeded trees equal the values recorded
-    from the per-statistic loops that `_predictable_sum` replaced."""
+    the operator-law violations on 40 seeded trees equal the recorded values.
+    Recorded with member means summed left to right, which is also what the
+    earlier matmul operator gave under OpenBLAS's Haswell kernel."""
     import json
     import pathlib
 
@@ -451,7 +458,7 @@ def test_shipped_fixture_regression():
                            np.sin(np.arange(tree.sizes[tree.depth], dtype=float)))
     assert expectation(tree, X) == 0.1535478039835115
     assert -expectation(tree, TreeRandomVariable(X.level, -X.values)) == \
-        0.05124805800904611
+        0.051248058009046124
     _, lind = lindeberg_stat(tree, MartingaleArray(tree), 1.5)
     assert lind == 16.247602975696996
 
@@ -525,16 +532,9 @@ def copied(members):
             for level in members]
 
 
-def assert_same_tree_arrays(a, b):
-    """Every row-group array and every conditional expectation, bytewise."""
+def assert_same_cond_expect(a, b):
+    """Every conditional expectation of one leaf variable, bytewise."""
     assert a.depth == b.depth
-    for k in range(a.depth):
-        assert len(a.rows[k]) == len(b.rows[k])
-        for ga, gb in zip(a.rows[k], b.rows[k]):
-            for field in ("probs", "first", "nodes", "seg"):
-                x, y = getattr(ga, field), getattr(gb, field)
-                assert (x.dtype, x.shape) == (y.dtype, y.shape)
-                assert x.tobytes() == y.tobytes()
     rng = np.random.default_rng(a.node_count)
     vals = rng.uniform(-2.0, 2.0, size=a.sizes[a.depth])
     for k in range(a.depth + 1):
@@ -544,9 +544,15 @@ def assert_same_tree_arrays(a, b):
 
 
 def test_shared_member_lists_match_per_node_copies():
+    """A shared list is stored once as a (1, M, c) block, equal copies once
+    per node; both give the same conditional expectations byte for byte."""
     tree = iid_level_tree(B, 6)
+    copies = rebuild(tree, copied(tree.members))
     assert all(len({id(node) for node in level}) == 1 for level in tree.members)
-    assert_same_tree_arrays(tree, rebuild(tree, copied(tree.members)))
+    for k in range(tree.depth):
+        assert [g.probs.shape for g in tree.groups[k]] == [(1, 2, 3)]
+        assert [g.probs.shape for g in copies.groups[k]] == [(3 ** k, 2, 3)]
+    assert_same_cond_expect(tree, copies)
 
 
 @pytest.mark.parametrize("kind", TREE_KINDS)
@@ -564,7 +570,7 @@ def test_random_subsets_sharing_lists_match_copies(seed, kind):
             if nodes.size:
                 for j in nodes:
                     level[j] = level[nodes[0]]
-    assert_same_tree_arrays(rebuild(tree, shared), rebuild(tree, copied(shared)))
+    assert_same_cond_expect(rebuild(tree, shared), rebuild(tree, copied(shared)))
 
 
 def test_member_arrays_match_member_lists():
@@ -574,7 +580,7 @@ def test_member_arrays_match_member_lists():
     rng = np.random.default_rng(5)
     arrays = [rng.dirichlet(np.ones(3), size=(tree.sizes[k], 2)) for k in range(tree.depth)]
     lists = [[list(node) for node in level] for level in arrays]
-    assert_same_tree_arrays(rebuild(tree, arrays), rebuild(tree, lists))
+    assert_same_cond_expect(rebuild(tree, arrays), rebuild(tree, lists))
 
 
 # Two level-1 nodes under one root; node 0 has two children, node 1 `n1`.
@@ -609,4 +615,54 @@ def test_child_index_arrays_int32(seed):
         assert tree.child_count[k].dtype == tree.child_start[k].dtype == np.int32
         assert np.array_equal(tree.child_count[k], count)
         assert np.array_equal(tree.child_start[k], np.cumsum(count) - count)
-        assert tree.parent[k + 1].dtype == np.int64
+        assert tree.parent[k + 1].dtype == np.int32
+        assert np.array_equal(tree.parent[k + 1], np.repeat(np.arange(tree.sizes[k]), count))
+
+
+def test_level_past_int32_rejected():
+    """A level of 2**31 nodes is rejected by its size, before any index of
+    it is read (the parent array is a stride-0 view, no memory)."""
+    huge = np.broadcast_to(np.int8(0), (2 ** 31,))
+    with pytest.raises(DomainError, match=r"^level 2: 2147483648 nodes exceed the int32"):
+        ScenarioTree(LAT1, PAIR + [huge], [None] * 3, [[[HALF]], [[HALF], [HALF]]])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_short_member_lists_padded_with_last_member(dim):
+    """Random trees with 1-3 members per node: a node's list is padded to
+    its group's member count, and the operator equals the per-node loop
+    byte for byte."""
+    padded = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, max_depth=4, max_children=4, max_members=3, dim=dim)
+        for k, groups in enumerate(tree.groups):
+            for g in groups:
+                for row, j in zip(g.probs, g.nodes):
+                    own = [np.asarray(p, dtype=float) for p in tree.members[k][j]]
+                    pad = [own[-1]] * (len(row) - len(own))
+                    assert np.array_equal(row, np.array(own + pad))
+                    padded += len(pad) > 0
+        for level in range(tree.depth, 0, -1):
+            vals = rng.uniform(-2.0, 2.0, size=(tree.sizes[level], dim))
+            vals[rng.random(tree.sizes[level]) < 0.3] = 0.0
+            vals[rng.random(tree.sizes[level]) < 0.3] = -0.0
+            got = cond_expect(tree, TreeRandomVariable(level, vals), level - 1).values
+            assert got.tobytes() == per_node_step(tree, level, vals).tobytes()
+    assert padded > 0
+
+
+def test_padding_keeps_the_sign_of_a_zero_maximum():
+    """Validation accepts a -0.0 probability, so two member means can be
+    zeros of opposite sign.  np.maximum returns its second operand on such a
+    tie, so padding node 0 with its member 0 would turn 0.0 into -0.0;
+    padding with its last member keeps the per-node loop's 0.0."""
+    parent = [None, np.array([0, 0]), np.array([0, 0, 1, 1])]
+    inc = [None, np.array([[1.0], [-1.0]]), np.zeros((4, 1))]
+    short = [np.array([-0.0, 1.0]), np.array([1.0, -0.0])]
+    members = [[[HALF]], [short, [HALF, HALF, HALF]]]
+    tree = ScenarioTree(LAT1, parent, inc, members)
+    vals = np.array([0.0, -0.0, 1.0, 1.0])
+    got = cond_expect(tree, TreeRandomVariable(2, vals), 1).values
+    assert got.tobytes() == per_node_step(tree, 2, vals).tobytes()
+    assert not np.signbit(got[0])
